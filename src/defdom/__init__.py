@@ -15,7 +15,7 @@ from .bubbles import (
     linear_from_compact,
     pig_from_bubbles,
 )
-from .bubble_solver import BubbleSolverState, OffsetMinHeap, solve_bubble, solve_bubble_from_graph
+from .bubble_solver import BubbleSolverState, OffsetMinHeap, solve_bubble
 from .defense import (
     Attack,
     Defense,
@@ -90,6 +90,5 @@ __all__ = [
     "random_unit_intervals",
     "range_of",
     "solve_bubble",
-    "solve_bubble_from_graph",
     "solve_greedy",
 ]

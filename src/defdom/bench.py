@@ -47,40 +47,26 @@ def build_instance(family: str, n: int, rep: int) -> ProperIntervalGraph:
 def run_once(g: ProperIntervalGraph, k: int, algo: str) -> dict:
     """Time one solve; returns counters plus the defender count."""
     stats: dict = {}
+    t0 = time.perf_counter_ns()
     if algo == "greedy":
-        t0 = time.perf_counter_ns()
         result = solve_greedy(g, k, stats=stats)
-        ns = time.perf_counter_ns() - t0
-        lbm = bubbles_from_pig(g)
-        return {
-            "n": g.n,
-            "bubbles": lbm.count,
-            "k": k,
-            "algo": algo,
-            "nanoseconds": ns,
-            "defense_steps": stats["defense_steps"],
-            "heap_ops": 0,
-            "list_ops": 0,
-            "size": len(result),
-        }
-    if algo == "bubble":
+    elif algo == "bubble":
         # The model build is part of the measured pipeline.
-        t0 = time.perf_counter_ns()
-        lbm = bubbles_from_pig(g)
-        result = solve_bubble(lbm, k, stats=stats)
-        ns = time.perf_counter_ns() - t0
-        return {
-            "n": g.n,
-            "bubbles": lbm.count,
-            "k": k,
-            "algo": algo,
-            "nanoseconds": ns,
-            "defense_steps": 0,
-            "heap_ops": stats["heap_inserts"] + stats["heap_deletes"],
-            "list_ops": stats["list_ops"],
-            "size": len(result),
-        }
-    raise BadParameters(f"unknown algorithm {algo!r}")
+        result = solve_bubble(bubbles_from_pig(g), k, stats=stats)
+    else:
+        raise BadParameters(f"unknown algorithm {algo!r}")
+    ns = time.perf_counter_ns() - t0
+    return {
+        "n": g.n,
+        "bubbles": stats["bubbles"] if algo == "bubble" else bubbles_from_pig(g).count,
+        "k": k,
+        "algo": algo,
+        "nanoseconds": ns,
+        "defense_steps": stats.get("defense_steps", 0),
+        "heap_ops": stats.get("heap_inserts", 0) + stats.get("heap_deletes", 0),
+        "list_ops": stats.get("list_ops", 0),
+        "size": len(result),
+    }
 
 
 def bench_rows(family: str, sizes, k: int, repeats: int) -> list[dict]:

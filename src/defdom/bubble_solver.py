@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .bubbles import LinearBubbles, bubbles_from_pig
+from .bubbles import LinearBubbles
 from .defense import Attack, defends_consecutive
 from .errors import EmptyGraph, Overflow
-from .pig import ProperIntervalGraph
+from .greedy import SkipDown
 
 
 class OffsetMinHeap:
@@ -115,21 +115,19 @@ class OffsetMinHeap:
 
 
 class BubbleSolverState:
-    """Live state of one solver run over a connected linear bubble model."""
+    """Live state of one solver run over a linear bubble model."""
 
     def __init__(self, lbm: LinearBubbles, k: int, validate: bool = False):
         if lbm.count == 0 or lbm.n == 0:
             raise EmptyGraph("cannot solve on an empty bubble model")
-        if not 1 <= k < lbm.n:
-            raise ValueError("state requires 1 <= k < n; larger k pins every vertex")
-        self.lbm = lbm
+        if k < 1:
+            raise ValueError("k must be at least 1")
         self.k = k
         self.n = lbm.n
         self.count = lbm.count
         # 1-based bubble arrays; index 0 is the artificial empty bubble.
         self.size = [0] + list(lbm.sizes)
         self.max_v = [0] + list(lbm.max_v)
-        self.min_v = [0] + list(lbm.min_v)
         self.max_nbr = [0] + list(lbm.max_nbr)
         self.min_nbr = [0] + list(lbm.min_nbr)
         self.vb = lbm.vertex_bubble_map()
@@ -143,7 +141,7 @@ class BubbleSolverState:
         self.f_head = 0
         self.f_tail = 0
         self.heap = OffsetMinHeap(self.count)
-        self.spare_parent = list(range(self.count + 1))
+        self.spare = SkipDown(self.count)
         self.list_ops = 0
         self.merge_touches = 0
         self.iterations = 0
@@ -151,17 +149,6 @@ class BubbleSolverState:
         self.positive_slack_iterations = 0
         self.chunks = 0
         self._graph = lbm.to_graph() if validate else None
-
-    # -- spare lookup ------------------------------------------------------
-
-    def _find_spare(self, b):
-        p = self.spare_parent
-        root = b
-        while p[root] != root:
-            root = p[root]
-        while p[b] != root:
-            p[b], b = root, p[b]
-        return root
 
     # -- f-list helpers ----------------------------------------------------
 
@@ -237,7 +224,7 @@ class BubbleSolverState:
             remaining -= step
             # The rightmost `step` spare vertices of the window neighborhood.
             need = step
-            b = self._find_spare(self.vb[self.max_nbr[self.vb[self.last]]])
+            b = self.spare.find(self.vb[self.max_nbr[self.vb[self.last]]])
             while need > 0:
                 assert b >= 1 and self.max_v[b] >= self.min_nbr[self.vb[self.first]], (
                     "recruit search left the window neighborhood"
@@ -247,9 +234,9 @@ class BubbleSolverState:
                 need -= take
                 received[b] = received.get(b, 0) + take
                 if self.d[b] == self.size[b]:
-                    self.spare_parent[b] = b - 1
+                    self.spare.occupy(b)
                 if need:
-                    b = self._find_spare(b)
+                    b = self.spare.find(b)
         if received:
             self._merge_segments(sorted(received.items(), reverse=True))
 
@@ -305,24 +292,46 @@ class BubbleSolverState:
     # -- driver --------------------------------------------------------------
 
     def run(self) -> list[int]:
+        """Solve every component in order; the window never leaves one.
+
+        A component ends at a bubble whose neighborhood ends at its own last
+        vertex.  One of at most k vertices is pinned whole; after any other
+        but the last, its live segments are dropped.
+        """
+        top = 0
+        for b in range(1, self.count + 1):
+            end = self.max_v[b]
+            if self.max_nbr[b] != end:
+                continue
+            if end - self.last <= self.k:
+                self.d[top + 1 : b + 1] = self.size[top + 1 : b + 1]
+                self.first, self.last = end + 1, end
+            else:
+                self._solve_component(end)
+                if end < self.n:
+                    self.remove_left(self.last - self.first + 1)
+            top = b
+        return self.defenders()
+
+    def _solve_component(self, end: int):
+        """Slide the window from the component's first vertex to ``end``."""
         self.add_new_vertices(self.k)
         if self._graph is not None:
             self._check_invariant()
-        while self.last < self.n:
+        while self.last < end:
             self.iterations += 1
             s = self.slack()
             if s > 0:
                 self.positive_slack_iterations += 1
-                self.shift(min(s, self.n - self.last))
+                self.shift(min(s, end - self.last))
             else:
                 self.zero_slack_iterations += 1
                 v = self.bottleneck()
-                move = min(self.n - self.last, v - self.first + 1)
+                move = min(end - self.last, v - self.first + 1)
                 self.remove_left(move)
                 self.add_new_vertices(move)
-            if self._graph is not None and self.last < self.n:
+            if self._graph is not None and self.last < end:
                 self._check_invariant()
-        return self.defenders()
 
     def defenders(self) -> list[int]:
         out = []
@@ -350,17 +359,6 @@ class BubbleSolverState:
         assert total == window.size, "segment counts do not cover the window"
 
 
-def _component_slices(lbm: LinearBubbles):
-    """Bubble index ranges of the connected components, with vertex bases."""
-    slices = []
-    start = 0
-    for i in range(lbm.count):
-        if lbm.max_nbr[i] == lbm.max_v[i]:
-            slices.append((start, i + 1))
-            start = i + 1
-    return slices
-
-
 def solve_bubble(
     lbm: LinearBubbles,
     k: int,
@@ -370,55 +368,22 @@ def solve_bubble(
     """Minimum k-defensive dominating set from a linear bubble model.
 
     Returns the same defender set as the vertex-by-vertex greedy.
-    Disconnected models are split at bubbles whose neighborhood ends at
-    their own last vertex; k is clamped per component.
+    Disconnected models are solved component by component in one state.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if lbm.n == 0:
-        raise EmptyGraph("cannot solve on an empty bubble model")
-    counters = {
-        "heap_inserts": 0,
-        "heap_deletes": 0,
-        "heap_adjusts": 0,
-        "list_ops": 0,
-        "merge_touches": 0,
-        "iterations": 0,
-        "zero_slack_iterations": 0,
-        "positive_slack_iterations": 0,
-        "chunks": 0,
-        "bubbles": lbm.count,
-    }
-    out: list[int] = []
-    for lo_b, hi_b in _component_slices(lbm):
-        base = lbm.max_v[lo_b - 1] if lo_b > 0 else 0
-        nc = lbm.max_v[hi_b - 1] - base
-        if min(k, nc) >= nc:
-            out.extend(range(base + 1, base + nc + 1))
-            continue
-        sub = LinearBubbles(
-            lbm.sizes[lo_b:hi_b],
-            [x - base for x in lbm.min_nbr[lo_b:hi_b]],
-            [x - base for x in lbm.max_nbr[lo_b:hi_b]],
-        )
-        state = BubbleSolverState(sub, min(k, nc), validate=validate)
-        out.extend(v + base for v in state.run())
-        counters["heap_inserts"] += state.heap.inserts
-        counters["heap_deletes"] += state.heap.deletes
-        counters["heap_adjusts"] += state.heap.adjusts
-        counters["list_ops"] += state.list_ops
-        counters["merge_touches"] += state.merge_touches
-        counters["iterations"] += state.iterations
-        counters["zero_slack_iterations"] += state.zero_slack_iterations
-        counters["positive_slack_iterations"] += state.positive_slack_iterations
-        counters["chunks"] += state.chunks
+    state = BubbleSolverState(lbm, k, validate=validate)
+    out = state.run()
     if stats is not None:
-        stats.update(counters)
+        heap = state.heap
+        stats.update(
+            heap_inserts=heap.inserts,
+            heap_deletes=heap.deletes,
+            heap_adjusts=heap.adjusts,
+            list_ops=state.list_ops,
+            merge_touches=state.merge_touches,
+            iterations=state.iterations,
+            zero_slack_iterations=state.zero_slack_iterations,
+            positive_slack_iterations=state.positive_slack_iterations,
+            chunks=state.chunks,
+            bubbles=lbm.count,
+        )
     return out
-
-
-def solve_bubble_from_graph(
-    g: ProperIntervalGraph, k: int, stats: Optional[dict] = None, validate: bool = False
-) -> list[int]:
-    """Convenience wrapper: build the linear bubble model, then solve."""
-    return solve_bubble(bubbles_from_pig(g), k, stats=stats, validate=validate)

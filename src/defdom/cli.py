@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import io as dio
-from .bubbles import bubbles_from_pig, linear_from_compact, pig_from_bubbles
+from .bubbles import CompactBubbles, LinearBubbles, bubbles_from_pig, linear_from_compact, pig_from_bubbles
 from .bubble_solver import solve_bubble
 from .defense import Attack, defends_consecutive, first_undefended_attack
 from .errors import BadParameters, DefdomError, TooLarge
@@ -29,22 +29,22 @@ from .bench import bench_rows, rows_to_csv
 from .pig import ProperIntervalGraph
 
 
-def _load_graph(path: str) -> ProperIntervalGraph:
+def _load(path: str):
+    """The parsed payload: a ProperIntervalGraph, or CompactBubbles for a bubbles file."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    kind, payload = dio.parse_instance(data)
-    if kind == "bubbles":
-        return pig_from_bubbles(payload)
-    return payload
+        return dio.parse_instance(fh.read())[1]
 
 
-def _load_bubbles(path: str):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    kind, payload = dio.parse_instance(data)
-    if kind == "bubbles":
-        return payload, linear_from_compact(payload)
-    return None, bubbles_from_pig(payload)
+def _graph(payload) -> ProperIntervalGraph:
+    """The vertex-level graph; a compact structure is expanded to n vertices."""
+    return pig_from_bubbles(payload) if isinstance(payload, CompactBubbles) else payload
+
+
+def _model(payload) -> LinearBubbles:
+    """The linear bubble model, read straight off a compact structure."""
+    if isinstance(payload, CompactBubbles):
+        return linear_from_compact(payload)
+    return bubbles_from_pig(payload)
 
 
 def _parse_defenders(text: str, n: int) -> list[int]:
@@ -60,15 +60,18 @@ def _parse_defenders(text: str, n: int) -> list[int]:
 
 
 def _cmd_solve(args, out) -> int:
-    g = _load_graph(args.input)
+    payload = _load(args.input)
     if args.algo == "bubble":
-        result = solve_bubble(bubbles_from_pig(g), args.k)
+        result = solve_bubble(_model(payload), args.k)
     else:
+        g = _graph(payload)
         result = solve_greedy(g, args.k)
     print(f"size={len(result)}", file=out)
     for v in result:
         print(v, file=out)
     if args.emit_defense:
+        if args.algo == "bubble":
+            g = _graph(payload)
         ds = tuple(result)
         m = min(args.k, g.n)
         for i in range(1, g.n - m + 2):
@@ -80,7 +83,7 @@ def _cmd_solve(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    g = _load_graph(args.input)
+    g = _graph(_load(args.input))
     defenders = _parse_defenders(args.defenders, g.n)
     bad = first_undefended_attack(g, defenders, args.k)
     if bad is None:
@@ -91,7 +94,7 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_oracle(args, out) -> int:
-    g = _load_graph(args.input)
+    g = _graph(_load(args.input))
     if g.n > MINIMUM_CAP:
         raise TooLarge(g.n, MINIMUM_CAP)
     size, witness = min_defensive_bruteforce(g.n, g.edges(), args.k)
@@ -102,7 +105,7 @@ def _cmd_oracle(args, out) -> int:
 
 
 def _cmd_bubbles(args, out) -> int:
-    _, lbm = _load_bubbles(args.input)
+    lbm = _model(_load(args.input))
     if args.dot:
         print("digraph bubbles {", file=out)
         print("  rankdir=LR;", file=out)

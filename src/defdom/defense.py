@@ -126,17 +126,32 @@ def defends_matching(adjacency, defenders: Iterable[int], attack: Iterable[int])
         cand[a] = c
     owner: dict[int, int] = {}  # defender -> attacker
 
-    def assign(a, taken):
-        for d in cand[a]:
-            if d in taken:
-                continue
-            taken.add(d)
-            if d not in owner or assign(owner[d], taken):
-                owner[d] = a
-                return True
+    def assign(root):
+        """Depth-first augmenting path from ``root``, on an explicit stack.
+
+        A frame is (attacker, its untried candidates, the defender it holds
+        and gives up on success); the root frame holds None.
+        """
+        taken = set()
+        stack = [(root, iter(cand[root]), None)]
+        while stack:
+            a, todo, _ = stack[-1]
+            for d in todo:
+                if d in taken:
+                    continue
+                taken.add(d)
+                if d not in owner:
+                    owner[d] = a
+                    for (b, _, _), (_, _, e) in zip(stack, stack[1:]):
+                        owner[e] = b
+                    return True
+                stack.append((owner[d], iter(cand[owner[d]]), d))
+                break
+            else:
+                stack.pop()
         return False
 
-    return all(assign(a, set()) for a in attackers)
+    return all(assign(a) for a in attackers)
 
 
 def first_undefended_attack(

@@ -15,7 +15,7 @@ from .errors import EmptyGraph
 from .pig import ProperIntervalGraph
 
 
-class _SkipDown:
+class SkipDown:
     """Largest free position at or below a query point.
 
     Positions start free; ``occupy`` removes one.  Path-compressed pointers
@@ -40,58 +40,6 @@ class _SkipDown:
         self.parent[x] = x - 1
 
 
-def _solve_connected(g, k, counters, on_step, base):
-    """Greedy over one connected graph; vertices are component-local 1..n."""
-    maxn, minn = g.maxn, g.minn
-    n = g.n
-    # Defenders as a position-indexed doubly-linked list, ascending order.
-    dprev = [0] * (n + 2)
-    dnext = [0] * (n + 2)
-    dtail = 0
-    spare = _SkipDown(n)
-    steps = 0
-    result = []
-    for j in range(1, n + 1):
-        i = max(1, j - k + 1)
-        ok = True
-        ptr = dtail  # the largest defender never exceeds maxn[j]
-        x = j
-        while x >= i:
-            steps += 1
-            while ptr and ptr > maxn[x]:
-                ptr = dprev[ptr]
-                steps += 1
-            if not ptr or ptr < minn[x]:
-                ok = False
-                break
-            ptr = dprev[ptr]
-            x -= 1
-        if not ok:
-            jp = spare.find(maxn[j])
-            assert jp >= minn[i], "no recruit available inside the window neighborhood"
-            spare.occupy(jp)
-            if jp > dtail:
-                dprev[jp] = dtail
-                if dtail:
-                    dnext[dtail] = jp
-                dtail = jp
-            else:
-                # Everything from jp+1 up to maxn[j] is already a defender.
-                succ = jp + 1
-                dprev[jp] = dprev[succ]
-                dnext[jp] = succ
-                if dprev[succ]:
-                    dnext[dprev[succ]] = jp
-                dprev[succ] = jp
-            result.append(jp)
-            counters["additions"] += 1
-        if on_step is not None:
-            on_step(j + base, tuple(v + base for v in sorted(result)))
-    counters["defense_steps"] += steps
-    result.sort()
-    return [v + base for v in result]
-
-
 def solve_greedy(
     g: ProperIntervalGraph,
     k: int,
@@ -100,31 +48,60 @@ def solve_greedy(
 ) -> list[int]:
     """Minimum set of defenders covering every attack of at most k vertices.
 
-    Disconnected graphs are solved one component at a time with k clamped to
-    the component size; when k reaches the component size every vertex of the
-    component is required.  ``stats`` collects instrumentation counters;
+    Disconnected graphs are solved one component at a time: no window
+    reaches left of its component, and a component of at most k vertices
+    is required whole.  ``stats`` collects instrumentation counters;
     ``on_step`` is called after each window with the defenders chosen so far.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if g.n == 0:
         raise EmptyGraph("cannot solve on an empty graph")
-    counters = {"defense_steps": 0, "additions": 0}
-    out: list[int] = []
-    components = g.components()
-    for lo, hi in components:
-        nc = hi - lo + 1
-        if min(k, nc) >= nc:
+    maxn, minn = g.maxn, g.minn
+    n = g.n
+    # Defenders as a position-indexed list of predecessors, ascending order.
+    # Defenders of earlier components lie below every neighborhood of the
+    # current one, so the scan fails on them exactly as on an empty list.
+    dprev = [0] * (n + 2)
+    dtail = 0
+    spare = SkipDown(n)
+    steps = 0
+    result = []
+    for lo, hi in g.components():
+        if hi - lo + 1 <= k:
             # An attack on the whole component pins every vertex.
-            out.extend(range(lo, hi + 1))
-            counters["additions"] += nc
+            result.extend(range(lo, hi + 1))
             continue
-        if len(components) == 1:
-            sub, base = g, 0
-        else:
-            base = lo - 1
-            sub = ProperIntervalGraph([g.maxn[v] - base for v in range(lo, hi + 1)])
-        out.extend(_solve_connected(sub, k, counters, on_step, base))
+        for j in range(lo, hi + 1):
+            i = max(lo, j - k + 1)
+            ok = True
+            ptr = dtail  # the largest defender never exceeds maxn[j]
+            x = j
+            while x >= i:
+                steps += 1
+                while ptr and ptr > maxn[x]:
+                    ptr = dprev[ptr]
+                    steps += 1
+                if not ptr or ptr < minn[x]:
+                    ok = False
+                    break
+                ptr = dprev[ptr]
+                x -= 1
+            if not ok:
+                jp = spare.find(maxn[j])
+                assert jp >= minn[i], "no recruit available inside the window neighborhood"
+                spare.occupy(jp)
+                if jp > dtail:
+                    dprev[jp] = dtail
+                    dtail = jp
+                else:
+                    # Everything from jp+1 up to maxn[j] is already a defender.
+                    dprev[jp] = dprev[jp + 1]
+                    dprev[jp + 1] = jp
+                result.append(jp)
+            if on_step is not None:
+                on_step(j, tuple(sorted(result)))
     if stats is not None:
-        stats.update(counters)
-    return out
+        stats.update(defense_steps=steps, additions=len(result))
+    result.sort()
+    return result

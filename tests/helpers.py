@@ -35,6 +35,19 @@ def random_maxn(rng: SplitMix64, n: int, hop: int = 6) -> list[int]:
     return maxn
 
 
+def random_components(rng: SplitMix64, k: int, count: int) -> ProperIntervalGraph:
+    """``count`` random connected components side by side, of 1 to 2k+4 vertices."""
+    maxn = []
+    for _ in range(count):
+        base, m = len(maxn), 1 + rng.below(2 * k + 4)
+        sub = random_maxn(rng, m, hop=1 + rng.below(6))
+        prev = 0
+        for j, v in enumerate(sub, start=1):
+            prev = max(prev, v, min(j + 1, m))  # no edge-free cut inside
+            maxn.append(base + prev)
+    return ProperIntervalGraph(maxn)
+
+
 def random_graph(rng: SplitMix64, n: int, seed_tag: int = 0) -> ProperIntervalGraph:
     """Mixed-shape random instance: interval-drawn or neighbor-range-drawn."""
     if rng.below(2):

@@ -11,7 +11,7 @@ from defdom import (
     solve_bubble,
     solve_greedy,
 )
-from helpers import p5, diamond, k4, random_graph
+from helpers import p5, diamond, k4, random_components, random_graph
 
 
 def test_examples():
@@ -172,9 +172,17 @@ def test_solver_accepts_finer_than_twin_models():
 
 
 def test_disconnected_models():
-    g = ProperIntervalGraph([2, 2, 4, 4, 7, 7, 7])
-    for k in (1, 2, 3, 6, 9):
-        assert solve_bubble(bubbles_from_pig(g), k) == solve_greedy(g, k)
+    rng = SplitMix64(8128)
+    for trial in range(150):
+        k = 1 + rng.below(12)
+        g = random_components(rng, k, 2 + rng.below(5))
+        stats = {}
+        d = solve_bubble(bubbles_from_pig(g), k, stats=stats, validate=True)
+        assert d == solve_greedy(g, k), (g.maxn, k)
+        B = stats["bubbles"]
+        assert stats["heap_inserts"] + stats["heap_deletes"] <= 2 * B, (g.maxn, k, stats)
+        assert stats["iterations"] <= 2 * B + 3, (g.maxn, k, stats)
+        assert stats["list_ops"] <= 2 * B, (g.maxn, k, stats)
 
 
 def test_disconnected_model_from_compact_structure():

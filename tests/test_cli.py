@@ -116,20 +116,24 @@ def test_unknown_subcommand_exits_2():
 
 
 def test_solver_outputs_match_and_verify(tmp_path):
-    # gen -> solve (both) -> verify, a little round trip per family
-    for fam, extra in (("path", ["--n", "40"]), ("complete", ["--n", "15"]), ("clique_chain", ["--sizes", "4,4,4"]), ("random", ["--n", "30", "--seed", "77"])):
-        dest = tmp_path / f"{fam}-rt.pig"
-        code, _, _ = cli("gen", "--family", fam, *extra, "--output", str(dest))
+    # gen -> solve (both) -> verify, a little round trip per family and file format
+    families = (("path", ["--n", "40"]), ("complete", ["--n", "15"]), ("clique_chain", ["--sizes", "4,4,4"]), ("random", ["--n", "30", "--seed", "77"]))
+    cases = [(fam, extra, fmt) for fam, extra in families for fmt in ("pig", "bubbles")]
+    # a compact structure of two 5-vertex components
+    cases.append(("random", ["--n", "10", "--seed", "12"], "bubbles"))
+    for fam, extra, fmt in cases:
+        dest = tmp_path / f"{fam}-{'-'.join(extra)}.{fmt}"
+        code, _, _ = cli("gen", "--family", fam, *extra, "--format", fmt, "--output", str(dest))
         assert code == 0
         outs = []
         for algo in ("greedy", "bubble"):
             code, out, err = cli("solve", "--input", str(dest), "--k", "3", "--algo", algo)
             assert code == 0, err
             outs.append(out)
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1], (fam, fmt)
         defenders = ",".join(outs[0].splitlines()[1:])
         code, out, _ = cli("verify", "--input", str(dest), "--k", "3", "--defenders", defenders)
-        assert code == 0 and out.strip() == "OK"
+        assert code == 0 and out.strip() == "OK", (fam, fmt)
 
 
 def test_single_vertex_instance(tmp_path):

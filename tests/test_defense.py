@@ -67,6 +67,17 @@ def test_defends_matching_isolated_attacker():
     assert not defends_matching([], {3}, {4})
 
 
+def test_defends_matching_long_augmenting_paths():
+    # every vertex of a path defends and attacks: each new attacker pushes the
+    # earlier ones along a chain as long as the attack so far
+    n = 3000
+    edges = [(v, v + 1) for v in range(1, n)]
+    assert defends_matching(edges, range(1, n + 1), range(1, n + 1))
+    # one defender short: the search must unwind stacks deeper than the recursion limit
+    m = 1500
+    assert not defends_matching(edges[: m - 1], range(2, m + 1), range(1, m + 1))
+
+
 def test_is_k_defensive_examples():
     assert is_k_defensive(p3(), [1, 3], 2)
     assert is_k_defensive(p5(), [2, 3, 5], 2)

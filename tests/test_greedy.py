@@ -9,7 +9,7 @@ from defdom import (
     min_defensive_bruteforce,
     solve_greedy,
 )
-from helpers import p3, p5, k4, random_graph
+from helpers import p3, p5, k4, random_components, random_graph
 
 
 def test_examples():
@@ -47,12 +47,23 @@ def test_k_at_least_n_returns_all_vertices():
 
 
 def test_disconnected_components_solved_independently():
-    g = ProperIntervalGraph([2, 2, 4, 4, 7, 7, 7])
-    for k in (1, 2, 3):
-        d = solve_greedy(g, k)
-        assert is_k_defensive(g, d, k)
-        size, _ = min_defensive_bruteforce(g.n, g.edges(), k)
-        assert len(d) == size
+    rng = SplitMix64(496)
+    for trial in range(150):
+        k = 1 + rng.below(12)
+        g = random_components(rng, k, 2 + rng.below(5))
+        snapshots = []
+        d = solve_greedy(g, k, on_step=lambda j, ds: snapshots.append(ds))
+        assert is_k_defensive(g, d, k), (g.maxn, k, d)
+        want = []
+        for lo, hi in g.components():
+            sub = ProperIntervalGraph([g.maxn[v] - lo + 1 for v in range(lo, hi + 1)])
+            want.extend(v + lo - 1 for v in solve_greedy(sub, k))
+        assert d == want, (g.maxn, k)
+        if g.n <= 9:  # brute force grows steeply past this
+            assert len(d) == min_defensive_bruteforce(g.n, g.edges(), k)[0], (g.maxn, k)
+        lo, hi = g.components()[-1]
+        if hi - lo + 1 > k:
+            assert list(snapshots[-1]) == d, (g.maxn, k)
 
 
 def test_monotone_in_k():
