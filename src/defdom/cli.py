@@ -47,12 +47,34 @@ def _model(payload) -> LinearBubbles:
     return bubbles_from_pig(payload)
 
 
-def _parse_defenders(text: str, n: int) -> list[int]:
-    if not text.strip():
-        return []
+def _defender_tokens(args) -> list[str]:
+    """``--defenders`` split at commas, or the vertices of ``--defenders-file``.
+
+    A file (``-`` for stdin) holds comma- or whitespace-separated vertices,
+    optionally after ``solve``'s ``size=N`` line, whose N must match the count.
+    """
+    if args.defenders_file is None:
+        return args.defenders.split(",") if args.defenders.strip() else []
+    if args.defenders_file == "-":
+        text = sys.stdin.read()
+    else:
+        with open(args.defenders_file, encoding="utf-8") as fh:
+            text = fh.read()
+    tokens = text.replace(",", " ").split()
+    if tokens and tokens[0].startswith("size="):
+        size = tokens.pop(0)[5:]
+        if size != str(len(tokens)):
+            raise BadParameters(f"defenders file says size={size} but lists {len(tokens)} vertices")
+    return tokens
+
+
+def _defenders(args, n: int) -> list[int]:
     out = set()
-    for part in text.split(","):
-        v = int(part)
+    for part in _defender_tokens(args):  # the token list is freed after the loop
+        try:
+            v = int(part)
+        except ValueError:
+            raise BadParameters(f"defender {part.strip()!r} is not a vertex number") from None
         if not 1 <= v <= n:
             raise BadParameters(f"defender {v} outside 1..{n}")
         out.add(v)
@@ -84,7 +106,7 @@ def _cmd_solve(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     g = _graph(_load(args.input))
-    defenders = _parse_defenders(args.defenders, g.n)
+    defenders = _defenders(args, g.n)
     bad = first_undefended_attack(g, defenders, args.k)
     if bad is None:
         print("OK", file=out)
@@ -180,7 +202,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="check a defender set")
     sp.add_argument("--input", required=True)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--defenders", required=True)
+    src = sp.add_mutually_exclusive_group(required=True)
+    src.add_argument("--defenders", help="comma separated vertices")
+    src.add_argument("--defenders-file", metavar="PATH", help="vertices from a file, or - for stdin")
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("oracle", help="brute-force minimum (small instances)")

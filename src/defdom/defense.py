@@ -2,16 +2,20 @@
 
 A defense of a defender set D against an attack A is a partial surjection
 f: D -> A with f(d) in the closed neighborhood of d.  On a canonical proper
-interval graph every feasible consecutive attack admits a rightmost monotone
-defense, found by scanning attackers right to left and giving each the
-rightmost unused defender adjacent to it.  ``defends_matching`` is the
-structure-free counterpart: a maximum bipartite matching on an arbitrary
-graph, used as an independent oracle.
+interval graph every closed neighborhood is a range [min_nbr(x)..max_nbr(x)]
+whose ends never decrease with x.  So ``first_undefended_attack`` decides
+every window at once by Hall's condition on consecutive sub-ranges, in
+O(n + |D|) for any k.  ``defends_consecutive`` builds an actual defense of
+one attack, the rightmost monotone one, found by scanning attackers right to
+left and giving each the rightmost unused defender adjacent to it.
+``defends_matching`` is the structure-free counterpart: a maximum bipartite
+matching on an arbitrary graph, used as an independent oracle.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import deque
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .pig import ProperIntervalGraph
@@ -111,7 +115,10 @@ def defends_matching(adjacency, defenders: Iterable[int], attack: Iterable[int])
     ``adjacency`` is an edge list or a vertex->neighbors mapping of an
     arbitrary graph.  True iff a maximum matching between the attack and the
     defenders (edges where the defender lies in the attacker's closed
-    neighborhood) saturates the attack.
+    neighborhood) saturates the attack.  A greedy matching is grown first,
+    and augmenting paths are searched only from the attackers it leaves
+    unmatched; every maximum matching has the same size, so the answer
+    does not depend on the start.
     """
     nbr = _neighbor_map(adjacency)
     dset = set(defenders)
@@ -125,6 +132,14 @@ def defends_matching(adjacency, defenders: Iterable[int], attack: Iterable[int])
             return False
         cand[a] = c
     owner: dict[int, int] = {}  # defender -> attacker
+    unmatched = []
+    for a in attackers:  # greedy start: first free candidate
+        for d in cand[a]:
+            if d not in owner:
+                owner[d] = a
+                break
+        else:
+            unmatched.append(a)
 
     def assign(root):
         """Depth-first augmenting path from ``root``, on an explicit stack.
@@ -151,22 +166,63 @@ def defends_matching(adjacency, defenders: Iterable[int], attack: Iterable[int])
                 stack.pop()
         return False
 
-    return all(assign(a) for a in attackers)
+    return all(assign(a) for a in unmatched)
 
 
 def first_undefended_attack(
-    g: ProperIntervalGraph, defenders: Iterable[int], k: int
+    g: ProperIntervalGraph, defenders: Iterable[int], k: int, stats: Optional[dict] = None
 ) -> Optional[Attack]:
-    """The leftmost consecutive attack of size min(k, n) with no defense."""
+    """The leftmost consecutive attack of size m = min(k, n) with no defense.
+
+    Attacker x may take any defender in [min_nbr(x)..max_nbr(x)], and both
+    ends never decrease with x.  By Hall's theorem a window is defended
+    unless some sub-range [a..b] of it has fewer than b-a+1 defenders in
+    [min_nbr(a)..max_nbr(b)]: split any violating attacker set where its
+    neighborhoods leave a gap, keep a violating piece, and add the attackers
+    between its ends, whose ranges lie inside (Glover 1967).  With
+    cnt(x) the number of defenders at most x, the pair a <= b < a+m fails
+    exactly when cnt(max_nbr(b)) - b < cnt(min_nbr(a)-1) - a + 1.
+
+    One left-to-right pass over b keeps the largest right-hand side among
+    the last m values of a in a monotone deque, and reads both counts
+    through two forward pointers into the sorted defenders.  The first
+    failing b names the leftmost failing window.  Work is O(n + |D|) for
+    any k, after sorting the defenders.  ``stats`` receives ``steps``:
+    pointer moves plus deque pushes and pops.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
-    ds = tuple(sorted(set(defenders)))
-    m = min(k, g.n)
-    for i in range(1, g.n - m + 2):
-        a = Attack(i, i + m - 1)
-        if defends_consecutive(g, ds, a) is None:
-            return a
-    return None
+    n = g.n
+    m = min(k, n)
+    maxn, minn = g.maxn, g.minn
+    ds = sorted(set(defenders))
+    ds.append(n + 1)  # sentinel: above every max_nbr
+    below = upto = 0  # defenders below min_nbr(b), and at most max_nbr(b)
+    q: deque = deque()  # (a, cnt(min_nbr(a)-1) - a + 1), values decreasing
+    push, pop, popleft = q.append, q.pop, q.popleft
+    bad = None
+    for b in range(1, n + 1):
+        t = minn[b]
+        while ds[below] < t:
+            below += 1
+        t = maxn[b]
+        while ds[upto] <= t:
+            upto += 1
+        need = below - b + 1
+        while q and q[-1][1] <= need:
+            pop()
+        push((b, need))
+        if q[0][0] <= b - m:
+            popleft()
+        if q[0][1] > upto - b:
+            s = max(1, b - m + 1)
+            bad = Attack(s, s + m - 1)
+            break
+    if stats is not None:
+        # Pointers only advance one at a time from 0; each of the b pushed
+        # entries left the deque at most once, and the rest are still in it.
+        stats.update(steps=below + upto + 2 * b - len(q))
+    return bad
 
 
 def is_k_defensive(g: ProperIntervalGraph, defenders: Iterable[int], k: int) -> bool:
@@ -174,7 +230,9 @@ def is_k_defensive(g: ProperIntervalGraph, defenders: Iterable[int], k: int) -> 
 
     Only full-width consecutive windows are checked: defending an attack
     also defends each of its subsets, and every smaller consecutive attack
-    sits inside some window.
+    sits inside some window.  Each window is decided by Hall's condition on
+    its consecutive sub-ranges (see ``first_undefended_attack``), in
+    O(n + |D|) for any k.
     """
     return first_undefended_attack(g, defenders, k) is None
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from defdom import ProperIntervalGraph, SplitMix64, gen_random_unit_intervals
+from defdom import Attack, ProperIntervalGraph, SplitMix64, defends_consecutive, gen_random_unit_intervals
 
 
 def p3():
@@ -57,3 +57,30 @@ def random_graph(rng: SplitMix64, n: int, seed_tag: int = 0) -> ProperIntervalGr
 
 def random_subset(rng: SplitMix64, n: int) -> list[int]:
     return [v for v in range(1, n + 1) if rng.below(2)]
+
+
+def scan_first_undefended(g: ProperIntervalGraph, defenders, k: int):
+    """Reference verifier: the rightmost monotone scan of every window in turn."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    ds = tuple(sorted(set(defenders)))
+    m = min(k, g.n)
+    for i in range(1, g.n - m + 2):
+        a = Attack(i, i + m - 1)
+        if defends_consecutive(g, ds, a) is None:
+            return a
+    return None
+
+
+def all_maxn(n: int):
+    """Every canonical max-neighbor sequence on n vertices, disconnected ones included."""
+
+    def rec(prefix):
+        j = len(prefix) + 1
+        if j > n:
+            yield tuple(prefix)
+            return
+        for m in range(max(prefix[-1] if prefix else 1, j), n + 1):
+            yield from rec(prefix + [m])
+
+    yield from rec([])

@@ -13,6 +13,7 @@ from defdom import (
     defends_consecutive,
     defends_matching,
     enumerate_connected_graphs,
+    first_undefended_attack,
     gen_random_bubbles,
     gen_random_unit_intervals,
     is_k_defensive,
@@ -200,7 +201,7 @@ def test_criterion_3_structural_fact_suite():
 
 
 def test_criterion_4_complexity_instrumentation():
-    """Counter bounds and near-linear wall-clock scaling for both solvers."""
+    """Counter bounds for both solvers and the verifier, near-linear wall-clock scaling for the solvers."""
     import math
 
     families = ("path", "clique_chain", "random")
@@ -243,6 +244,20 @@ def test_criterion_4_complexity_instrumentation():
         assert stats["iterations"] <= 2 * B + 3, (g.maxn, kk, stats)
         assert stats["list_ops"] <= 2 * B, (g.maxn, kk, stats)
 
+    # (c) verifier work is linear in n + |D| whatever k is: the same instance
+    # at k = 1, 8 and n, each with that k's greedy answer so the pass runs
+    # to the end
+    verify_ratio = 0.0
+    for fam in families:
+        g = build_instance(fam, 10_000, 0)
+        for kk in (1, k, g.n):
+            ds = solve_greedy(g, kk)
+            stats = {}
+            assert first_undefended_attack(g, ds, kk, stats=stats) is None
+            ratio = stats["steps"] / (g.n + len(ds))
+            assert ratio <= 2.0, (fam, kk, stats)
+            verify_ratio = max(verify_ratio, ratio)
+
     # wall clock within 2x of a through-origin linear fit, per algorithm and
     # family: the fit checks growth across the three decades of n, leaving
     # each family its own constant
@@ -265,6 +280,7 @@ def test_criterion_4_complexity_instrumentation():
     print(
         "PASS criterion 4: greedy steps <= "
         f"{c1:.2f}*n*k on all runs; heap ops <= 2|B| and iterations <= 2|B|+3 everywhere; "
+        f"verifier steps <= {verify_ratio:.2f}*(n+|D|) at k=1, {k}, n; "
         f"wall-clock fit spread greedy {spreads['greedy'][0]:.2f}-{spreads['greedy'][1]:.2f}, "
         f"bubble {spreads['bubble'][0]:.2f}-{spreads['bubble'][1]:.2f} (within 0.5-2.0)"
     )

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from defdom.cli import run
 
@@ -40,6 +44,49 @@ def test_verify_ok_and_fail(tmp_path):
     assert code == 0 and out.strip() == "OK"
     code, out, _ = cli("verify", "--input", path, "--k", "2", "--defenders", "2,3")
     assert code == 1 and out.strip() == "FAIL [4..5]"
+
+
+def test_verify_defenders_file_forms(tmp_path, monkeypatch):
+    path = write_p5(tmp_path)
+    good = {"commas": "2,3,5\n", "lines": "2\n3\n5\n", "solve": "size=3\n2\n3\n5\n", "mixed": " 2, 3\t5 "}
+    for name, text in good.items():
+        f = tmp_path / f"{name}.txt"
+        f.write_text(text)
+        assert cli("verify", "--input", path, "--k", "2", "--defenders-file", str(f)) == (0, "OK\n", ""), name
+    monkeypatch.setattr(sys, "stdin", io.StringIO("size=2\n2\n3\n"))
+    assert cli("verify", "--input", path, "--k", "2", "--defenders-file", "-")[:2] == (1, "FAIL [4..5]\n")
+    bad = {"token": "2\nx\n5\n", "size": "size=4\n2\n3\n5\n", "range": "2,3,9", "header": "size=three\n2\n"}
+    for name, text in bad.items():
+        f = tmp_path / f"bad-{name}.txt"
+        f.write_text(text)
+        code, out, err = cli("verify", "--input", path, "--k", "2", "--defenders-file", str(f))
+        assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1, (name, err)
+    code, _, err = cli("verify", "--input", path, "--k", "2", "--defenders-file", str(tmp_path / "missing"))
+    assert code == 2 and err.startswith("error: ")
+    # exactly one of --defenders and --defenders-file
+    f = tmp_path / "commas.txt"
+    assert cli("verify", "--input", path, "--k", "2", "--defenders", "2", "--defenders-file", str(f))[0] == 2
+    assert cli("verify", "--input", path, "--k", "2")[0] == 2
+
+
+def test_solve_piped_into_verify_at_100k(tmp_path):
+    """An answer far beyond the argument-length limit reaches verify through stdin."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    path = str(tmp_path / "path.pig")
+
+    def defdom(*argv, stdin=None):
+        cmd = [sys.executable, "-m", "defdom.cli", *argv]
+        return subprocess.run(cmd, env=env, input=stdin, capture_output=True, text=True, timeout=120)
+
+    assert defdom("gen", "--family", "path", "--n", "100000", "--output", path).returncode == 0
+    solve = defdom("solve", "--input", path, "--k", "3")
+    assert solve.returncode == 0 and len(solve.stdout) > 131_072  # Linux's limit on one argument
+    verify = defdom("verify", "--input", path, "--k", "3", "--defenders-file", "-", stdin=solve.stdout)
+    assert (verify.returncode, verify.stdout, verify.stderr) == (0, "OK\n", "")
+    bad = defdom("verify", "--input", path, "--k", "3", "--defenders-file", "-", stdin="size=2\n1\nx\n")
+    assert bad.returncode == 2 and bad.stdout == "" and bad.stderr.startswith("error: ")
+    assert bad.stderr.count("\n") == 1
 
 
 def test_oracle(tmp_path):

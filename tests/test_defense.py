@@ -4,16 +4,28 @@ import pytest
 
 from defdom import (
     Attack,
+    ProperIntervalGraph,
     SplitMix64,
     defends_consecutive,
     defends_matching,
     enumerate_connected_graphs,
     first_undefended_attack,
+    gen_family,
     is_bridged,
     is_k_defensive,
     range_of,
+    solve_greedy,
 )
-from helpers import p3, p5, diamond, random_graph, random_subset
+from helpers import (
+    all_maxn,
+    diamond,
+    p3,
+    p5,
+    random_components,
+    random_graph,
+    random_subset,
+    scan_first_undefended,
+)
 
 
 def square_connected(g, attack):
@@ -89,6 +101,73 @@ def test_is_k_defensive_clamps_k():
     g = p3()
     assert is_k_defensive(g, [1, 2, 3], 99)
     assert not is_k_defensive(g, [1, 2], 99)
+
+
+def test_hall_verifier_matches_scan_exhaustive():
+    """Every canonical graph with n <= 6, every defender subset, every k up to n+1."""
+    checked = 0
+    for n in range(1, 7):
+        for maxn in all_maxn(n):
+            g = ProperIntervalGraph(maxn)
+            for mask in range(1 << n):
+                ds = [v for v in range(1, n + 1) if mask >> (v - 1) & 1]
+                for k in range(1, n + 2):
+                    want = scan_first_undefended(g, ds, k)
+                    assert first_undefended_attack(g, ds, k) == want, (maxn, ds, k)
+                    checked += 1
+    assert checked == 68_508
+
+
+def test_hall_verifier_matches_scan_near_threshold():
+    """Random graphs up to n=2000 with the greedy answer, one defender less, one swapped."""
+    rng = SplitMix64(606)
+    shapes = 0
+    for trial in range(120):
+        style = trial % 3
+        if style == 0:
+            n = 2 + rng.below(60 if trial % 2 else 2000)
+            g = random_graph(rng, n, seed_tag=6)
+        elif style == 1:
+            g = random_components(rng, 1 + rng.below(8), 2 + rng.below(20))
+        else:  # clique chains: runs of twins
+            sizes = [2 + rng.below(9) for _ in range(1 + rng.below(40))]
+            g = gen_family("clique_chain", sizes=sizes)
+        n = g.n
+        for k in (1 + rng.below(min(n, 16)), 1 + rng.below(min(n, 200)), n, n + 1 + rng.below(3)):
+            answer = solve_greedy(g, k)
+            sets = [answer]
+            i = rng.below(len(answer))
+            sets.append(answer[:i] + answer[i + 1 :])
+            outside = sorted(set(range(1, n + 1)).difference(answer))
+            if outside:
+                swapped = list(answer)
+                swapped[i] = outside[rng.below(len(outside))]
+                sets.append(swapped)
+            for ds in sets:
+                want = scan_first_undefended(g, ds, k)
+                assert first_undefended_attack(g, ds, k) == want, (g.maxn, ds, k)
+            assert first_undefended_attack(g, answer, k) is None
+            assert first_undefended_attack(g, sets[1], k) is not None
+            shapes += 1
+    assert shapes == 480
+
+
+def test_hall_verifier_input_forms():
+    """Duplicates, out-of-range vertices and one-shot iterators read as the scan reads them."""
+    rng = SplitMix64(707)
+    for _ in range(300):
+        n = 1 + rng.below(30)
+        g = random_graph(rng, n, seed_tag=7)
+        n = g.n
+        ds = random_subset(rng, n)
+        noisy = ds + ds[: rng.below(len(ds) + 1)] + [0, -3, n + 1, n + 7][: rng.below(5)]
+        for k in (1 + rng.below(n), n + 2):
+            want = scan_first_undefended(g, noisy, k)
+            assert want == scan_first_undefended(g, ds, k)
+            assert first_undefended_attack(g, noisy, k) == want, (g.maxn, noisy, k)
+            assert first_undefended_attack(g, iter(noisy), k) == want, (g.maxn, noisy, k)
+    with pytest.raises(ValueError):
+        first_undefended_attack(p3(), [1, 2, 3], 0)
 
 
 def test_is_bridged_examples():
