@@ -12,9 +12,10 @@ sliding the whole window right by s only bumps the offset.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional
 
-from .bubbles import LinearBubbles
+from .bubbles import LinearBubbles, check_expansion
 from .defense import Attack, defends_consecutive
 from .errors import EmptyGraph, Overflow
 from .greedy import SkipDown
@@ -130,12 +131,13 @@ class BubbleSolverState:
         self.max_v = [0] + list(lbm.max_v)
         self.max_nbr = [0] + list(lbm.max_nbr)
         self.min_nbr = [0] + list(lbm.min_nbr)
-        self.vb = lbm.vertex_bubble_map()
+        self.reach = [0] + list(lbm.reach)
         self.d = [0] * (self.count + 1)
         self.first = 1
         self.last = 0
+        # Bubbles holding ``first`` and ``last + 1``; moved only by chunks, as both end past n.
+        self.first_bubble = self.next_bubble = 1
         self.seg = [0] * (self.count + 1)
-        self.in_f = bytearray(self.count + 1)
         self.f_prev = [0] * (self.count + 1)
         self.f_next = [0] * (self.count + 1)
         self.f_head = 0
@@ -153,7 +155,6 @@ class BubbleSolverState:
     # -- f-list helpers ----------------------------------------------------
 
     def _list_insert_after(self, pos, b):
-        self.in_f[b] = 1
         self.f_prev[b] = pos
         if pos:
             nxt = self.f_next[pos]
@@ -178,7 +179,6 @@ class BubbleSolverState:
             self.f_prev[nxt] = prv
         else:
             self.f_tail = prv
-        self.in_f[b] = 0
         self.list_ops += 1
 
     # -- the four state transitions -----------------------------------------
@@ -203,11 +203,10 @@ class BubbleSolverState:
     def add_new_vertices(self, delta: int):
         """Extend the window by delta attackers and recruit delta defenders.
 
-        Advances in chunks: one vertex when entering a new bubble, otherwise
-        up to the end of the current bubble.  Each chunk recruits the
-        rightmost non-defenders of the window neighborhood.  Nothing reads
-        the heap between chunks, so the recruits of the whole call are
-        spliced into the defense segments in one pass at the end.
+        One chunk per bubble, up to the end of the bubble holding ``last + 1``:
+        its new attackers are twins and recruit the rightmost non-defenders of
+        their neighborhood.  Nothing reads the heap between chunks, so all
+        recruits are spliced into the defense segments in one pass at the end.
         """
         if delta < 0 or self.last + delta > self.n:
             raise Overflow(f"cannot extend window past vertex {self.n}")
@@ -215,18 +214,18 @@ class BubbleSolverState:
         received: dict[int, int] = {}
         while remaining > 0:
             self.chunks += 1
-            i = self.vb[self.last] if self.last >= 1 else 0
-            if self.last == self.max_v[i]:
-                step = 1
-            else:
-                step = min(remaining, self.max_v[i] - self.last)
+            while self.max_v[self.first_bubble] < self.first:
+                self.first_bubble += 1
+            while self.max_v[self.next_bubble] <= self.last:
+                self.next_bubble += 1
+            step = min(remaining, self.max_v[self.next_bubble] - self.last)
             self.last += step
             remaining -= step
             # The rightmost `step` spare vertices of the window neighborhood.
             need = step
-            b = self.spare.find(self.vb[self.max_nbr[self.vb[self.last]]])
+            b = self.spare.find(self.reach[self.next_bubble])
             while need > 0:
-                assert b >= 1 and self.max_v[b] >= self.min_nbr[self.vb[self.first]], (
+                assert b >= 1 and self.max_v[b] >= self.min_nbr[self.first_bubble], (
                     "recruit search left the window neighborhood"
                 )
                 take = min(self.size[b] - self.d[b], need)
@@ -334,6 +333,7 @@ class BubbleSolverState:
                 self._check_invariant()
 
     def defenders(self) -> list[int]:
+        check_expansion(sum(self.d), "defender set")
         out = []
         for b in range(1, self.count + 1):
             if self.d[b]:
@@ -351,9 +351,13 @@ class BubbleSolverState:
         assert defense is not None, f"state holds an undefendable window {window}"
         blocks: dict[int, int] = {}
         for d, _ in defense:
-            b = self.vb[d]
+            b = bisect_left(self.max_v, d)
             blocks[b] = blocks.get(b, 0) + 1
-        live = {b: self.seg[b] for b in range(1, self.count + 1) if self.in_f[b]}
+        live, b = {}, self.f_head
+        while b:
+            live[b] = self.seg[b]
+            b = self.f_next[b]
+        assert list(live) == sorted(live) and all(live.values()), f"segment list {live} out of order"
         assert blocks == live, f"segments {live} disagree with the rightmost defense {blocks}"
         total = sum(live.values())
         assert total == window.size, "segment counts do not cover the window"

@@ -15,8 +15,23 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import InvalidBubbles, InvalidRanges
+from .errors import InvalidBubbles, InvalidRanges, TooLarge
 from .pig import ProperIntervalGraph
+
+#: Most vertices a bubble model is ever expanded into.  Expanding a path with
+#: pig_from_bubbles peaks at about 435 bytes per vertex (48 on one clique;
+#: tracemalloc at n = 10^5 and 3*10^5), so the worst shape stays near 1 GB.
+MAX_EXPANDED_VERTICES = 2_000_000
+
+
+def check_expansion(count: int, what: str) -> None:
+    """Raise TooLarge before ``count`` vertices are expanded past the cap."""
+    if count > MAX_EXPANDED_VERTICES:
+        raise TooLarge(
+            count,
+            MAX_EXPANDED_VERTICES,
+            f"{what} has {count} vertices, above the expansion cap of {MAX_EXPANDED_VERTICES}",
+        )
 
 
 class CompactBubbles:
@@ -57,7 +72,7 @@ class CompactBubbles:
 class LinearBubbles:
     """Ordered bubbles with sizes, vertex ranges, and neighborhood extremes."""
 
-    __slots__ = ("sizes", "min_v", "max_v", "min_nbr", "max_nbr", "count", "n")
+    __slots__ = ("sizes", "min_v", "max_v", "min_nbr", "max_nbr", "reach", "count", "n")
 
     def __init__(self, sizes, min_nbr, max_nbr):
         sizes = tuple(int(s) for s in sizes)
@@ -82,8 +97,8 @@ class LinearBubbles:
         self.max_nbr = max_nbr
         self.count = len(sizes)
         self.n = acc
-        boundaries = set(self.max_v)
         starts = set(min_v)
+        reach, r = [], 0  # 1-based bubble ending at each max_nbr, by one forward pointer
         prev_lo, prev_hi = 0, 0
         for i in range(self.count):
             lo, hi = min_nbr[i], max_nbr[i]
@@ -93,20 +108,17 @@ class LinearBubbles:
                 raise InvalidBubbles(f"neighborhood extremes decrease at bubble {i + 1}")
             if hi > self.n or lo < 1:
                 raise InvalidBubbles(f"bubble {i + 1} neighborhood leaves the vertex range")
+            while max_v[r] < hi:
+                r += 1
             # Twin classes mean neighborhoods cover whole bubbles.
-            if hi not in boundaries or lo not in starts:
+            if max_v[r] != hi or lo not in starts:
                 raise InvalidBubbles(f"bubble {i + 1} neighborhood splits a bubble")
+            reach.append(r + 1)
             prev_lo, prev_hi = lo, hi
-
-    def vertex_bubble_map(self) -> list[int]:
-        """Array mapping vertex -> bubble index (1-based, index 0 unused)."""
-        vb = [0] * (self.n + 1)
-        for i in range(self.count):
-            for v in range(self.min_v[i], self.max_v[i] + 1):
-                vb[v] = i + 1
-        return vb
+        self.reach = tuple(reach)
 
     def to_graph(self) -> ProperIntervalGraph:
+        check_expansion(self.n, "bubble model")
         maxn = []
         for i in range(self.count):
             maxn.extend([self.max_nbr[i]] * self.sizes[i])
@@ -207,6 +219,7 @@ def pig_from_bubbles(cb: CompactBubbles) -> ProperIntervalGraph:
     Deliberately independent of linear_from_compact: neighbors are found by
     scanning whole adjacent columns, so the two routes cross-check each other.
     """
+    check_expansion(cb.n, "bubble structure")
     layout, col_first, col_last = _column_layout(cb)
     c = len(layout)
     maxn = []

@@ -9,6 +9,7 @@ fail, reporting the first undefended consecutive attack.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -83,17 +84,15 @@ def _defenders(args, n: int) -> list[int]:
 
 def _cmd_solve(args, out) -> int:
     payload = _load(args.input)
+    # expanded before anything is printed, so a refused expansion prints nothing
+    g = _graph(payload) if args.algo == "greedy" or args.emit_defense else None
     if args.algo == "bubble":
         result = solve_bubble(_model(payload), args.k)
     else:
-        g = _graph(payload)
         result = solve_greedy(g, args.k)
-    print(f"size={len(result)}", file=out)
-    for v in result:
-        print(v, file=out)
+    out.write(f"size={len(result)}\n")
+    out.writelines(f"{v}\n" for v in result)
     if args.emit_defense:
-        if args.algo == "bubble":
-            g = _graph(payload)
         ds = tuple(result)
         m = min(args.k, g.n)
         for i in range(1, g.n - m + 2):
@@ -131,11 +130,10 @@ def _cmd_bubbles(args, out) -> int:
     if args.dot:
         print("digraph bubbles {", file=out)
         print("  rankdir=LR;", file=out)
-        vb = lbm.vertex_bubble_map()
         for i in range(lbm.count):
             print(f'  B{i + 1} [label="B{i + 1}({lbm.sizes[i]})" shape=box];', file=out)
         for i in range(lbm.count):
-            target = vb[lbm.max_nbr[i]]
+            target = lbm.reach[i]
             if target != i + 1:
                 print(f"  B{i + 1} -> B{target};", file=out)
         print("}", file=out)
@@ -188,7 +186,9 @@ def _cmd_bench(args, out) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs more than a parse."""
     p = argparse.ArgumentParser(prog="defdom", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

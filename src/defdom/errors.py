@@ -30,12 +30,13 @@ class EmptyGraph(DefdomError):
 
 
 class TooLarge(DefdomError):
-    """Brute-force oracle refused an instance above its size cap."""
+    """A size cap refused a request: the brute-force oracle's, or the cap on
+    vertices expanded from a bubble model."""
 
-    def __init__(self, n, cap):
+    def __init__(self, n, cap, message=None):
         self.n = n
         self.cap = cap
-        super().__init__(f"instance has {n} vertices, oracle cap is {cap}")
+        super().__init__(message or f"instance has {n} vertices, oracle cap is {cap}")
 
 
 class Overflow(DefdomError):

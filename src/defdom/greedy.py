@@ -44,14 +44,17 @@ def solve_greedy(
     g: ProperIntervalGraph,
     k: int,
     stats: Optional[dict] = None,
-    on_step: Optional[Callable[[int, tuple], None]] = None,
+    on_step: Optional[Callable[[int, list], None]] = None,
 ) -> list[int]:
     """Minimum set of defenders covering every attack of at most k vertices.
 
     Disconnected graphs are solved one component at a time: no window
     reaches left of its component, and a component of at most k vertices
     is required whole.  ``stats`` collects instrumentation counters;
-    ``on_step`` is called after each window with the defenders chosen so far.
+    ``on_step`` is called after each window with the defenders chosen so far:
+    the solver's own list, in recruit order rather than sorted, and the same
+    object on every call.  The hook must not change it, and must copy it to
+    keep a snapshot.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -100,7 +103,7 @@ def solve_greedy(
                     dprev[jp + 1] = jp
                 result.append(jp)
             if on_step is not None:
-                on_step(j, tuple(sorted(result)))
+                on_step(j, result)
     if stats is not None:
         stats.update(defense_steps=steps, additions=len(result))
     result.sort()

@@ -2,6 +2,7 @@ import pytest
 
 from defdom import (
     BubbleSolverState,
+    LinearBubbles,
     Overflow,
     ProperIntervalGraph,
     SplitMix64,
@@ -183,6 +184,32 @@ def test_disconnected_models():
         assert stats["heap_inserts"] + stats["heap_deletes"] <= 2 * B, (g.maxn, k, stats)
         assert stats["iterations"] <= 2 * B + 3, (g.maxn, k, stats)
         assert stats["list_ops"] <= 2 * B, (g.maxn, k, stats)
+
+
+def test_state_is_per_bubble_on_huge_twin_classes():
+    """Nothing is allocated per vertex: a million twins per bubble cost kilobytes."""
+    import tracemalloc
+
+    def one_bubble(m):
+        return LinearBubbles([m], [1], [m]), 1
+
+    def three_bubbles_chained(m):  # each bubble adjacent to the next only
+        return LinearBubbles([m] * 3, [1, 1, m + 1], [2 * m, 3 * m, 3 * m]), 3
+
+    for shape in (one_bubble, three_bubbles_chained):
+        lbm, k = shape(40)
+        assert solve_bubble(lbm, k) == solve_greedy(lbm.to_graph(), k)
+    m = 10**6
+    for shape, want in ((one_bubble, [m]), (three_bubbles_chained, [2 * m - 2, 2 * m - 1, 2 * m])):
+        lbm, k = shape(m)
+        tracemalloc.start()
+        try:
+            got = solve_bubble(lbm, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want, shape.__name__
+        assert peak < 64 * 1024, (shape.__name__, peak)
 
 
 def test_disconnected_model_from_compact_structure():

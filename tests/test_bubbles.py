@@ -28,6 +28,7 @@ def test_bubbles_from_pig_path():
     assert lb.sizes == (1, 1, 1, 1, 1)
     assert lb.max_nbr == (2, 3, 4, 5, 5)
     assert lb.min_nbr == (1, 1, 2, 3, 4)
+    assert lb.reach == (2, 3, 4, 5, 5)
 
 
 def test_bubbles_from_pig_diamond():
@@ -35,6 +36,7 @@ def test_bubbles_from_pig_diamond():
     assert lb.sizes == (1, 2, 1)
     assert lb.max_nbr == (3, 4, 4)
     assert lb.min_nbr == (1, 1, 2)
+    assert lb.reach == (2, 3, 3)
 
 
 def test_bubbles_from_pig_complete():
@@ -122,6 +124,7 @@ def test_linear_from_compact_agrees_with_rule_expansion():
         tw = bubbles_from_pig(g)
         assert list(zip(tw.sizes, tw.min_nbr, tw.max_nbr)) == coarsen(lbm)
         assert tw.count <= lbm.count <= n
+        assert [lbm.max_v[r - 1] for r in lbm.reach] == list(lbm.max_nbr)
 
 
 def test_bubble_members_are_twins_columns_are_cliques():

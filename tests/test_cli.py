@@ -115,6 +115,10 @@ def test_bubbles_listing_and_dot(tmp_path):
     assert code == 0
     assert out.startswith("digraph bubbles {")
     assert "B2 [label=\"B2(2)\"" in out
+    assert [l.strip() for l in out.splitlines() if "->" in l] == ["B1 -> B2;", "B2 -> B3;"]
+    code, out, _ = cli("bubbles", "--input", write_p5(tmp_path), "--dot")
+    assert code == 0
+    assert [l.strip() for l in out.splitlines() if "->" in l] == [f"B{i} -> B{i + 1};" for i in range(1, 5)]
 
 
 def test_bubbles_file_input(tmp_path):
@@ -122,6 +126,25 @@ def test_bubbles_file_input(tmp_path):
     path.write_text("bubbles 1\ncol 1 1\n1 3\n")
     code, out, _ = cli("solve", "--input", str(path), "--k", "1")
     assert code == 0 and out.splitlines()[0] == "size=1"
+
+
+def test_huge_twin_class_solves_without_expansion(tmp_path):
+    """A 3-line file of 10^15 twins: the bubble solver answers; every expansion is refused."""
+    path = tmp_path / "huge.bubbles"
+    path.write_text("bubbles 1\ncol 1 1\n1 1000000000000000\n")
+    code, out, err = cli("solve", "--input", str(path), "--k", "1", "--algo", "bubble")
+    assert (code, out, err) == (0, "size=1\n1000000000000000\n", "")
+    for argv in (
+        ("solve", "--k", "1", "--algo", "greedy"),
+        ("verify", "--k", "1", "--defenders", "1"),
+        ("oracle", "--k", "1"),
+        ("solve", "--k", "1000000000000000", "--algo", "bubble"),
+        ("solve", "--k", "1", "--algo", "bubble", "--emit-defense"),
+    ):
+        code, out, err = cli(*argv, "--input", str(path))
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "expansion cap of 2000000" in err, (argv, err)
 
 
 def test_gen_examples(tmp_path):

@@ -52,7 +52,7 @@ def test_disconnected_components_solved_independently():
         k = 1 + rng.below(12)
         g = random_components(rng, k, 2 + rng.below(5))
         snapshots = []
-        d = solve_greedy(g, k, on_step=lambda j, ds: snapshots.append(ds))
+        d = solve_greedy(g, k, on_step=lambda j, ds: snapshots.append(sorted(ds)))
         assert is_k_defensive(g, d, k), (g.maxn, k, d)
         want = []
         for lo, hi in g.components():
@@ -63,7 +63,7 @@ def test_disconnected_components_solved_independently():
             assert len(d) == min_defensive_bruteforce(g.n, g.edges(), k)[0], (g.maxn, k)
         lo, hi = g.components()[-1]
         if hi - lo + 1 > k:
-            assert list(snapshots[-1]) == d, (g.maxn, k)
+            assert snapshots[-1] == d, (g.maxn, k)
 
 
 def test_monotone_in_k():
@@ -88,11 +88,30 @@ def test_prefix_invariant_via_matching_oracle():
         k = 1 + rng.below(3)
         edges = g.edges()
         snapshots = []
-        solve_greedy(g, k, on_step=lambda j, d: snapshots.append((j, d)))
+        solve_greedy(g, k, on_step=lambda j, d: snapshots.append((j, sorted(d))))
         for j, d in snapshots:
             for size in range(1, min(k, j) + 1):
                 for attack in combinations(range(1, j + 1), size):
                     assert defends_matching(edges, set(d), attack), (g.maxn, k, j, d, attack)
+
+
+def test_on_step_gets_the_live_list_once_per_window():
+    """A hooked run stays linear: the hook sees the solver's own list, never a copy."""
+    n, k = 20_000, 4
+    g = ProperIntervalGraph([min(j + 1, n) for j in range(1, n + 1)])
+    windows = []
+    first = []
+
+    def hook(j, ds):
+        windows.append(j)
+        if not first:
+            first.append(ds)
+        elif ds is not first[0]:
+            raise AssertionError(f"window {j} got a new defender list")
+
+    d = solve_greedy(g, k, on_step=hook)
+    assert windows == list(range(1, n + 1))
+    assert sorted(first[0]) == d
 
 
 def test_step_counter_scales_with_nk():
