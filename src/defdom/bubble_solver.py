@@ -30,16 +30,13 @@ class OffsetMinHeap:
     bubble sifts it in place and is not an insertion or deletion.
     """
 
-    __slots__ = ("heap", "pos", "key", "offset", "inserts", "deletes", "adjusts")
+    __slots__ = ("heap", "pos", "key", "offset")
 
     def __init__(self, count):
         self.heap = []
         self.pos = [0] * (count + 1)
         self.key = [0] * (count + 1)
         self.offset = 0
-        self.inserts = 0
-        self.deletes = 0
-        self.adjusts = 0
 
     def __len__(self):
         return len(self.heap)
@@ -87,7 +84,6 @@ class OffsetMinHeap:
         self.heap.append(b)
         self.pos[b] = len(self.heap) - 1
         self._sift_up(len(self.heap) - 1)
-        self.inserts += 1
 
     def remove(self, b):
         i = self.pos[b]
@@ -97,16 +93,16 @@ class OffsetMinHeap:
             self.pos[last] = i
             self._sift_up(i)
             self._sift_down(i)
-        self.deletes += 1
 
-    def adjust(self, b, key):
+    def adjust(self, b, key) -> bool:
+        """Re-key bubble b; returns whether its key changed."""
         if key == self.key[b]:
-            return
+            return False
         self.key[b] = key
         i = self.pos[b]
         self._sift_up(i)
         self._sift_down(self.pos[b])
-        self.adjusts += 1
+        return True
 
     def top(self):
         return self.heap[0]
@@ -144,17 +140,21 @@ class BubbleSolverState:
         self.f_tail = 0
         self.heap = OffsetMinHeap(self.count)
         self.spare = SkipDown(self.count)
-        self.list_ops = 0
-        self.merge_touches = 0
-        self.iterations = 0
-        self.zero_slack_iterations = 0
-        self.positive_slack_iterations = 0
-        self.chunks = 0
+        # Each event is counted once, in a local of the loop that makes it and
+        # added to this dict after the loop; solve_bubble derives list_ops and
+        # iterations from these.
+        self.counts = dict.fromkeys(
+            ("heap_inserts", "heap_deletes", "heap_adjusts", "merge_touches",
+             "zero_slack_iterations", "positive_slack_iterations", "chunks"),
+            0,
+        )
         self._graph = lbm.to_graph() if validate else None
 
-    # -- f-list helpers ----------------------------------------------------
+    # -- segments enter and leave the list and the heap together -------------
 
-    def _list_insert_after(self, pos, b):
+    def _enter(self, pos, b, take, key):
+        """Insert bubble b's segment of ``take`` defenders after ``pos`` (0: at the head)."""
+        self.seg[b] = take
         self.f_prev[b] = pos
         if pos:
             nxt = self.f_next[pos]
@@ -167,9 +167,11 @@ class BubbleSolverState:
             self.f_prev[nxt] = b
         else:
             self.f_tail = b
-        self.list_ops += 1
+        self.heap.push(b, key)
 
-    def _list_unlink(self, b):
+    def _leave(self, b):
+        """Drop bubble b's segment from the list and the heap."""
+        self.seg[b] = 0
         prv, nxt = self.f_prev[b], self.f_next[b]
         if prv:
             self.f_next[prv] = nxt
@@ -179,7 +181,7 @@ class BubbleSolverState:
             self.f_prev[nxt] = prv
         else:
             self.f_tail = prv
-        self.list_ops += 1
+        self.heap.remove(b)
 
     # -- the four state transitions -----------------------------------------
 
@@ -212,8 +214,9 @@ class BubbleSolverState:
             raise Overflow(f"cannot extend window past vertex {self.n}")
         remaining = delta
         received: dict[int, int] = {}
+        chunks = 0
         while remaining > 0:
-            self.chunks += 1
+            chunks += 1
             while self.max_v[self.first_bubble] < self.first:
                 self.first_bubble += 1
             while self.max_v[self.next_bubble] <= self.last:
@@ -236,6 +239,7 @@ class BubbleSolverState:
                     self.spare.occupy(b)
                 if need:
                     b = self.spare.find(b)
+        self.counts["chunks"] += chunks
         if received:
             self._merge_segments(sorted(received.items(), reverse=True))
 
@@ -250,43 +254,47 @@ class BubbleSolverState:
         """
         heap, seg = self.heap, self.seg
         pos = self.f_tail
-        suffix = 0
+        suffix = touches = adjusts = inserts = 0
+        base = heap.offset - self.last  # a bubble's key is max_nbr + suffix + base
         for b, take in receivers:
             while pos and pos > b:
-                heap.adjust(pos, self.max_nbr[pos] - (self.last - suffix) + heap.offset)
+                adjusts += heap.adjust(pos, self.max_nbr[pos] + suffix + base)
                 suffix += seg[pos]
                 pos = self.f_prev[pos]
-                self.merge_touches += 1
+                touches += 1
             if pos == b:
                 seg[b] += take
-                heap.adjust(b, self.max_nbr[b] - (self.last - suffix) + heap.offset)
+                adjusts += heap.adjust(b, self.max_nbr[b] + suffix + base)
                 suffix += seg[b]
                 pos = self.f_prev[b]
-                self.merge_touches += 1
+                touches += 1
             else:
-                self._list_insert_after(pos, b)
-                seg[b] = take
-                heap.push(b, self.max_nbr[b] - (self.last - suffix) + heap.offset)
+                self._enter(pos, b, take, self.max_nbr[b] + suffix + base)
+                inserts += 1
                 suffix += take
+        self.counts["merge_touches"] += touches
+        self.counts["heap_adjusts"] += adjusts
+        self.counts["heap_inserts"] += inserts
 
     def remove_left(self, delta: int):
         """Drop the leftmost delta attackers and their defense segments."""
         if delta < 0 or delta > self.last - self.first + 1:
             raise ValueError("cannot remove more attackers than the window holds")
         self.first += delta
+        deletes = 0
         while delta > 0:
             h = self.f_head
             c = self.seg[h]
             if c <= delta:
                 delta -= c
-                self.seg[h] = 0
-                self._list_unlink(h)
-                self.heap.remove(h)
+                self._leave(h)
+                deletes += 1
             else:
                 # Keys are untouched: the window start and the dropped prefix
                 # cancel in every surviving bubble's assigned position.
                 self.seg[h] -= delta
                 delta = 0
+        self.counts["heap_deletes"] += deletes
 
     # -- driver --------------------------------------------------------------
 
@@ -317,20 +325,22 @@ class BubbleSolverState:
         self.add_new_vertices(self.k)
         if self._graph is not None:
             self._check_invariant()
+        positive = zero = 0
         while self.last < end:
-            self.iterations += 1
             s = self.slack()
             if s > 0:
-                self.positive_slack_iterations += 1
+                positive += 1
                 self.shift(min(s, end - self.last))
             else:
-                self.zero_slack_iterations += 1
+                zero += 1
                 v = self.bottleneck()
                 move = min(end - self.last, v - self.first + 1)
                 self.remove_left(move)
                 self.add_new_vertices(move)
             if self._graph is not None and self.last < end:
                 self._check_invariant()
+        self.counts["positive_slack_iterations"] += positive
+        self.counts["zero_slack_iterations"] += zero
 
     def defenders(self) -> list[int]:
         check_expansion(sum(self.d), "defender set")
@@ -377,17 +387,13 @@ def solve_bubble(
     state = BubbleSolverState(lbm, k, validate=validate)
     out = state.run()
     if stats is not None:
-        heap = state.heap
+        c = state.counts
         stats.update(
-            heap_inserts=heap.inserts,
-            heap_deletes=heap.deletes,
-            heap_adjusts=heap.adjusts,
-            list_ops=state.list_ops,
-            merge_touches=state.merge_touches,
-            iterations=state.iterations,
-            zero_slack_iterations=state.zero_slack_iterations,
-            positive_slack_iterations=state.positive_slack_iterations,
-            chunks=state.chunks,
+            c,
+            # a segment enters or leaves the list exactly where it enters or leaves the heap
+            list_ops=c["heap_inserts"] + c["heap_deletes"],
+            # every iteration sees either zero or positive slack
+            iterations=c["zero_slack_iterations"] + c["positive_slack_iterations"],
             bubbles=lbm.count,
         )
     return out

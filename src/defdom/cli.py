@@ -14,7 +14,14 @@ import sys
 from fractions import Fraction
 
 from . import io as dio
-from .bubbles import CompactBubbles, LinearBubbles, bubbles_from_pig, linear_from_compact, pig_from_bubbles
+from .bubbles import (
+    CompactBubbles,
+    LinearBubbles,
+    bubbles_from_pig,
+    check_expansion,
+    linear_from_compact,
+    pig_from_bubbles,
+)
 from .bubble_solver import solve_bubble
 from .defense import Attack, defends_consecutive, first_undefended_attack
 from .errors import BadParameters, DefdomError, TooLarge
@@ -151,6 +158,11 @@ def _cmd_gen(args, out) -> int:
     sizes = [int(x) for x in args.sizes.split(",")] if args.sizes else None
     if args.family == "random" and (args.n is None or args.n < 1):
         raise BadParameters("random instances need --n >= 1")
+    # Only a compact complete graph or clique chain is written without a per-vertex loop.
+    if args.format != "bubbles" or args.family in ("path", "random"):
+        n = sum(sizes) - len(sizes) + 1 if args.family == "clique_chain" and sizes else args.n
+        if n is not None:
+            check_expansion(n, f"generated {args.family} instance")
     if args.format == "bubbles":
         if args.family == "random":
             cb = gen_random_bubbles(args.n, seed=args.seed)
@@ -246,10 +258,7 @@ def run(argv, out=None, err=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args, out)
-    except DefdomError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (DefdomError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 2
 

@@ -20,6 +20,7 @@ token.
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -27,65 +28,62 @@ from .bubbles import CompactBubbles
 from .errors import FormatError
 from .pig import ProperIntervalGraph
 
-_TOKEN = re.compile(rb"\S+")
-
-
-def _tokenize(data: bytes):
-    """(token_text, byte_offset) pairs, comments stripped."""
-    out = []
-    pos = 0
-    for line in data.split(b"\n"):
-        cut = line.find(b"#")
-        body = line if cut < 0 else line[:cut]
-        for m in _TOKEN.finditer(body):
-            try:
-                text = m.group().decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(pos + m.start() + exc.start, "invalid UTF-8") from None
-            out.append((text, pos + m.start()))
-        pos += len(line) + 1
-    return out
+#: Tokens split on exactly ASCII whitespace, as a bytes ``\S+`` would;
+#: ``str.split()`` would also split on NBSP, ``\x1c``-``\x1f``, U+2028 and more.
+_TOKEN = re.compile(r"[^ \t\n\r\f\v]+")
+_COMMENT = re.compile(rb"#[^\n]*")
 
 
 class _Reader:
+    """The file's tokens as plain strings, split once; a token's byte offset is
+    recomputed, by one rescan, only for a diagnostic."""
+
     def __init__(self, data: bytes):
-        self.tokens = _tokenize(data)
+        try:  # comments are blanked byte for byte, so offsets stay put
+            self.text = _COMMENT.sub(lambda m: b" " * len(m[0]), data).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(exc.start, "invalid UTF-8") from None
+        self.tokens = _TOKEN.findall(self.text)
         self.i = 0
-        self.end = len(data)
+
+    def error(self, j, message) -> FormatError:
+        """A FormatError at token j, or at the end of the file past the last token."""
+        m = next(itertools.islice(_TOKEN.finditer(self.text), j, None), None)
+        return FormatError(len(self.text[: m.start() if m else None].encode("utf-8")), message)
 
     def next(self, what):
         if self.i >= len(self.tokens):
-            raise FormatError(self.end, f"unexpected end of file, expected {what}")
-        tok = self.tokens[self.i]
+            raise self.error(self.i, f"unexpected end of file, expected {what}")
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
 
     def word(self, expected):
-        text, off = self.next(f"'{expected}'")
+        text = self.next(f"'{expected}'")
         if text != expected:
-            raise FormatError(off, f"expected '{expected}', got '{text}'")
+            raise self.error(self.i - 1, f"expected '{expected}', got '{text}'")
 
     def integer(self, what):
-        text, off = self.next(what)
+        text = self.next(what)
         try:
             return int(text)
         except ValueError:
-            raise FormatError(off, f"expected integer {what}, got '{text}'") from None
+            raise self.error(self.i - 1, f"expected integer {what}, got '{text}'") from None
 
     def rational(self, what):
-        text, off = self.next(what)
+        text = self.next(what)
         num, _, den = text.partition("/")
         try:
             if den:
                 return Fraction(int(num), int(den))
             return Fraction(int(num))
         except (ValueError, ZeroDivisionError):
-            raise FormatError(off, f"expected rational {what}, got '{text}'") from None
+            raise self.error(self.i - 1, f"expected rational {what}, got '{text}'") from None
 
     def done(self):
+        """Reject a trailing token, then free the tokens before the payload is built."""
         if self.i < len(self.tokens):
-            text, off = self.tokens[self.i]
-            raise FormatError(off, f"trailing token '{text}'")
+            raise self.error(self.i, f"trailing token '{self.tokens[self.i]}'")
+        self.tokens = None
 
 
 def parse_instance(data: bytes):
@@ -97,39 +95,39 @@ def parse_instance(data: bytes):
     rd = _Reader(data)
     if not rd.tokens:
         raise FormatError(0, "empty file")
-    head, off = rd.tokens[0]
+    head = rd.next("header")
     if head == "pig":
-        rd.word("pig")
         n = rd.integer("vertex count")
         if n < 1:
-            raise FormatError(off, "vertex count must be positive")
+            raise rd.error(0, "vertex count must be positive")
         rd.word("maxn")
         maxn = [rd.integer(f"max neighbor of vertex {j}") for j in range(1, n + 1)]
         rd.done()
         return "pig", ProperIntervalGraph(maxn)
     if head == "intervals":
-        rd.word("intervals")
         n = rd.integer("interval count")
         if n < 1:
-            raise FormatError(off, "interval count must be positive")
+            raise rd.error(0, "interval count must be positive")
         entries = []
         for j in range(1, n + 1):
             left = rd.rational(f"left endpoint {j}")
             right = rd.rational(f"right endpoint {j}")
             entries.append((left, right))
         rd.done()
+        for j, (left, right) in enumerate(entries, start=1):
+            if left > right:  # token 2j is interval j's left endpoint
+                raise rd.error(2 * j, f"interval {j} has left endpoint above right endpoint")
         return "intervals", ProperIntervalGraph.from_intervals(entries)
     if head == "bubbles":
-        rd.word("bubbles")
         c = rd.integer("column count")
         if c < 1:
-            raise FormatError(off, "column count must be positive")
+            raise rd.error(0, "column count must be positive")
         columns = []
         for j in range(1, c + 1):
             rd.word("col")
             got = rd.integer("column index")
             if got != j:
-                raise FormatError(rd.tokens[rd.i - 1][1], f"expected column {j}, got {got}")
+                raise rd.error(rd.i - 1, f"expected column {j}, got {got}")
             cnt = rd.integer("bubble count")
             col = []
             for _ in range(cnt):
@@ -139,7 +137,7 @@ def parse_instance(data: bytes):
             columns.append(col)
         rd.done()
         return "bubbles", CompactBubbles(columns)
-    raise FormatError(off, f"unknown header '{head}' (expected pig, intervals, or bubbles)")
+    raise rd.error(0, f"unknown header '{head}' (expected pig, intervals, or bubbles)")
 
 
 def format_pig(g: ProperIntervalGraph) -> str:

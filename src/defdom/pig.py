@@ -76,7 +76,7 @@ class ProperIntervalGraph:
             items.append((l, r, idx))
         if not items:
             raise ValueError("need at least one interval")
-        items.sort(key=lambda t: (t[0], t[1], t[2]))
+        items.sort()
         for (l1, r1, i1), (l2, r2, i2) in zip(items, items[1:]):
             # Proper family: sorted-consecutive entries are equal or strictly
             # increase in both endpoints; anything else nests one in the other.

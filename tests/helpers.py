@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from defdom import Attack, ProperIntervalGraph, SplitMix64, defends_consecutive, gen_random_unit_intervals
+import re
+
+from defdom import Attack, FormatError, ProperIntervalGraph, SplitMix64, defends_consecutive, gen_random_unit_intervals
 
 
 def p3():
@@ -84,3 +86,23 @@ def all_maxn(n: int):
             yield from rec(prefix + [m])
 
     yield from rec([])
+
+
+_TOKEN = re.compile(rb"\S+")
+
+
+def reference_tokenize(data: bytes):
+    """Reference tokenizer: (token_text, byte_offset) pairs, comments stripped, line by line."""
+    out = []
+    pos = 0
+    for line in data.split(b"\n"):
+        cut = line.find(b"#")
+        body = line if cut < 0 else line[:cut]
+        for m in _TOKEN.finditer(body):
+            try:
+                text = m.group().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(pos + m.start() + exc.start, "invalid UTF-8") from None
+            out.append((text, pos + m.start()))
+        pos += len(line) + 1
+    return out

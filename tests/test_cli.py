@@ -166,6 +166,31 @@ def test_gen_intervals_and_bubbles_roundtrip(tmp_path):
             assert code == 0, (fam, fmt, err)
 
 
+def test_gen_refuses_per_vertex_output_above_the_cap():
+    """Every per-vertex output checks its vertex count before it allocates; compact ones stay O(1)."""
+    huge, huger = str(10**15), str(10**21)
+    for argv in (
+        ("--family", "complete", "--n", huge, "--format", "pig"),
+        ("--family", "complete", "--n", huge, "--format", "intervals"),
+        ("--family", "path", "--n", huger, "--format", "bubbles"),
+        ("--family", "path", "--n", huge, "--format", "pig"),
+        ("--family", "path", "--n", huge, "--format", "intervals"),
+        ("--family", "random", "--n", huge, "--format", "pig"),
+        ("--family", "random", "--n", huge, "--format", "intervals"),
+        ("--family", "random", "--n", huge, "--format", "bubbles"),
+        ("--family", "clique_chain", "--sizes", "1000000,1000002", "--format", "pig"),
+        ("--family", "clique_chain", "--sizes", "1000000,1000002", "--format", "intervals"),
+    ):
+        code, out, err = cli("gen", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "expansion cap of 2000000" in err, (argv, err)
+    code, out, err = cli("gen", "--family", "complete", "--n", huge, "--format", "bubbles")
+    assert (code, out, err) == (0, f"bubbles 1\ncol 1 1\n1 {huge}\n", "")
+    code, out, err = cli("gen", "--family", "clique_chain", "--sizes", "1000000,1000002", "--format", "bubbles")
+    assert code == 0 and out.startswith("bubbles 2\n"), err
+
+
 def test_gen_deterministic():
     a = cli("gen", "--family", "random", "--n", "20", "--seed", "9")
     b = cli("gen", "--family", "random", "--n", "20", "--seed", "9")
@@ -178,6 +203,9 @@ def test_parse_error_exit_code_and_offset(tmp_path):
     code, _, err = cli("solve", "--input", str(path), "--k", "1")
     assert code == 2
     assert "byte 4" in err
+    path.write_bytes(b"intervals 2\n0 1\n3/2 1\n")
+    code, out, err = cli("solve", "--input", str(path), "--k", "1")
+    assert (code, out, err) == (2, "", "error: byte 16: interval 2 has left endpoint above right endpoint\n")
 
 
 def test_unknown_subcommand_exits_2():
