@@ -2,17 +2,20 @@
 
 Simulates the left-to-right greedy in bubble-sized chunks.  The live state
 is an attack window, per-bubble defender counts, and the current rightmost
-monotone defense kept as one (bubble, count) segment per bubble in attacker
-order.  Because every live defender is assigned, the defense is just the
-order-preserving bijection between live defenders and attackers, so each
-bubble's slack (how much further right its defenders can stretch) is
-maintained in a min-heap whose keys are shifted lazily by a single offset:
-sliding the whole window right by s only bumps the offset.
+monotone defense kept as one (bubble, count) segment per bubble, the
+bubbles in a deque in bubble order, which is attacker order.  A bottleneck
+pops whole segments from the front; a merge pops the re-keyed back end and
+pushes it back with the recruits.  Because every live defender is assigned,
+the defense is just the order-preserving bijection between live defenders
+and attackers, so each bubble's slack (how much further right its defenders
+can stretch) is maintained in a min-heap whose keys are shifted lazily by a
+single offset: sliding the whole window right by s only bumps the offset.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 from typing import Optional
 
 from .bubbles import LinearBubbles, check_expansion
@@ -134,10 +137,7 @@ class BubbleSolverState:
         # Bubbles holding ``first`` and ``last + 1``; moved only by chunks, as both end past n.
         self.first_bubble = self.next_bubble = 1
         self.seg = [0] * (self.count + 1)
-        self.f_prev = [0] * (self.count + 1)
-        self.f_next = [0] * (self.count + 1)
-        self.f_head = 0
-        self.f_tail = 0
+        self.live: deque[int] = deque()  # the bubbles with a segment, ascending
         self.heap = OffsetMinHeap(self.count)
         self.spare = SkipDown(self.count)
         # Each event is counted once, in a local of the loop that makes it and
@@ -149,39 +149,6 @@ class BubbleSolverState:
             0,
         )
         self._graph = lbm.to_graph() if validate else None
-
-    # -- segments enter and leave the list and the heap together -------------
-
-    def _enter(self, pos, b, take, key):
-        """Insert bubble b's segment of ``take`` defenders after ``pos`` (0: at the head)."""
-        self.seg[b] = take
-        self.f_prev[b] = pos
-        if pos:
-            nxt = self.f_next[pos]
-            self.f_next[pos] = b
-        else:
-            nxt = self.f_head
-            self.f_head = b
-        self.f_next[b] = nxt
-        if nxt:
-            self.f_prev[nxt] = b
-        else:
-            self.f_tail = b
-        self.heap.push(b, key)
-
-    def _leave(self, b):
-        """Drop bubble b's segment from the list and the heap."""
-        self.seg[b] = 0
-        prv, nxt = self.f_prev[b], self.f_next[b]
-        if prv:
-            self.f_next[prv] = nxt
-        else:
-            self.f_head = nxt
-        if nxt:
-            self.f_prev[nxt] = prv
-        else:
-            self.f_tail = prv
-        self.heap.remove(b)
 
     # -- the four state transitions -----------------------------------------
 
@@ -208,7 +175,7 @@ class BubbleSolverState:
         One chunk per bubble, up to the end of the bubble holding ``last + 1``:
         its new attackers are twins and recruit the rightmost non-defenders of
         their neighborhood.  Nothing reads the heap between chunks, so all
-        recruits are spliced into the defense segments in one pass at the end.
+        recruits are merged into the defense segments in one pass at the end.
         """
         if delta < 0 or self.last + delta > self.n:
             raise Overflow(f"cannot extend window past vertex {self.n}")
@@ -244,55 +211,62 @@ class BubbleSolverState:
             self._merge_segments(sorted(received.items(), reverse=True))
 
     def _merge_segments(self, receivers):
-        """Splice freshly recruited bubbles into the defense segments.
+        """Merge freshly recruited bubbles, in descending order, into the segments.
 
-        Nodes above the lowest landing bubble change their assigned attackers
-        (the bijection shifts under them), so their keys are recomputed from
-        the running suffix of segment counts; nodes below are untouched.
-        Walk touches and re-key sifts are extra work beyond the enter/leave
-        budget, tracked separately in merge_touches.
+        Live bubbles above the lowest receiver change their assigned attackers
+        (the bijection shifts under them), so they are popped off the back of
+        the deque and re-keyed from the running suffix of segment counts; the
+        popped back end is pushed back with the recruits in ascending order.
+        Bubbles below are untouched.  Walk touches and re-key sifts are extra
+        work beyond the insert/delete budget, tracked in merge_touches.
         """
-        heap, seg = self.heap, self.seg
-        pos = self.f_tail
+        heap, seg, live, max_nbr = self.heap, self.seg, self.live, self.max_nbr
+        back = []
         suffix = touches = adjusts = inserts = 0
         base = heap.offset - self.last  # a bubble's key is max_nbr + suffix + base
         for b, take in receivers:
-            while pos and pos > b:
-                adjusts += heap.adjust(pos, self.max_nbr[pos] + suffix + base)
-                suffix += seg[pos]
-                pos = self.f_prev[pos]
+            while live and live[-1] > b:
+                top = live.pop()
+                adjusts += heap.adjust(top, max_nbr[top] + suffix + base)
+                suffix += seg[top]
+                back.append(top)
                 touches += 1
-            if pos == b:
+            if live and live[-1] == b:
+                live.pop()
                 seg[b] += take
-                adjusts += heap.adjust(b, self.max_nbr[b] + suffix + base)
-                suffix += seg[b]
-                pos = self.f_prev[b]
+                adjusts += heap.adjust(b, max_nbr[b] + suffix + base)
                 touches += 1
             else:
-                self._enter(pos, b, take, self.max_nbr[b] + suffix + base)
+                seg[b] = take
+                heap.push(b, max_nbr[b] + suffix + base)
                 inserts += 1
-                suffix += take
+            suffix += seg[b]
+            back.append(b)
+        live.extend(reversed(back))
         self.counts["merge_touches"] += touches
         self.counts["heap_adjusts"] += adjusts
         self.counts["heap_inserts"] += inserts
 
     def remove_left(self, delta: int):
-        """Drop the leftmost delta attackers and their defense segments."""
+        """Drop the leftmost delta attackers, popping whole segments off the front."""
         if delta < 0 or delta > self.last - self.first + 1:
             raise ValueError("cannot remove more attackers than the window holds")
         self.first += delta
+        live, seg = self.live, self.seg
         deletes = 0
         while delta > 0:
-            h = self.f_head
-            c = self.seg[h]
+            h = live[0]
+            c = seg[h]
             if c <= delta:
                 delta -= c
-                self._leave(h)
+                live.popleft()
+                seg[h] = 0
+                self.heap.remove(h)
                 deletes += 1
             else:
                 # Keys are untouched: the window start and the dropped prefix
                 # cancel in every surviving bubble's assigned position.
-                self.seg[h] -= delta
+                seg[h] -= delta
                 delta = 0
         self.counts["heap_deletes"] += deletes
 
@@ -363,11 +337,9 @@ class BubbleSolverState:
         for d, _ in defense:
             b = bisect_left(self.max_v, d)
             blocks[b] = blocks.get(b, 0) + 1
-        live, b = {}, self.f_head
-        while b:
-            live[b] = self.seg[b]
-            b = self.f_next[b]
-        assert list(live) == sorted(live) and all(live.values()), f"segment list {live} out of order"
+        live = {b: self.seg[b] for b in self.live}
+        assert len(live) == len(self.live), f"segment deque {list(self.live)} repeats a bubble"
+        assert list(live) == sorted(live) and all(live.values()), f"segment deque {live} out of order"
         assert blocks == live, f"segments {live} disagree with the rightmost defense {blocks}"
         total = sum(live.values())
         assert total == window.size, "segment counts do not cover the window"
@@ -390,7 +362,7 @@ def solve_bubble(
         c = state.counts
         stats.update(
             c,
-            # a segment enters or leaves the list exactly where it enters or leaves the heap
+            # a segment joins or leaves the defense exactly where it enters or leaves the heap
             list_ops=c["heap_inserts"] + c["heap_deletes"],
             # every iteration sees either zero or positive slack
             iterations=c["zero_slack_iterations"] + c["positive_slack_iterations"],

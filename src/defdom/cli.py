@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 
 from . import io as dio
 from .bubbles import (
@@ -171,15 +170,13 @@ def _cmd_gen(args, out) -> int:
         text = dio.format_bubbles(cb)
     elif args.format == "intervals":
         if args.family == "random":
-            entries = random_unit_intervals(args.n, Fraction(args.spread), args.seed)
+            entries = random_unit_intervals(args.n, args.spread, args.seed)
         else:
             entries = gen_family(args.family, args.n, sizes).canonical_intervals()
         text = dio.format_intervals(entries)
     else:
         if args.family == "random":
-            g = ProperIntervalGraph.from_intervals(
-                random_unit_intervals(args.n, Fraction(args.spread), args.seed)
-            )
+            g = ProperIntervalGraph.from_intervals(random_unit_intervals(args.n, args.spread, args.seed))
         else:
             g = gen_family(args.family, args.n, sizes)
         text = dio.format_pig(g)
@@ -193,6 +190,8 @@ def _cmd_gen(args, out) -> int:
 
 def _cmd_bench(args, out) -> int:
     sizes = [int(x) for x in args.sizes.split(",")]
+    for n in sizes:
+        check_expansion(n, f"benchmark {args.family} instance")
     rows = bench_rows(args.family, sizes, args.k, args.repeats)
     out.write(rows_to_csv(rows))
     return 0

@@ -88,11 +88,20 @@ def random_unit_intervals(n: int, spread, seed: int) -> list[tuple[int, int]]:
     """n unit-length intervals with integer left endpoints in [0, spread*n].
 
     Endpoints are scaled by UNIT so the family is exact; every interval has
-    length UNIT.
+    length UNIT.  ``spread`` is any value Fraction accepts, "3/2" included,
+    and must not be negative.
     """
     if n < 1:
         raise BadParameters("need n >= 1")
-    top = int(Fraction(spread) * n * UNIT)
+    try:
+        spread = Fraction(spread)
+    except ZeroDivisionError:
+        raise BadParameters(f"spread {spread!r} has a zero denominator") from None
+    except (TypeError, ValueError, OverflowError):
+        raise BadParameters(f"spread {spread!r} is not a finite number") from None
+    if spread < 0:
+        raise BadParameters(f"spread {spread} is negative")
+    top = int(spread * n * UNIT)
     rng = SplitMix64(seed)
     return [(x, x + UNIT) for x in (rng.below(top + 1) for _ in range(n))]
 

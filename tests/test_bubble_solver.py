@@ -7,8 +7,11 @@ from defdom import (
     ProperIntervalGraph,
     SplitMix64,
     bubbles_from_pig,
+    gen_family,
+    gen_random_bubbles,
     gen_random_unit_intervals,
     is_k_defensive,
+    linear_from_compact,
     solve_bubble,
     solve_greedy,
 )
@@ -158,8 +161,35 @@ def test_counter_bounds():
         B = stats["bubbles"]
         assert stats["heap_inserts"] + stats["heap_deletes"] <= 2 * B, (g.maxn, k, stats)
         assert stats["iterations"] <= 2 * B + 3, (g.maxn, k, stats)
-        # segment-list enter/leave events: once in, once out, per bubble
+        # segments joining and leaving the defense: once in, once out, per bubble
         assert stats["list_ops"] <= 2 * B, (g.maxn, k, stats)
+
+
+def test_exact_counters():
+    """Every counter of a few fixed runs, so a refactor that moves an event shows."""
+    chain = gen_family("clique_chain", sizes=[2, 2, 3, 4])
+    scattered = linear_from_compact(gen_random_bubbles(60, seed=13))
+    cases = (
+        (bubbles_from_pig(p5()), 2, [2, 3, 5], dict(
+            heap_inserts=3, heap_deletes=1, heap_adjusts=0, merge_touches=0, zero_slack_iterations=1,
+            positive_slack_iterations=1, chunks=3, list_ops=4, iterations=2, bubbles=5)),
+        (bubbles_from_pig(diamond()), 2, [3, 4], dict(
+            heap_inserts=2, heap_deletes=0, heap_adjusts=0, merge_touches=0, zero_slack_iterations=0,
+            positive_slack_iterations=1, chunks=2, list_ops=2, iterations=1, bubbles=3)),
+        (bubbles_from_pig(chain), 2, [2, 3, 7, 8], dict(
+            heap_inserts=3, heap_deletes=2, heap_adjusts=1, merge_touches=1, zero_slack_iterations=2,
+            positive_slack_iterations=3, chunks=4, list_ops=5, iterations=5, bubbles=6)),
+        (scattered, 3, [14, 15, 16, 50, 51, 52, 58, 59, 60], dict(
+            heap_inserts=4, heap_deletes=3, heap_adjusts=0, merge_touches=0, zero_slack_iterations=2,
+            positive_slack_iterations=2, chunks=3, list_ops=7, iterations=4, bubbles=14)),
+        (scattered, 10, [*range(13, 21), 26, 27, *range(49, 58), 59, 60], dict(
+            heap_inserts=8, heap_deletes=3, heap_adjusts=7, merge_touches=7, zero_slack_iterations=4,
+            positive_slack_iterations=4, chunks=11, list_ops=11, iterations=8, bubbles=14)),
+    )
+    for lbm, k, want, want_stats in cases:
+        stats = {}
+        assert solve_bubble(lbm, k, stats=stats) == want, (lbm.count, k)
+        assert stats == want_stats, (lbm.count, k, stats)
 
 
 def test_solver_accepts_finer_than_twin_models():

@@ -170,18 +170,22 @@ def test_gen_refuses_per_vertex_output_above_the_cap():
     """Every per-vertex output checks its vertex count before it allocates; compact ones stay O(1)."""
     huge, huger = str(10**15), str(10**21)
     for argv in (
-        ("--family", "complete", "--n", huge, "--format", "pig"),
-        ("--family", "complete", "--n", huge, "--format", "intervals"),
-        ("--family", "path", "--n", huger, "--format", "bubbles"),
-        ("--family", "path", "--n", huge, "--format", "pig"),
-        ("--family", "path", "--n", huge, "--format", "intervals"),
-        ("--family", "random", "--n", huge, "--format", "pig"),
-        ("--family", "random", "--n", huge, "--format", "intervals"),
-        ("--family", "random", "--n", huge, "--format", "bubbles"),
-        ("--family", "clique_chain", "--sizes", "1000000,1000002", "--format", "pig"),
-        ("--family", "clique_chain", "--sizes", "1000000,1000002", "--format", "intervals"),
+        ("gen", "--family", "complete", "--n", huge, "--format", "pig"),
+        ("gen", "--family", "complete", "--n", huge, "--format", "intervals"),
+        ("gen", "--family", "path", "--n", huger, "--format", "bubbles"),
+        ("gen", "--family", "path", "--n", huge, "--format", "pig"),
+        ("gen", "--family", "path", "--n", huge, "--format", "intervals"),
+        ("gen", "--family", "random", "--n", huge, "--format", "pig"),
+        ("gen", "--family", "random", "--n", huge, "--format", "intervals"),
+        ("gen", "--family", "random", "--n", huge, "--format", "bubbles"),
+        ("gen", "--family", "clique_chain", "--sizes", "1000000,1000002", "--format", "pig"),
+        ("gen", "--family", "clique_chain", "--sizes", "1000000,1000002", "--format", "intervals"),
+        # bench checks every size before it builds the first instance
+        ("bench", "--family", "complete", "--sizes", huge, "--k", "1"),
+        ("bench", "--family", "path", "--sizes", f"10,{huge}", "--k", "2"),
+        ("bench", "--family", "random", "--sizes", huger, "--k", "8"),
     ):
-        code, out, err = cli("gen", *argv)
+        code, out, err = cli(*argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert "expansion cap of 2000000" in err, (argv, err)
@@ -189,6 +193,17 @@ def test_gen_refuses_per_vertex_output_above_the_cap():
     assert (code, out, err) == (0, f"bubbles 1\ncol 1 1\n1 {huge}\n", "")
     code, out, err = cli("gen", "--family", "clique_chain", "--sizes", "1000000,1000002", "--format", "bubbles")
     assert code == 0 and out.startswith("bubbles 2\n"), err
+
+
+def test_gen_rejects_bad_spread():
+    for fmt in ("pig", "intervals"):
+        for spread, why in (("1/0", "zero denominator"), ("-1", "negative"), ("x", "not a finite number")):
+            code, out, err = cli("gen", "--family", "random", "--n", "5", f"--spread={spread}", "--format", fmt)
+            assert code == 2 and out == "", (fmt, spread)
+            assert err.startswith("error: spread ") and err.count("\n") == 1, (fmt, spread, err)
+            assert why in err, (fmt, spread, err)
+    code, out, _ = cli("gen", "--family", "random", "--n", "3", "--spread", "0")
+    assert code == 0 and out == "pig 3\nmaxn 3 3 3\n"
 
 
 def test_gen_deterministic():
