@@ -15,7 +15,7 @@ from .bubbles import (
     linear_from_compact,
     pig_from_bubbles,
 )
-from .bubble_solver import BubbleSolverState, OffsetMinHeap, solve_bubble
+from .bubble_solver import BubbleSolverState, solve_bubble
 from .defense import (
     Attack,
     Defense,
@@ -65,7 +65,6 @@ __all__ = [
     "InvalidBubbles",
     "InvalidRanges",
     "LinearBubbles",
-    "OffsetMinHeap",
     "Overflow",
     "ProperIntervalGraph",
     "ProperViolation",

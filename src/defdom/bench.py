@@ -45,9 +45,9 @@ def build_instance(family: str, n: int, rep: int) -> ProperIntervalGraph:
 
 
 def run_once(g: ProperIntervalGraph, k: int, algo: str) -> dict:
-    """Time one solve; returns counters plus the defender count."""
+    """Time one solve in wall and thread CPU time; returns counters plus the defender count."""
     stats: dict = {}
-    t0 = time.perf_counter_ns()
+    c0, t0 = time.thread_time_ns(), time.perf_counter_ns()
     if algo == "greedy":
         result = solve_greedy(g, k, stats=stats)
     elif algo == "bubble":
@@ -56,12 +56,14 @@ def run_once(g: ProperIntervalGraph, k: int, algo: str) -> dict:
     else:
         raise BadParameters(f"unknown algorithm {algo!r}")
     ns = time.perf_counter_ns() - t0
+    cpu_ns = time.thread_time_ns() - c0
     return {
         "n": g.n,
         "bubbles": stats["bubbles"] if algo == "bubble" else bubbles_from_pig(g).count,
         "k": k,
         "algo": algo,
         "nanoseconds": ns,
+        "cpu_ns": cpu_ns,
         "defense_steps": stats.get("defense_steps", 0),
         "heap_ops": stats.get("heap_inserts", 0) + stats.get("heap_deletes", 0),
         "list_ops": stats.get("list_ops", 0),

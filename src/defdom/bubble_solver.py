@@ -8,110 +8,26 @@ pops whole segments from the front; a merge pops the re-keyed back end and
 pushes it back with the recruits.  Because every live defender is assigned,
 the defense is just the order-preserving bijection between live defenders
 and attackers, so each bubble's slack (how much further right its defenders
-can stretch) is maintained in a min-heap whose keys are shifted lazily by a
-single offset: sliding the whole window right by s only bumps the offset.
+can stretch) is key[b] - offset: sliding the whole window right by s only
+bumps the offset.  A ``heapq`` list holds one packed int per key ever set,
+key * (|B| + 1) + (|B| - b), so the least slack surfaces first and the
+rightmost bubble wins a tie.  Re-keying pushes a new entry; an entry whose
+bubble left the defense or whose key moved on is skipped when it surfaces,
+and the heap is rebuilt from the live bubbles once it holds more than twice
+as many entries, so it stays O(min(k, |B|)) long.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Optional
 
 from .bubbles import LinearBubbles, check_expansion
 from .defense import Attack, defends_consecutive
 from .errors import EmptyGraph, Overflow
 from .greedy import SkipDown
-
-
-class OffsetMinHeap:
-    """Indexed binary min-heap of bubbles ordered by (key, -bubble).
-
-    The bubble with the smallest key wins; among equal keys the rightmost
-    bubble surfaces.  True slack of bubble b is key(b) - offset, so a bulk
-    decrease of every slack is one offset increment.  Re-keying a single
-    bubble sifts it in place and is not an insertion or deletion.
-    """
-
-    __slots__ = ("heap", "pos", "key", "offset")
-
-    def __init__(self, count):
-        self.heap = []
-        self.pos = [0] * (count + 1)
-        self.key = [0] * (count + 1)
-        self.offset = 0
-
-    def __len__(self):
-        return len(self.heap)
-
-    def _less(self, a, b):
-        ka, kb = self.key[a], self.key[b]
-        return ka < kb or (ka == kb and a > b)
-
-    def _sift_up(self, i):
-        heap, pos = self.heap, self.pos
-        b = heap[i]
-        while i > 0:
-            parent = (i - 1) >> 1
-            p = heap[parent]
-            if not self._less(b, p):
-                break
-            heap[i] = p
-            pos[p] = i
-            i = parent
-        heap[i] = b
-        pos[b] = i
-
-    def _sift_down(self, i):
-        heap, pos = self.heap, self.pos
-        n = len(heap)
-        b = heap[i]
-        while True:
-            child = 2 * i + 1
-            if child >= n:
-                break
-            right = child + 1
-            if right < n and self._less(heap[right], heap[child]):
-                child = right
-            c = heap[child]
-            if not self._less(c, b):
-                break
-            heap[i] = c
-            pos[c] = i
-            i = child
-        heap[i] = b
-        pos[b] = i
-
-    def push(self, b, key):
-        self.key[b] = key
-        self.heap.append(b)
-        self.pos[b] = len(self.heap) - 1
-        self._sift_up(len(self.heap) - 1)
-
-    def remove(self, b):
-        i = self.pos[b]
-        last = self.heap.pop()
-        if last != b:
-            self.heap[i] = last
-            self.pos[last] = i
-            self._sift_up(i)
-            self._sift_down(i)
-
-    def adjust(self, b, key) -> bool:
-        """Re-key bubble b; returns whether its key changed."""
-        if key == self.key[b]:
-            return False
-        self.key[b] = key
-        i = self.pos[b]
-        self._sift_up(i)
-        self._sift_down(self.pos[b])
-        return True
-
-    def top(self):
-        return self.heap[0]
-
-    def min_key(self):
-        return self.key[self.heap[0]]
 
 
 class BubbleSolverState:
@@ -138,7 +54,10 @@ class BubbleSolverState:
         self.first_bubble = self.next_bubble = 1
         self.seg = [0] * (self.count + 1)
         self.live: deque[int] = deque()  # the bubbles with a segment, ascending
-        self.heap = OffsetMinHeap(self.count)
+        # True slack of live bubble b is key[b] - offset; heap holds packed entries.
+        self.key = [0] * (self.count + 1)
+        self.offset = 0
+        self.heap: list[int] = []
         self.spare = SkipDown(self.count)
         # Each event is counted once, in a local of the loop that makes it and
         # added to this dict after the loop; solve_bubble derives list_ops and
@@ -152,22 +71,32 @@ class BubbleSolverState:
 
     # -- the four state transitions -----------------------------------------
 
+    def _top(self) -> int:
+        """The live bubble of least key, rightmost on ties; stale entries are popped."""
+        heap, key, seg, count = self.heap, self.key, self.seg, self.count
+        while True:
+            k, r = divmod(heap[0], count + 1)
+            b = count - r
+            if seg[b] and key[b] == k:
+                return b
+            heappop(heap)
+
     def slack(self) -> int:
         """Minimum remaining stretch over the bubbles of the defense."""
-        return self.heap.min_key() - self.heap.offset
+        return self.key[self._top()] - self.offset
 
     def bottleneck(self) -> int:
         """Rightmost attacker defended by a zero-slack bubble."""
         if self.slack() != 0:
             raise ValueError("bottleneck is only defined at zero slack")
-        b = self.heap.top()
-        return self.max_nbr[b] - (self.heap.key[b] - self.heap.offset)
+        # at zero slack the top bubble's last attacker is its last neighbor
+        return self.max_nbr[self._top()]
 
     def shift(self, delta: int):
-        """Slide window and defense right; lazily, via the heap offset."""
+        """Slide window and defense right; lazily, via the key offset."""
         self.first += delta
         self.last += delta
-        self.heap.offset += delta
+        self.offset += delta
 
     def add_new_vertices(self, delta: int):
         """Extend the window by delta attackers and recruit delta defenders.
@@ -217,32 +146,39 @@ class BubbleSolverState:
         (the bijection shifts under them), so they are popped off the back of
         the deque and re-keyed from the running suffix of segment counts; the
         popped back end is pushed back with the recruits in ascending order.
-        Bubbles below are untouched.  Walk touches and re-key sifts are extra
-        work beyond the insert/delete budget, tracked in merge_touches.
+        Bubbles below are untouched.  A changed key and a new segment each push
+        a heap entry, leaving the old one to be skipped; once the heap holds
+        more than twice the live bubbles, it is rebuilt from them.  Walk touches
+        are extra work beyond the insert/delete budget, tracked in merge_touches.
         """
-        heap, seg, live, max_nbr = self.heap, self.seg, self.live, self.max_nbr
+        heap, key, seg, live, max_nbr = self.heap, self.key, self.seg, self.live, self.max_nbr
+        width, count = self.count + 1, self.count
         back = []
         suffix = touches = adjusts = inserts = 0
-        base = heap.offset - self.last  # a bubble's key is max_nbr + suffix + base
+        base = self.offset - self.last  # a bubble's key is max_nbr + suffix + base
         for b, take in receivers:
-            while live and live[-1] > b:
+            fresh = not seg[b]
+            seg[b] += take
+            while live and live[-1] >= b:
                 top = live.pop()
-                adjusts += heap.adjust(top, max_nbr[top] + suffix + base)
+                k = max_nbr[top] + suffix + base
+                if k != key[top]:
+                    key[top] = k
+                    heappush(heap, k * width + count - top)
+                    adjusts += 1
                 suffix += seg[top]
                 back.append(top)
                 touches += 1
-            if live and live[-1] == b:
-                live.pop()
-                seg[b] += take
-                adjusts += heap.adjust(b, max_nbr[b] + suffix + base)
-                touches += 1
-            else:
-                seg[b] = take
-                heap.push(b, max_nbr[b] + suffix + base)
+            if fresh:
+                key[b] = k = max_nbr[b] + suffix + base
+                heappush(heap, k * width + count - b)
                 inserts += 1
-            suffix += seg[b]
-            back.append(b)
+                suffix += take
+                back.append(b)
         live.extend(reversed(back))
+        if len(heap) > 2 * len(live) + 1:
+            heap[:] = [key[b] * width + count - b for b in live]
+            heapify(heap)
         self.counts["merge_touches"] += touches
         self.counts["heap_adjusts"] += adjusts
         self.counts["heap_inserts"] += inserts
@@ -260,8 +196,7 @@ class BubbleSolverState:
             if c <= delta:
                 delta -= c
                 live.popleft()
-                seg[h] = 0
-                self.heap.remove(h)
+                seg[h] = 0  # its heap entries are skipped when they surface
                 deletes += 1
             else:
                 # Keys are untouched: the window start and the dropped prefix
@@ -343,6 +278,11 @@ class BubbleSolverState:
         assert blocks == live, f"segments {live} disagree with the rightmost defense {blocks}"
         total = sum(live.values())
         assert total == window.size, "segment counts do not cover the window"
+        entries = set(self.heap)
+        missing = [b for b in live if self.key[b] * (self.count + 1) + self.count - b not in entries]
+        assert not missing, f"live bubbles {missing} lack a current heap entry"
+        bound = 2 * min(self.k, self.count) + 1
+        assert len(self.heap) <= bound, f"heap holds {len(self.heap)} entries, above {bound}"
 
 
 def solve_bubble(

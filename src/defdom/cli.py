@@ -190,6 +190,10 @@ def _cmd_gen(args, out) -> int:
 
 def _cmd_bench(args, out) -> int:
     sizes = [int(x) for x in args.sizes.split(",")]
+    if args.repeats < 1:
+        raise BadParameters("bench needs --repeats >= 1")
+    if min(sizes) < 1:
+        raise BadParameters("bench needs every size >= 1")
     for n in sizes:
         check_expansion(n, f"benchmark {args.family} instance")
     rows = bench_rows(args.family, sizes, args.k, args.repeats)

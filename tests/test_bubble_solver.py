@@ -62,29 +62,31 @@ def test_slack_and_bottleneck_on_path_trace():
 
 
 def test_offset_heap_arithmetic():
-    from defdom import OffsetMinHeap
-
-    h = OffsetMinHeap(4)
-    h.push(3, 5)
-    h.offset = 5
-    assert h.min_key() - h.offset == 0
-    h = OffsetMinHeap(4)
-    h.push(1, 7)
-    h.push(2, 9)
-    h.offset = 4
-    assert h.min_key() - h.offset == 3
-    # equal keys surface the rightmost bubble
-    h.adjust(2, 7)
-    assert h.top() == 2
+    # diamond: defenders 3 (bubble {2,3}) and 4 (bubble {4}) hold attackers 1 and 2
+    st = BubbleSolverState(bubbles_from_pig(diamond()), 2)
+    st.add_new_vertices(2)
+    assert list(st.live) == [2, 3] and st.offset == 0
+    # slack is the last neighbor less the assigned attacker: 4 - 1 and 4 - 2
+    assert [st.key[b] - st.offset for b in st.live] == [3, 2]
+    assert st.slack() == 2
+    st.shift(1)
+    assert st.offset == 1 and st.slack() == 1
+    # path: defenders 2 and 3 hold attackers 1 and 2, both with slack 2
+    st = BubbleSolverState(bubbles_from_pig(p5()), 2)
+    st.add_new_vertices(2)
+    assert [st.key[b] - st.offset for b in st.live] == [2, 2]
+    st.shift(2)
+    # equal keys surface the rightmost bubble: {3}, whose last neighbor is 4, not {2}'s 3
+    assert st.slack() == 0 and st.bottleneck() == 4
 
 
 def test_offset_shift_leaves_keys_untouched():
     st = BubbleSolverState(bubbles_from_pig(p5()), 2)
     st.add_new_vertices(2)
-    keys_before = sorted(st.heap.key[b] for b in st.heap.heap)
     slack_before = st.slack()
+    keys_before, heap_before = [st.key[b] for b in st.live], list(st.heap)
     st.shift(1)
-    assert sorted(st.heap.key[b] for b in st.heap.heap) == keys_before
+    assert [st.key[b] for b in st.live] == keys_before and st.heap == heap_before
     assert st.slack() == slack_before - 1
 
 
@@ -92,11 +94,11 @@ def test_remove_left_examples():
     st = BubbleSolverState(bubbles_from_pig(p5()), 2)
     st.add_new_vertices(2)
     st.shift(2)  # window [3..4], segments for bubbles {2} and {3}
-    before = (st.first, st.last)
+    before = (st.first, st.last, list(st.live))
     st.remove_left(0)
-    assert (st.first, st.last) == before
+    assert (st.first, st.last, list(st.live)) == before
     st.remove_left(2)  # full flush
-    assert len(st.heap) == 0
+    assert not st.live
     assert st.first == 5 and st.last == 4
     assert sum(st.seg) == 0
 
@@ -163,6 +165,29 @@ def test_counter_bounds():
         assert stats["iterations"] <= 2 * B + 3, (g.maxn, k, stats)
         # segments joining and leaving the defense: once in, once out, per bubble
         assert stats["list_ops"] <= 2 * B, (g.maxn, k, stats)
+
+
+def test_heap_stays_within_twice_the_live_bound():
+    """Stale entries are dropped by a rebuild, so the heap never passes 2*min(k, |B|) + 1."""
+    rng = SplitMix64(2718)
+    worst = 0.0
+    for trial in range(150):
+        n = 2 + rng.below(300)
+        g = random_graph(rng, n, seed_tag=21) if trial % 3 else random_components(rng, 1 + rng.below(12), 2 + rng.below(5))
+        k = 1 + rng.below(max(1, g.n - 1))
+        st = BubbleSolverState(bubbles_from_pig(g), k)
+        merge, peak = st._merge_segments, [0]
+
+        def watched(receivers):  # entries are pushed only inside a merge
+            merge(receivers)
+            peak[0] = max(peak[0], len(st.heap))
+
+        st._merge_segments = watched
+        assert st.run() == solve_greedy(g, k), (g.maxn, k)
+        bound = 2 * min(k, st.count) + 1
+        assert peak[0] <= bound, (g.maxn, k, peak[0], bound)
+        worst = max(worst, peak[0] / bound)
+    assert worst > 0.5  # the runs do fill the heap towards the bound
 
 
 def test_exact_counters():

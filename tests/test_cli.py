@@ -189,6 +189,17 @@ def test_gen_refuses_per_vertex_output_above_the_cap():
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert "expansion cap of 2000000" in err, (argv, err)
+    # bench also refuses a count below one, where it used to print a bare header or bench n = 1
+    for argv in (
+        ("bench", "--family", "path", "--sizes", "5", "--k", "1", "--repeats", "0"),
+        ("bench", "--family", "path", "--sizes", "5", "--k", "1", "--repeats", "-3"),
+        ("bench", "--family", "clique_chain", "--sizes", "0", "--k", "1"),
+        ("bench", "--family", "clique_chain", "--sizes", "-5", "--k", "1"),
+        ("bench", "--family", "path", "--sizes", "10,0", "--k", "2"),
+    ):
+        code, out, err = cli(*argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: bench needs ") and err.count("\n") == 1, (argv, err)
     code, out, err = cli("gen", "--family", "complete", "--n", huge, "--format", "bubbles")
     assert (code, out, err) == (0, f"bubbles 1\ncol 1 1\n1 {huge}\n", "")
     code, out, err = cli("gen", "--family", "clique_chain", "--sizes", "1000000,1000002", "--format", "bubbles")
