@@ -29,7 +29,6 @@ from .defense import (
 from .errors import (
     BadParameters,
     DefdomError,
-    EmptyGraph,
     FormatError,
     InvalidBubbles,
     InvalidRanges,
@@ -60,7 +59,6 @@ __all__ = [
     "CompactBubbles",
     "Defense",
     "DefdomError",
-    "EmptyGraph",
     "FormatError",
     "InvalidBubbles",
     "InvalidRanges",

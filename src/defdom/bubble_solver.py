@@ -26,7 +26,7 @@ from typing import Optional
 
 from .bubbles import LinearBubbles, check_expansion
 from .defense import Attack, defends_consecutive
-from .errors import EmptyGraph, Overflow
+from .errors import Overflow
 from .greedy import SkipDown
 
 
@@ -34,8 +34,6 @@ class BubbleSolverState:
     """Live state of one solver run over a linear bubble model."""
 
     def __init__(self, lbm: LinearBubbles, k: int, validate: bool = False):
-        if lbm.count == 0 or lbm.n == 0:
-            raise EmptyGraph("cannot solve on an empty bubble model")
         if k < 1:
             raise ValueError("k must be at least 1")
         self.k = k

@@ -28,6 +28,7 @@ from .generators import (
     compact_for_family,
     gen_family,
     gen_random_bubbles,
+    gen_random_unit_intervals,
     random_unit_intervals,
 )
 from .greedy import solve_greedy
@@ -75,7 +76,7 @@ def _defender_tokens(args) -> list[str]:
     return tokens
 
 
-def _defenders(args, n: int) -> list[int]:
+def _defenders(args, n: int) -> set[int]:
     out = set()
     for part in _defender_tokens(args):  # the token list is freed after the loop
         try:
@@ -85,7 +86,7 @@ def _defenders(args, n: int) -> list[int]:
         if not 1 <= v <= n:
             raise BadParameters(f"defender {v} outside 1..{n}")
         out.add(v)
-    return sorted(out)
+    return out
 
 
 def _cmd_solve(args, out) -> int:
@@ -176,7 +177,7 @@ def _cmd_gen(args, out) -> int:
         text = dio.format_intervals(entries)
     else:
         if args.family == "random":
-            g = ProperIntervalGraph.from_intervals(random_unit_intervals(args.n, args.spread, args.seed))
+            g = gen_random_unit_intervals(args.n, args.spread, args.seed)
         else:
             g = gen_family(args.family, args.n, sizes)
         text = dio.format_pig(g)

@@ -25,10 +25,6 @@ class InvalidBubbles(DefdomError):
     """A bubble structure is malformed or does not define a valid graph."""
 
 
-class EmptyGraph(DefdomError):
-    """A solver was handed a graph with no vertices."""
-
-
 class TooLarge(DefdomError):
     """A size cap refused a request: the brute-force oracle's, or the cap on
     vertices expanded from a bubble model."""

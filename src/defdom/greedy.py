@@ -2,16 +2,17 @@
 
 Slides a window of at most k consecutive attackers over the canonical vertex
 order; whenever the current defenders cannot cover the window, the rightmost
-non-defender in the window's neighborhood is recruited.  The feasibility
-check is the rightmost monotone scan, so one iteration costs work
-proportional to k and a whole run to n*k.
+non-defender in the window's neighborhood is recruited.  The defenders are
+one ascending list, and the window check pairs attackers with the largest
+defenders in order, so one window costs work proportional to k and a whole
+run to n*k.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Callable, Optional
 
-from .errors import EmptyGraph
 from .pig import ProperIntervalGraph
 
 
@@ -48,63 +49,53 @@ def solve_greedy(
 ) -> list[int]:
     """Minimum set of defenders covering every attack of at most k vertices.
 
+    Window [i..j] is checked by the rightmost monotone defense: attacker x
+    takes the (j-x+1)-th largest defender, and the window fails at the first
+    attacker whose defender is missing or below its neighborhood.  No
+    defender above max_nbr(x) ever has to be skipped: window j' recruits at
+    most one defender, at or below max_nbr(j'), so each one above max_nbr(x)
+    came from one of windows x+1..j-1.  At most j-1-x of them exceed
+    max_nbr(x), while x is offered the (j-x+1)-th largest.  A recruit lies
+    at or above min_nbr(i), so inserting it shifts only defenders inside the
+    window's neighborhood.
+
     Disconnected graphs are solved one component at a time: no window
     reaches left of its component, and a component of at most k vertices
-    is required whole.  ``stats`` collects instrumentation counters;
+    is required whole.  Defenders of earlier components lie below every
+    neighborhood of the current one, so the check fails on them exactly as
+    on missing ones.  ``stats`` collects instrumentation counters;
     ``on_step`` is called after each window with the defenders chosen so far:
-    the solver's own list, in recruit order rather than sorted, and the same
-    object on every call.  The hook must not change it, and must copy it to
-    keep a snapshot.
+    the solver's own ascending list, the same object on every call and the
+    one returned.  The hook must not change it, and must copy it to keep a
+    snapshot.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if g.n == 0:
-        raise EmptyGraph("cannot solve on an empty graph")
     maxn, minn = g.maxn, g.minn
-    n = g.n
-    # Defenders as a position-indexed list of predecessors, ascending order.
-    # Defenders of earlier components lie below every neighborhood of the
-    # current one, so the scan fails on them exactly as on an empty list.
-    dprev = [0] * (n + 2)
-    dtail = 0
-    spare = SkipDown(n)
+    spare = SkipDown(g.n)
     steps = 0
-    result = []
+    ds: list[int] = []
     for lo, hi in g.components():
         if hi - lo + 1 <= k:
             # An attack on the whole component pins every vertex.
-            result.extend(range(lo, hi + 1))
+            ds.extend(range(lo, hi + 1))
             continue
         for j in range(lo, hi + 1):
             i = max(lo, j - k + 1)
-            ok = True
-            ptr = dtail  # the largest defender never exceeds maxn[j]
-            x = j
-            while x >= i:
-                steps += 1
-                while ptr and ptr > maxn[x]:
-                    ptr = dprev[ptr]
-                    steps += 1
-                if not ptr or ptr < minn[x]:
-                    ok = False
-                    break
-                ptr = dprev[ptr]
+            x, p = j, len(ds) - 1
+            while x >= i and p >= 0 and ds[p] >= minn[x]:
                 x -= 1
-            if not ok:
+                p -= 1
+            if x >= i:  # attacker x has no defender
+                steps += j - x + 1
                 jp = spare.find(maxn[j])
                 assert jp >= minn[i], "no recruit available inside the window neighborhood"
                 spare.occupy(jp)
-                if jp > dtail:
-                    dprev[jp] = dtail
-                    dtail = jp
-                else:
-                    # Everything from jp+1 up to maxn[j] is already a defender.
-                    dprev[jp] = dprev[jp + 1]
-                    dprev[jp + 1] = jp
-                result.append(jp)
+                insort(ds, jp)
+            else:
+                steps += j - x
             if on_step is not None:
-                on_step(j, result)
+                on_step(j, ds)
     if stats is not None:
-        stats.update(defense_steps=steps, additions=len(result))
-    result.sort()
-    return result
+        stats.update(defense_steps=steps, additions=len(ds))
+    return ds

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import re
+from typing import Callable, Optional
 
 from defdom import Attack, FormatError, ProperIntervalGraph, SplitMix64, defends_consecutive, gen_random_unit_intervals
+from defdom.greedy import SkipDown
 
 
 def p3():
@@ -72,6 +74,68 @@ def scan_first_undefended(g: ProperIntervalGraph, defenders, k: int):
         if defends_consecutive(g, ds, a) is None:
             return a
     return None
+
+
+def scan_greedy(
+    g: ProperIntervalGraph,
+    k: int,
+    stats: Optional[dict] = None,
+    on_step: Optional[Callable[[int, list], None]] = None,
+) -> list[int]:
+    """Reference vertex greedy: the same recruits as ``solve_greedy``, with
+    the defenders as a predecessor list walked by the rightmost monotone
+    scan, which skips any defender above an attacker's neighborhood.
+    ``on_step`` gets the defenders in recruit order."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    maxn, minn = g.maxn, g.minn
+    n = g.n
+    # Defenders as a position-indexed list of predecessors, ascending order.
+    # Defenders of earlier components lie below every neighborhood of the
+    # current one, so the scan fails on them exactly as on an empty list.
+    dprev = [0] * (n + 2)
+    dtail = 0
+    spare = SkipDown(n)
+    steps = 0
+    result = []
+    for lo, hi in g.components():
+        if hi - lo + 1 <= k:
+            # An attack on the whole component pins every vertex.
+            result.extend(range(lo, hi + 1))
+            continue
+        for j in range(lo, hi + 1):
+            i = max(lo, j - k + 1)
+            ok = True
+            ptr = dtail  # the largest defender never exceeds maxn[j]
+            x = j
+            while x >= i:
+                steps += 1
+                while ptr and ptr > maxn[x]:
+                    ptr = dprev[ptr]
+                    steps += 1
+                if not ptr or ptr < minn[x]:
+                    ok = False
+                    break
+                ptr = dprev[ptr]
+                x -= 1
+            if not ok:
+                jp = spare.find(maxn[j])
+                assert jp >= minn[i], "no recruit available inside the window neighborhood"
+                spare.occupy(jp)
+                if jp > dtail:
+                    dprev[jp] = dtail
+                    dtail = jp
+                else:
+                    # Everything from jp+1 up to maxn[j] is already a defender.
+                    dprev[jp] = dprev[jp + 1]
+                    dprev[jp + 1] = jp
+                result.append(jp)
+            if on_step is not None:
+                on_step(j, result)
+    if stats is not None:
+        stats.update(defense_steps=steps, additions=len(result))
+    result.sort()
+    return result
 
 
 def all_maxn(n: int):

@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import pytest
 
 from defdom import (
@@ -5,11 +7,13 @@ from defdom import (
     SplitMix64,
     defends_matching,
     enumerate_connected_graphs,
+    gen_family,
+    gen_random_unit_intervals,
     is_k_defensive,
     min_defensive_bruteforce,
     solve_greedy,
 )
-from helpers import p3, p5, k4, random_components, random_graph
+from helpers import all_maxn, diamond, p3, p5, k4, random_components, random_graph, scan_greedy
 
 
 def test_examples():
@@ -111,7 +115,91 @@ def test_on_step_gets_the_live_list_once_per_window():
 
     d = solve_greedy(g, k, on_step=hook)
     assert windows == list(range(1, n + 1))
-    assert sorted(first[0]) == d
+    assert first[0] is d
+
+
+def _agrees_with_scan(g, k):
+    """Same defenders and the same ``stats`` as the predecessor-list scan."""
+    got, want = {}, {}
+    d = solve_greedy(g, k, stats=got)
+    assert d == scan_greedy(g, k, stats=want), (g.maxn, k)
+    assert got == want, (g.maxn, k, got, want)
+
+
+def test_matches_scan_reference_exhaustive():
+    for n in range(1, 8):
+        for maxn in all_maxn(n):
+            g = ProperIntervalGraph(maxn)
+            for k in range(1, n + 2):
+                _agrees_with_scan(g, k)
+
+
+def test_matches_scan_reference_random():
+    rng = SplitMix64(8080)
+    cases = []
+    for trial in range(200):
+        cases.append(random_components(rng, 1 + rng.below(12), 1 + rng.below(12)))
+    for n in (50, 500, 2000):
+        cases.append(gen_random_unit_intervals(n, spread="1/16", seed=n + rng.below(1 << 20)))
+        sizes = []
+        while sum(sizes) - len(sizes) + 1 < n:
+            sizes.append(2 + rng.below(9))
+        cases.append(gen_family("clique_chain", sizes=sizes))
+    for g in cases:
+        n = g.n
+        for k in {1, 2, 1 + rng.below(min(n, 300)), n, n + 1}:
+            _agrees_with_scan(g, k)
+
+
+def _check_no_skip_invariant(g, k):
+    """After window j, at most j-x defenders exceed max_nbr(x) for each x of
+    j's component up to j, so attacker x is never offered one above it."""
+    first = {}
+    for lo, hi in g.components():
+        for v in range(lo, hi + 1):
+            first[v] = lo
+    maxn = g.maxn
+
+    def hook(j, ds):
+        assert all(a < b for a, b in zip(ds, ds[1:])), (g.maxn, k, j, ds)
+        for x in range(first[j], j + 1):
+            assert len(ds) - bisect_right(ds, maxn[x]) <= j - x, (g.maxn, k, j, x, ds)
+
+    solve_greedy(g, k, on_step=hook)
+
+
+def test_no_defender_is_ever_skipped():
+    for n in range(1, 8):
+        for maxn in all_maxn(n):
+            g = ProperIntervalGraph(maxn)
+            for k in range(1, n + 2):
+                _check_no_skip_invariant(g, k)
+    rng = SplitMix64(9191)
+    for trial in range(30):
+        k = 1 + rng.below(15)
+        _check_no_skip_invariant(random_components(rng, k, 2 + rng.below(6)), k)
+    for seed in range(4):
+        g = gen_random_unit_intervals(150, spread="1/16", seed=seed)
+        for k in (1, 3, 10, 40):
+            _check_no_skip_invariant(g, k)
+
+
+def test_exact_counters():
+    """Defenders and every counter of a few fixed runs, so a refactor that moves a step shows."""
+    chain = gen_family("clique_chain", sizes=[2, 2, 3, 4])
+    scattered = random_components(SplitMix64(13), 10, 3)
+    cases = (
+        (p5(), 2, [2, 3, 5], dict(defense_steps=8, additions=3)),
+        (diamond(), 2, [3, 4], dict(defense_steps=7, additions=2)),
+        (chain, 2, [2, 3, 7, 8], dict(defense_steps=15, additions=4)),
+        (scattered, 3, [2, 4, 6, 8, 13, 16, 20, 28, 29, 30, 35, 36, 37], dict(defense_steps=105, additions=13)),
+        (scattered, 10, [*range(1, 9), 13, 16, *range(19, 27), 28, 29, 30, 31, *range(33, 40)], dict(
+            defense_steps=218, additions=29)),
+    )
+    for g, k, want, want_stats in cases:
+        stats = {}
+        assert solve_greedy(g, k, stats=stats) == want, (g.maxn, k)
+        assert stats == want_stats, (g.maxn, k, stats)
 
 
 def test_step_counter_scales_with_nk():
