@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from typing import Optional
 
 from .bubbles import bubbles_from_pig
 from .bubble_solver import solve_bubble
@@ -44,8 +45,13 @@ def build_instance(family: str, n: int, rep: int) -> ProperIntervalGraph:
     raise BadParameters(f"unknown benchmark family {family!r}")
 
 
-def run_once(g: ProperIntervalGraph, k: int, algo: str) -> dict:
-    """Time one solve in wall and thread CPU time; returns counters plus the defender count."""
+def run_once(g: ProperIntervalGraph, k: int, algo: str, bubbles: Optional[int] = None) -> dict:
+    """Time one solve in wall and thread CPU time; returns counters plus the defender count.
+
+    Every row reports the instance's bubble count.  A bubble solve counts
+    them itself; a greedy row takes ``bubbles`` when the caller already
+    knows it, and otherwise builds the bubble model, untimed, to count them.
+    """
     stats: dict = {}
     c0, t0 = time.thread_time_ns(), time.perf_counter_ns()
     if algo == "greedy":
@@ -57,9 +63,13 @@ def run_once(g: ProperIntervalGraph, k: int, algo: str) -> dict:
         raise BadParameters(f"unknown algorithm {algo!r}")
     ns = time.perf_counter_ns() - t0
     cpu_ns = time.thread_time_ns() - c0
+    if algo == "bubble":
+        bubbles = stats["bubbles"]
+    elif bubbles is None:
+        bubbles = bubbles_from_pig(g).count
     return {
         "n": g.n,
-        "bubbles": stats["bubbles"] if algo == "bubble" else bubbles_from_pig(g).count,
+        "bubbles": bubbles,
         "k": k,
         "algo": algo,
         "nanoseconds": ns,
@@ -76,8 +86,10 @@ def bench_rows(family: str, sizes, k: int, repeats: int) -> list[dict]:
     for n in sizes:
         for rep in range(repeats):
             g = build_instance(family, n, rep)
-            for algo in ("greedy", "bubble"):
-                row = run_once(g, k, algo)
+            # the bubble solve counts the bubbles the greedy row reports
+            rb = run_once(g, k, "bubble")
+            rg = run_once(g, k, "greedy", bubbles=rb["bubbles"])
+            for row in (rg, rb):
                 row["instance"] = f"{family}-n{n}-r{rep}"
                 rows.append(row)
     return rows

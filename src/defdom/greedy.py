@@ -2,15 +2,16 @@
 
 Slides a window of at most k consecutive attackers over the canonical vertex
 order; whenever the current defenders cannot cover the window, the rightmost
-non-defender in the window's neighborhood is recruited.  The defenders are
-one ascending list, and the window check pairs attackers with the largest
-defenders in order, so one window costs work proportional to k and a whole
-run to n*k.
+non-defender in the window's neighborhood is recruited.  Each window is
+decided by Hall's condition on its consecutive sub-ranges, of which only
+those ending at the new window end are new, with a monotone deque over their
+starts and one forward pointer into the ascending defenders.  A run costs
+O(n + |D|) Python steps for every k, plus at most one bisect per recruit.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
 from typing import Callable, Optional
 
 from .pig import ProperIntervalGraph
@@ -49,21 +50,51 @@ def solve_greedy(
 ) -> list[int]:
     """Minimum set of defenders covering every attack of at most k vertices.
 
-    Window [i..j] is checked by the rightmost monotone defense: attacker x
-    takes the (j-x+1)-th largest defender, and the window fails at the first
-    attacker whose defender is missing or below its neighborhood.  No
-    defender above max_nbr(x) ever has to be skipped: window j' recruits at
-    most one defender, at or below max_nbr(j'), so each one above max_nbr(x)
-    came from one of windows x+1..j-1.  At most j-1-x of them exceed
-    max_nbr(x), while x is offered the (j-x+1)-th largest.  A recruit lies
-    at or above min_nbr(i), so inserting it shifts only defenders inside the
-    window's neighborhood.
+    Window [i..j] is decided by Hall's condition (see
+    ``first_undefended_attack``): with cnt(x) the number of defenders at
+    most x, it fails exactly when some a in [i..j] has
+    v(a) = cnt(min_nbr(a)-1) - a  >=  cnt(max_nbr(j)) - j.
+    Sub-ranges ending before j lie inside window j-1, which was made to hold,
+    and defenders are never removed, so only the sub-ranges [a..j] are new.
+    Every defender so far was recruited at or below the max_nbr of an
+    earlier window, so cnt(max_nbr(j)) is simply the number of defenders.
+    cnt(min_nbr(j)-1) is one forward pointer into the ascending defenders,
+    and a monotone deque keeps the strict suffix maxima of v over the window,
+    so its front is the largest.  min_nbr never decreases, so
+    v(a+1) >= v(a) - 1, and between two neighbouring deque entries e < f
+    every a in (e..j] has v(a) <= v(f) < v(e): so v(f) = v(e) - 1.  The
+    deque's values are thus front, front-1, ..., tail, and it stores
+    positions only.
+
+    One recruit repairs a failing window.  Each [a..j-1] held, and
+    max_nbr(j) >= max_nbr(j-1), so [a..j] lacks at most one defender, and
+    [j..j] lacks at most one too.  The recruit is the rightmost spare at or
+    below max_nbr(j) and, as asserted, at or above min_nbr(i), so it lies in
+    [min_nbr(a)..max_nbr(j)] for every a of the window.  It raises the
+    right-hand side by one; when it lies below min_nbr(j) it also raises
+    v(a) by one exactly on the deque suffix a > max_nbr(recruit), the a with
+    min_nbr(a) above it, found by bisect.  The entry just before that suffix
+    then ties with the suffix's first entry and leaves, by a C-level ``del``
+    of at most min(k, n) entries, and the values run without gaps again.
+    A suffix that took in the front would leave the window failing; the
+    check after each recruit asserts that it holds.
+
+    Work: each window pushes one entry and each entry leaves once, and the
+    pointer passes each defender once.  A recruit costs one ``find``, one
+    ``insort``, whose C-level shift moves only defenders between the recruit
+    and max_nbr(j), and, when it lies below min_nbr(j), one bisect and one
+    suffix add.  The deque's dead front is dropped once it outgrows the live
+    part, so its list stays near 2*min(k, n) entries and nothing of length n
+    is allocated beyond the answer and ``SkipDown``.  ``stats`` receives
+    ``defense_steps``: pointer moves plus suffix adds, pushes and removals,
+    read off the final sizes, so the loop pays nothing for it.  It is at most
+    2n + |D| whatever k is.
 
     Disconnected graphs are solved one component at a time: no window
     reaches left of its component, and a component of at most k vertices
     is required whole.  Defenders of earlier components lie below every
-    neighborhood of the current one, so the check fails on them exactly as
-    on missing ones.  ``stats`` collects instrumentation counters;
+    neighborhood of the current one, so they cancel out of both sides.
+    ``stats`` also receives ``additions``, the number of defenders;
     ``on_step`` is called after each window with the defenders chosen so far:
     the solver's own ascending list, the same object on every call and the
     one returned.  The hook must not change it, and must copy it to keep a
@@ -73,6 +104,7 @@ def solve_greedy(
         raise ValueError("k must be at least 1")
     maxn, minn = g.maxn, g.minn
     spare = SkipDown(g.n)
+    find, occupy = spare.find, spare.occupy
     steps = 0
     ds: list[int] = []
     for lo, hi in g.components():
@@ -80,22 +112,57 @@ def solve_greedy(
             # An attack on the whole component pins every vertex.
             ds.extend(range(lo, hi + 1))
             continue
+        # p counts the defenders below min_nbr(j), nxt is the next one (or
+        # hi + 1 past the last); earlier components' defenders all are below.
+        p = p0 = nd = len(ds)
+        nxt = hi + 1
+        # Deque of window positions a, live from index h: the strict suffix
+        # maxima of v over the window, whose values run front, front-1, ...,
+        # tail.  The first front lies below every v, so the first push
+        # starts the deque.
+        q: list[int] = []
+        h = 0
+        front = tail = -hi - 1
         for j in range(lo, hi + 1):
-            i = max(lo, j - k + 1)
-            x, p = j, len(ds) - 1
-            while x >= i and p >= 0 and ds[p] >= minn[x]:
-                x -= 1
-                p -= 1
-            if x >= i:  # attacker x has no defender
-                steps += j - x + 1
-                jp = spare.find(maxn[j])
-                assert jp >= minn[i], "no recruit available inside the window neighborhood"
-                spare.occupy(jp)
+            t = minn[j]
+            while nxt < t:
+                p += 1
+                nxt = ds[p] if p < nd else hi + 1
+            v = p - j
+            if v >= front:  # every live entry leaves
+                q.clear()
+                h = 0
+                front = v
+            elif v >= tail:  # the entries valued tail..v leave
+                del q[tail - v - 1 :]
+            q.append(j)
+            tail = v
+            if q[h] <= j - k:  # slid out of the window
+                h += 1
+                front -= 1
+                if h > len(q) - h + 32:  # drop the dead prefix, amortized O(1)
+                    del q[:h]
+                    h = 0
+            if front >= nd - j:
+                jp = find(maxn[j])
+                assert jp >= minn[max(lo, j - k + 1)], "no recruit available inside the window neighborhood"
+                occupy(jp)
                 insort(ds, jp)
-            else:
-                steps += j - x
+                nd += 1
+                if jp < t:
+                    p += 1
+                    tail += 1
+                    s = bisect_right(q, maxn[jp], h)
+                    if s > h:  # the entry before the suffix now ties with it
+                        del q[s - 1]
+                    else:
+                        front += 1
+                elif jp < nxt:
+                    nxt = jp
+                assert front < nd - j, "the recruit did not repair the window"
             if on_step is not None:
                 on_step(j, ds)
+        steps += p - p0 + 2 * (hi - lo + 1) - (len(q) - h)
     if stats is not None:
         stats.update(defense_steps=steps, additions=len(ds))
     return ds

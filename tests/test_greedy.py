@@ -13,6 +13,7 @@ from defdom import (
     min_defensive_bruteforce,
     solve_greedy,
 )
+from defdom.greedy import SkipDown
 from helpers import all_maxn, diamond, p3, p5, k4, random_components, random_graph, scan_greedy
 
 
@@ -119,11 +120,8 @@ def test_on_step_gets_the_live_list_once_per_window():
 
 
 def _agrees_with_scan(g, k):
-    """Same defenders and the same ``stats`` as the predecessor-list scan."""
-    got, want = {}, {}
-    d = solve_greedy(g, k, stats=got)
-    assert d == scan_greedy(g, k, stats=want), (g.maxn, k)
-    assert got == want, (g.maxn, k, got, want)
+    """Same defenders as the predecessor-list scan; the step counts differ by design."""
+    assert solve_greedy(g, k) == scan_greedy(g, k), (g.maxn, k)
 
 
 def test_matches_scan_reference_exhaustive():
@@ -149,6 +147,41 @@ def test_matches_scan_reference_random():
         n = g.n
         for k in {1, 2, 1 + rng.below(min(n, 300)), n, n + 1}:
             _agrees_with_scan(g, k)
+
+
+def test_matches_scan_reference_large():
+    """Connected unit intervals at n = 20,000 from k = 1 to 1,000, where
+    the deque runs long and suffix adds land deep inside it, and many small
+    components up to n = 2,000."""
+    g = gen_random_unit_intervals(20_000, spread="1/16", seed=1, connected=True)
+    for k in (1, 8, 128, 1000):
+        _agrees_with_scan(g, k)
+    rng = SplitMix64(2020)
+    for trial in range(40):
+        k = 1 + rng.below(64)
+        g = random_components(rng, k, 1 + rng.below(2000 // (2 * k + 4)))
+        for kk in {k, 1 + rng.below(k), 2 * k}:
+            _agrees_with_scan(g, kk)
+
+
+def test_post_recruit_assert_catches_a_bad_recruit(monkeypatch):
+    """A recruit two spares below the rightmost one still lies in the window
+    neighborhood here, but misses the failing sub-range [5..5]; the Hall
+    check after the recruit must notice."""
+    real_find = SkipDown.find
+
+    def two_spares_lower(self, x):
+        r = real_find(self, x)
+        for _ in range(2):
+            if r > 1:
+                r = real_find(self, r - 1)
+        return r
+
+    g = ProperIntervalGraph([3, 4, 4, 5, 5])
+    assert solve_greedy(g, 2) == [3, 4]
+    monkeypatch.setattr(SkipDown, "find", two_spares_lower)
+    with pytest.raises(AssertionError, match="did not repair the window"):
+        solve_greedy(g, 2)
 
 
 def _check_no_skip_invariant(g, k):
@@ -184,22 +217,41 @@ def test_no_defender_is_ever_skipped():
             _check_no_skip_invariant(g, k)
 
 
+_CHAIN = gen_family("clique_chain", sizes=[2, 2, 3, 4])
+_SCATTERED = random_components(SplitMix64(13), 10, 3)
+_FIXED_RUNS = (
+    (p5(), 2, [2, 3, 5]),
+    (diamond(), 2, [3, 4]),
+    (_CHAIN, 2, [2, 3, 7, 8]),
+    (_SCATTERED, 3, [2, 4, 6, 8, 13, 16, 20, 28, 29, 30, 35, 36, 37]),
+    (_SCATTERED, 10, [*range(1, 9), 13, 16, *range(19, 27), 28, 29, 30, 31, *range(33, 40)]),
+)
+
+
+def _check_fixed_runs(solve, steps):
+    for (g, k, want), want_steps in zip(_FIXED_RUNS, steps):
+        stats = {}
+        assert solve(g, k, stats=stats) == want, (g.maxn, k)
+        assert stats == dict(defense_steps=want_steps, additions=len(want)), (g.maxn, k, stats)
+
+
 def test_exact_counters():
     """Defenders and every counter of a few fixed runs, so a refactor that moves a step shows."""
-    chain = gen_family("clique_chain", sizes=[2, 2, 3, 4])
-    scattered = random_components(SplitMix64(13), 10, 3)
-    cases = (
-        (p5(), 2, [2, 3, 5], dict(defense_steps=8, additions=3)),
-        (diamond(), 2, [3, 4], dict(defense_steps=7, additions=2)),
-        (chain, 2, [2, 3, 7, 8], dict(defense_steps=15, additions=4)),
-        (scattered, 3, [2, 4, 6, 8, 13, 16, 20, 28, 29, 30, 35, 36, 37], dict(defense_steps=105, additions=13)),
-        (scattered, 10, [*range(1, 9), 13, 16, *range(19, 27), 28, 29, 30, 31, *range(33, 40)], dict(
-            defense_steps=218, additions=29)),
-    )
-    for g, k, want, want_stats in cases:
+    _check_fixed_runs(solve_greedy, (11, 6, 16, 77, 57))
+
+
+def test_scan_reference_exact_counters():
+    """The reference scan's own counters on the same runs, so the reference stays pinned."""
+    _check_fixed_runs(scan_greedy, (8, 7, 15, 105, 218))
+
+
+def test_steps_linear_in_n_plus_defenders():
+    """Pushes, removals, pointer moves and suffix adds: at most 2n + |D| for any k."""
+    g = gen_random_unit_intervals(5_000, spread="1/16", seed=7, connected=True)
+    for k in (1, 2, 8, 64, 512, g.n - 1):
         stats = {}
-        assert solve_greedy(g, k, stats=stats) == want, (g.maxn, k)
-        assert stats == want_stats, (g.maxn, k, stats)
+        d = solve_greedy(g, k, stats=stats)
+        assert stats["defense_steps"] <= 2 * g.n + len(d), (k, stats)
 
 
 def test_step_counter_scales_with_nk():
