@@ -41,7 +41,11 @@ def build_instance(family: str, n: int, rep: int) -> ProperIntervalGraph:
     if family == "clique_chain":
         return gen_family("clique_chain", sizes=chain_sizes_for(n))
     if family == "random":
-        return gen_random_unit_intervals(n, spread=Fraction(1, 2), seed=SEED_BASE + 1000 * rep + n)
+        # Spread 1/16: each vertex meets about 32 others, and the draw is
+        # redrawn until connected, so the solvers do window work at any k.
+        return gen_random_unit_intervals(
+            n, spread=Fraction(1, 16), seed=SEED_BASE + 1000 * rep + n, connected=True
+        )
     raise BadParameters(f"unknown benchmark family {family!r}")
 
 

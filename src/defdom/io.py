@@ -14,6 +14,13 @@ comment anywhere on a line.
     col <j> <count>
     <row> <size>                                      (count lines per column)
 
+Interval endpoints are read as integer pairs (num, den), with no Fraction
+per token, and put on one common scale: each becomes num * (L / den) for
+L = lcm of all the denominators (``defdom.pig.common_scale``).  Scaling by
+one positive integer keeps every comparison between endpoints, so the graph
+is exactly the one the rationals define.  Should L pass ``SCALE_BITS`` bits,
+the endpoints are made Fractions instead, equally exact.
+
 Parse failures raise FormatError carrying the byte offset of the offending
 token.
 """
@@ -26,7 +33,7 @@ from fractions import Fraction
 
 from .bubbles import CompactBubbles
 from .errors import FormatError
-from .pig import ProperIntervalGraph
+from .pig import ProperIntervalGraph, common_scale
 
 #: Tokens split on exactly ASCII whitespace, as a bytes ``\S+`` would;
 #: ``str.split()`` would also split on NBSP, ``\x1c``-``\x1f``, U+2028 and more.
@@ -70,14 +77,18 @@ class _Reader:
             raise self.error(self.i - 1, f"expected integer {what}, got '{text}'") from None
 
     def rational(self, what):
+        """The next token as an integer pair (num, den) with den > 0, not reduced."""
         text = self.next(what)
         num, _, den = text.partition("/")
         try:
-            if den:
-                return Fraction(int(num), int(den))
-            return Fraction(int(num))
-        except (ValueError, ZeroDivisionError):
-            raise self.error(self.i - 1, f"expected rational {what}, got '{text}'") from None
+            num, den = int(num), int(den or 1)
+        except ValueError:
+            den = 0  # reported just as a zero denominator is
+        if den > 0:
+            return num, den
+        if den < 0:
+            return -num, -den
+        raise self.error(self.i - 1, f"expected rational {what}, got '{text}'")
 
     def done(self):
         """Reject a trailing token, then free the tokens before the payload is built."""
@@ -108,16 +119,24 @@ def parse_instance(data: bytes):
         n = rd.integer("interval count")
         if n < 1:
             raise rd.error(0, "interval count must be positive")
-        entries = []
+        nums, dens = [], []  # left, right, left, right, ...
         for j in range(1, n + 1):
-            left = rd.rational(f"left endpoint {j}")
-            right = rd.rational(f"right endpoint {j}")
-            entries.append((left, right))
+            for side in ("left", "right"):
+                num, den = rd.rational(f"{side} endpoint {j}")
+                nums.append(num)
+                dens.append(den)
         rd.done()
-        for j, (left, right) in enumerate(entries, start=1):
-            if left > right:  # token 2j is interval j's left endpoint
+        scale = common_scale(dens)
+        if scale is None:
+            ends = [Fraction(num, den) for num, den in zip(nums, dens)]
+        else:
+            ends = [num * (scale // den) for num, den in zip(nums, dens)]
+        del nums, dens
+        for j in range(1, n + 1):
+            if ends[2 * j - 2] > ends[2 * j - 1]:  # token 2j is interval j's left endpoint
                 raise rd.error(2 * j, f"interval {j} has left endpoint above right endpoint")
-        return "intervals", ProperIntervalGraph.from_intervals(entries)
+        pairs = iter(ends)
+        return "intervals", ProperIntervalGraph.from_intervals(zip(pairs, pairs))
     if head == "bubbles":
         c = rd.integer("column count")
         if c < 1:

@@ -4,22 +4,46 @@ Vertices are numbered 1..n in left-endpoint order of an interval
 representation.  Adjacency is stored as one number per vertex: ``max_nbr(j)``
 is the largest vertex whose interval meets interval j, so ``u ~ v`` for
 ``u < v`` exactly when ``max_nbr(u) >= v``.  The symmetric ``min_nbr`` is
-derived.  All endpoint arithmetic is exact (integers or fractions), never
-floating point.
+derived.
+
+All endpoint arithmetic is exact, never floating point.  Endpoints are
+compared as plain integers on one common scale: every endpoint p/q is
+multiplied by L = lcm of all the denominators q, which maps each to the
+integer p*(L/q).  Multiplying by a positive constant keeps every ``<`` and
+``==`` between endpoints, so the sorted order, the ties and the touching
+pairs are those of the rationals themselves.  L can grow with each new prime
+denominator, so it is kept within a budget of ``SCALE_BITS`` bits; a family
+whose L would pass it keeps its endpoints as Fractions, which compare just as
+exactly, only more slowly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidRanges, ProperViolation
 
+#: Largest common scale, in bits, that endpoints are multiplied up to.
+SCALE_BITS = 256
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+
+def common_scale(dens: Iterable[int]) -> Optional[int]:
+    """The lcm of positive denominators, or None once it passes SCALE_BITS bits.
+
+    The lcm is folded in lazily, only for a denominator that does not
+    already divide it, and the fold stops at the first step over budget:
+    each step at least doubles the scale, so it makes at most SCALE_BITS
+    ``lcm`` calls, however many distinct denominators follow.
+    """
+    scale = 1
+    for d in dens:
+        if scale % d:
+            scale = lcm(scale, d)
+            if scale.bit_length() > SCALE_BITS:
+                return None
+    return scale
 
 
 class ProperIntervalGraph:
@@ -67,16 +91,28 @@ class ProperIntervalGraph:
         ties broken by right endpoint then input position.  Touching
         endpoints count as adjacent.  Raises ProperViolation, reporting the
         1-based input positions, if one interval properly contains another.
+
+        Endpoints are compared on the common scale of ``common_scale``;
+        when they are all ints already (L = 1) they are used as they are.
         """
-        items = []
+        ends = []  # left, right, left, right, ...
         for idx, (left, right) in enumerate(entries):
-            l, r = _as_fraction(left), _as_fraction(right)
-            if l > r:
+            if not isinstance(left, (int, Fraction)):
+                left = Fraction(left)
+            if not isinstance(right, (int, Fraction)):
+                right = Fraction(right)
+            if left > right:
                 raise ValueError(f"interval {idx + 1} has left endpoint above right endpoint")
-            items.append((l, r, idx))
-        if not items:
+            ends.append(left)
+            ends.append(right)
+        if not ends:
             raise ValueError("need at least one interval")
-        items.sort()
+        scale = common_scale(x.denominator for x in ends)
+        if scale is not None and scale != 1:
+            ends = [x.numerator * (scale // x.denominator) for x in ends]
+        pairs = iter(ends)
+        items = sorted(zip(pairs, pairs, range(len(ends) // 2)))
+        del ends
         for (l1, r1, i1), (l2, r2, i2) in zip(items, items[1:]):
             # Proper family: sorted-consecutive entries are equal or strictly
             # increase in both endpoints; anything else nests one in the other.

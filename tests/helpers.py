@@ -3,10 +3,20 @@
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from typing import Callable, Optional
 
-from defdom import Attack, FormatError, ProperIntervalGraph, SplitMix64, defends_consecutive, gen_random_unit_intervals
+from defdom import (
+    Attack,
+    FormatError,
+    ProperIntervalGraph,
+    ProperViolation,
+    SplitMix64,
+    defends_consecutive,
+    gen_random_unit_intervals,
+)
 from defdom.greedy import SkipDown
+from defdom.io import _Reader
 
 
 def p3():
@@ -170,3 +180,78 @@ def reference_tokenize(data: bytes):
             out.append((text, pos + m.start()))
         pos += len(line) + 1
     return out
+
+
+def reference_from_intervals(entries) -> ProperIntervalGraph:
+    """Reference ``from_intervals``: every endpoint made a Fraction and compared as one."""
+    items = []
+    for idx, (left, right) in enumerate(entries):
+        l, r = _as_fraction(left), _as_fraction(right)
+        if l > r:
+            raise ValueError(f"interval {idx + 1} has left endpoint above right endpoint")
+        items.append((l, r, idx))
+    if not items:
+        raise ValueError("need at least one interval")
+    items.sort()
+    for (l1, r1, i1), (l2, r2, i2) in zip(items, items[1:]):
+        # Proper family: sorted-consecutive entries are equal or strictly
+        # increase in both endpoints; anything else nests one in the other.
+        if (l1, r1) != (l2, r2) and not (l1 < l2 and r1 < r2):
+            raise ProperViolation(sorted((i1 + 1, i2 + 1)))
+    n = len(items)
+    maxn = [0] * n
+    m = 0  # highest index known to intersect (0-based)
+    for j in range(n):
+        if m < j:
+            m = j
+        rj = items[j][1]
+        while m + 1 < n and items[m + 1][0] <= rj:
+            m += 1
+        maxn[j] = m + 1
+    return ProperIntervalGraph(maxn)
+
+
+def _as_fraction(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    return Fraction(x)
+
+
+def _reference_rational(rd: _Reader, what):
+    text = rd.next(what)
+    num, _, den = text.partition("/")
+    try:
+        if den:
+            return Fraction(int(num), int(den))
+        return Fraction(int(num))
+    except (ValueError, ZeroDivisionError):
+        raise rd.error(rd.i - 1, f"expected rational {what}, got '{text}'") from None
+
+
+def reference_parse_intervals(data: bytes) -> ProperIntervalGraph:
+    """Reference reading of an ``intervals`` file: one Fraction per endpoint token."""
+    rd = _Reader(data)
+    if not rd.tokens:
+        raise FormatError(0, "empty file")
+    rd.word("intervals")
+    n = rd.integer("interval count")
+    if n < 1:
+        raise rd.error(0, "interval count must be positive")
+    entries = []
+    for j in range(1, n + 1):
+        left = _reference_rational(rd, f"left endpoint {j}")
+        right = _reference_rational(rd, f"right endpoint {j}")
+        entries.append((left, right))
+    rd.done()
+    for j, (left, right) in enumerate(entries, start=1):
+        if left > right:  # token 2j is interval j's left endpoint
+            raise rd.error(2 * j, f"interval {j} has left endpoint above right endpoint")
+    return reference_from_intervals(entries)
+
+
+def outcome(fn, *args):
+    """What a call gives: ('ok', result) or (error class, message, byte offset or None)."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - every error class is compared
+        return type(exc), str(exc), getattr(exc, "offset", None)

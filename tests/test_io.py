@@ -1,4 +1,5 @@
 import io
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -6,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import defdom.pig
 from defdom import CompactBubbles, DefdomError, FormatError, ProperIntervalGraph, gen_family
 from defdom.cli import run
+from defdom.generators import UNIT, random_unit_intervals
 from defdom.io import _Reader, format_bubbles, format_intervals, format_pig, parse_instance
-from helpers import reference_tokenize
+from defdom.pig import SCALE_BITS, common_scale
+from helpers import outcome, reference_parse_intervals, reference_tokenize
 
 # Derandomized and without an example database, so every run checks the same
 # examples and writes no .hypothesis/ directory.
@@ -161,6 +165,156 @@ def test_any_bytes_parse_or_fail_with_a_diagnostic(tmp_path_factory, data):
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (data, err.getvalue())
 
 
+def _primes(count):
+    """The first ``count`` primes, by a sieve."""
+    top = 16
+    while True:
+        sieve = bytearray([1]) * top
+        sieve[:2] = b"\0\0"
+        for p in range(2, int(top**0.5) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, top, p)))
+        primes = [p for p in range(top) if sieve[p]]
+        if len(primes) >= count:
+            return primes[:count]
+        top *= 2
+
+
+#: Denominators for the differential corpus: small, unreduced-friendly ones,
+#: perfbench's 10^6, Mersenne primes, and powers on both sides of the scale
+#: budget (2^255 fits SCALE_BITS alone, 3*2^255 and 2^256 and 3^170 do not).
+DENS = [1, 2, 3, 4, 6, 7, UNIT, 2**61 - 1, 2**127 - 1, 2**255, 2**256, 3**170]
+JUNK = ["1/0", "0/0", "x", "/2", "1/2/3", "1.5", "--1", "1/+-2", "١/٠"]
+DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+@st.composite
+def endpoint_token(draw, value: Fraction) -> str:
+    """One of the spellings the reader accepts for ``value``."""
+    p, q = value.numerator, value.denominator
+    m = draw(st.sampled_from([1, 1, 2, 3]))  # unreduced 2/4 and the like
+    form = draw(st.integers(0, 5))
+    if form == 0 and q == 1:
+        return str(p)
+    if form == 1 and q == 1:
+        return draw(st.sampled_from([f"{p}/", f"+{p}" if p >= 0 else str(p), f"{p}/1"]))
+    if form == 2:
+        return f"{-p * m}/{-q * m}"  # negative denominator
+    if form == 3:
+        text = f"{p * m}/{q * m}"
+        return text.translate(DIGITS) if draw(st.booleans()) else text.replace("1", "1_0", 1)
+    return f"{p * m}/{q * m}"
+
+
+@st.composite
+def intervals_file(draw) -> bytes:
+    """A near-proper intervals file: equal-length intervals, some tokens or counts broken.
+
+    Equal lengths make the family proper, with touching, equal and
+    crossing intervals; a swapped endpoint or junk token then brings in
+    reversed and nested intervals and reader errors.
+    """
+    n = draw(st.integers(1, 6))
+    den = draw(st.sampled_from(DENS))
+    second = draw(st.sampled_from(DENS))
+    length = Fraction(draw(st.integers(0, 2 * den)), den)
+    values = []
+    for _ in range(n):
+        offset = Fraction(draw(st.integers(-4, 4)), draw(st.sampled_from([den, second])))
+        left = draw(st.integers(-3, 3)) + offset
+        values += [left, left + length]
+    tokens = [draw(endpoint_token(v)) for v in values]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        if draw(st.integers(0, 2)) == 0:
+            tokens[i] = draw(st.sampled_from(JUNK))
+        else:
+            tokens[i] = draw(endpoint_token(Fraction(draw(st.integers(-8, 8)), draw(st.sampled_from(DENS)))))
+    count = n + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+    lines = [f"intervals {count}"] + [f"{a} {b}" for a, b in zip(tokens[::2], tokens[1::2])]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _parse_graph(data):
+    return parse_instance(data)[1]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "intervals 2\n0 1\n1 2\n",  # touching
+        "intervals 3\n0 1\n0/5 2/2\n1 2\n",  # equal, unreduced
+        "intervals 2\n0 3\n1 2\n",  # nested
+        "intervals 2\n1/-2 1\n-1/2 1/1\n",  # negative denominator, equal
+        "intervals 2\n1/ 2\n1_0 +12\n",  # '1/' is 1; digit separators and a plus sign
+        "intervals 1\n\u0661 \u0662\n",  # non-ASCII digits
+        "intervals 2\n0 1\n3/2 1\n",  # reversed, at interval 2's left endpoint
+        "intervals 2\n0 1/0\n1 2\n",  # zero denominator
+        "intervals 2\n0 1\n1 2 3\n",  # trailing token
+        "intervals 2\n0 1\n1\n",  # truncated
+        f"intervals 2\n0 1/{2**255}\n1/{2**256} 1\n",  # L above the budget
+    ],
+)
+def test_intervals_match_fraction_reference(text):
+    data = text.encode()
+    assert outcome(_parse_graph, data) == outcome(reference_parse_intervals, data)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(intervals_file())
+def test_intervals_differential_against_fraction_reference(data):
+    """Same graph, or the same error class, message and byte offset, as one Fraction per token."""
+    assert outcome(_parse_graph, data) == outcome(reference_parse_intervals, data)
+
+
+def _shifted_family(dens, nest_at=None) -> bytes:
+    """Interval i is [i + 1/d_i, i + 2 + 1/d_i], meeting the next two; at
+    ``nest_at`` it is widened by one, so that it contains its neighbour."""
+    lines = [f"intervals {len(dens)}"]
+    for i, d in enumerate(dens):
+        right = i + 2 + (i == nest_at)
+        lines.append(f"{i * d + 1}/{d} {right * d + 1}/{d}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("bits", [SCALE_BITS - 1, SCALE_BITS, SCALE_BITS + 1])
+@pytest.mark.parametrize("nest_at", [None, 1])
+def test_scale_budget_boundary(bits, nest_at):
+    """Families whose L sits just below, at and just above the budget give the reference's graph or ProperViolation."""
+    power = 1 << (bits - 1)  # exactly ``bits`` bits
+    primes = _primes(60)
+    k = 1
+    while math.prod(primes[: k + 1]).bit_length() <= bits:
+        k += 1  # the first k primes multiply to at most ``bits`` bits, k + 1 to more
+    for dens in ([power, 2, 1, power], primes[:k], primes[: k + 1]):
+        want = math.lcm(*dens)
+        assert common_scale(dens) == (want if want.bit_length() <= SCALE_BITS else None)
+        data = _shifted_family(dens, nest_at)
+        assert outcome(_parse_graph, data) == outcome(reference_parse_intervals, data)
+
+
+def test_distinct_prime_denominators(monkeypatch):
+    """10^4 intervals over distinct prime denominators: the reference's graph, and each lcm fold stops at the budget."""
+    primes = _primes(10_000)
+    data = _shifted_family(primes)
+    calls = 0
+    real_lcm = defdom.pig.lcm
+
+    def counted_lcm(*args):
+        nonlocal calls
+        calls += 1
+        return real_lcm(*args)
+
+    monkeypatch.setattr(defdom.pig, "lcm", counted_lcm)
+    assert common_scale(primes) is None
+    assert calls <= SCALE_BITS + 1, calls
+    calls = 0
+    got = parse_instance(data)[1]
+    # two folds, the reader's and the graph build's, each stopped at the budget
+    assert calls <= 2 * (SCALE_BITS + 1), calls
+    assert got == reference_parse_intervals(data)
+
+
 def test_parse_peak_memory_per_vertex():
     """No per-token offsets: parsing a 20,000-vertex path peaks below 200 bytes per vertex."""
     n = 20_000
@@ -172,3 +326,18 @@ def test_parse_peak_memory_per_vertex():
     finally:
         tracemalloc.stop()
     assert peak / n < 200, peak / n
+
+
+def test_intervals_parse_peak_memory_per_vertex():
+    """No Fraction per endpoint token: a 20,000-interval file of x/10^6
+    endpoints peaks below 400 bytes per vertex."""
+    n = 20_000
+    entries = random_unit_intervals(n, Fraction(1, 16), seed=20)
+    data = format_intervals([(Fraction(l, UNIT), Fraction(r, UNIT)) for l, r in entries]).encode()
+    tracemalloc.start()
+    try:
+        parse_instance(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 400, peak / n

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defdom import InvalidRanges, ProperIntervalGraph, ProperViolation, SplitMix64
-from helpers import p5, diamond, random_maxn
+from defdom.pig import SCALE_BITS
+from helpers import diamond, outcome, p5, random_maxn, reference_from_intervals
 
 
 def brute_edges_from_intervals(entries):
@@ -151,3 +154,41 @@ def test_canonical_intervals_realize_the_graph():
         n = 1 + rng.below(25)
         g = ProperIntervalGraph(random_maxn(rng, n))
         assert ProperIntervalGraph.from_intervals(g.canonical_intervals()) == g
+
+
+@st.composite
+def exact_value(draw, value: Fraction):
+    """``value`` as an int, a Fraction or a float, whichever represent it exactly."""
+    forms = [value]
+    if value.denominator == 1:
+        forms.append(int(value))
+    if Fraction(float(value)) == value:
+        forms.append(float(value))
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def library_entries(draw):
+    """Equal-length families as int, Fraction and float mixes, some entries broken."""
+    n = draw(st.integers(0, 6))
+    den = draw(st.sampled_from([1, 2, 3, 4, 10, 2**60, 2 ** (SCALE_BITS - 1), 2**SCALE_BITS, 3**170]))
+    length = Fraction(draw(st.integers(0, 2 * den)), den)
+    entries = []
+    for _ in range(n):
+        left = draw(st.integers(-3, 3)) + Fraction(draw(st.integers(-4, 4)), draw(st.sampled_from([den, 2, 1])))
+        entries.append((draw(exact_value(left)), draw(exact_value(left + length))))
+    if entries and draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, n - 1))
+        entries[i] = draw(st.sampled_from([
+            (1, 2, 3), (1,), (float("nan"), 1), (0, float("inf")), (None, 1), ("1/2", "3/2"),
+            (entries[i][1], entries[i][0]), (entries[i][0], entries[i][1] + 1), (0.1, 0.3),
+        ]))
+    return entries
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(library_entries())
+def test_from_intervals_differential_against_fraction_reference(entries):
+    """Same graph, or the same error class and message, as comparing every endpoint as a Fraction."""
+    assert outcome(ProperIntervalGraph.from_intervals, entries) == outcome(reference_from_intervals, entries)
+    assert outcome(ProperIntervalGraph.from_intervals, iter(entries)) == outcome(reference_from_intervals, entries)
