@@ -37,6 +37,10 @@ from .bench import bench_rows, rows_to_csv
 from .pig import ProperIntervalGraph
 
 
+#: Answer lines joined into one string per write: few writes, a bounded buffer.
+_ANSWER_CHUNK = 1024
+
+
 def _load(path: str):
     """The parsed payload: a ProperIntervalGraph, or CompactBubbles for a bubbles file."""
     with open(path, "rb") as fh:
@@ -77,8 +81,18 @@ def _defender_tokens(args) -> list[str]:
 
 
 def _defenders(args, n: int) -> set[int]:
+    """The defender set, converted in one bulk ``map(int, ...)`` and range-checked
+    by its min and max; on any failure the per-token loop reports the first
+    bad token in order."""
+    tokens = _defender_tokens(args)
+    try:
+        out = set(map(int, tokens))
+    except ValueError:
+        out = None
+    if out is not None and (not out or (1 <= min(out) and max(out) <= n)):
+        return out
     out = set()
-    for part in _defender_tokens(args):  # the token list is freed after the loop
+    for part in tokens:
         try:
             v = int(part)
         except ValueError:
@@ -98,7 +112,8 @@ def _cmd_solve(args, out) -> int:
     else:
         result = solve_greedy(g, args.k)
     out.write(f"size={len(result)}\n")
-    out.writelines(f"{v}\n" for v in result)
+    for i in range(0, len(result), _ANSWER_CHUNK):
+        out.write("\n".join(map(str, result[i : i + _ANSWER_CHUNK])) + "\n")
     if args.emit_defense:
         ds = tuple(result)
         m = min(args.k, g.n)

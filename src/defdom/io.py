@@ -21,6 +21,14 @@ one positive integer keeps every comparison between endpoints, so the graph
 is exactly the one the rationals define.  Should L pass ``SCALE_BITS`` bits,
 the endpoints are made Fractions instead, equally exact.
 
+The tokens of a ``pig`` or ``intervals`` payload are converted in bulk: all
+n (or 2n) of them in one pass, with no ``_Reader`` method call and no message
+built per token.  Should any token be refused, or the file end first, the
+per-token loop runs instead and names the first bad token; it is the only
+code that builds a diagnostic, so every accepted form (``+1``, ``1_0``,
+non-ASCII digits, ``1/``, ``1/-2``), every message and every byte offset is
+the same either way.
+
 Parse failures raise FormatError carrying the byte offset of the offending
 token.
 """
@@ -30,6 +38,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
+from operator import floordiv, gt, mul
 
 from .bubbles import CompactBubbles
 from .errors import FormatError
@@ -39,6 +48,14 @@ from .pig import ProperIntervalGraph, common_scale
 #: ``str.split()`` would also split on NBSP, ``\x1c``-``\x1f``, U+2028 and more.
 _TOKEN = re.compile(r"[^ \t\n\r\f\v]+")
 _COMMENT = re.compile(rb"#[^\n]*")
+
+
+class _Denominators(dict):
+    """Denominator text to int; an empty text (no ``/``, or ``1/``) is 1."""
+
+    def __missing__(self, text):
+        den = self[text] = int(text or 1)
+        return den
 
 
 class _Reader:
@@ -76,6 +93,54 @@ class _Reader:
         except ValueError:
             raise self.error(self.i - 1, f"expected integer {what}, got '{text}'") from None
 
+    def integers(self, count, what):
+        """The next ``count`` tokens as ints, converted in one bulk ``map(int, ...)``.
+
+        A token ``int`` refuses, or a file that ends first, sends the read
+        back to the per-token loop, which names the first bad token;
+        ``what(t)`` describes the t-th token (0-based) for its message.
+        """
+        stop = self.i + count
+        if stop <= len(self.tokens):
+            try:
+                out = list(map(int, itertools.islice(self.tokens, self.i, stop)))
+            except ValueError:
+                pass
+            else:
+                self.i = stop
+                return out
+        return [self.integer(what(t)) for t in range(count)]
+
+    def rationals(self, count, what):
+        """The next ``count`` tokens as two lists, numerators and denominators > 0, not reduced.
+
+        One pass splits the tokens at their first ``/``, with no method call
+        or message per token; each distinct denominator text is converted
+        once, so equal denominators share one int.  A refused token, a zero
+        or negative denominator, or a file that ends first sends the read
+        back to the per-token ``rational`` loop, as ``integers`` does.
+        """
+        stop = self.i + count
+        if stop <= len(self.tokens):
+            nums, dens, den_of = [], [], _Denominators()
+            parts = map(str.partition, itertools.islice(self.tokens, self.i, stop), itertools.repeat("/"))
+            try:
+                for num, _, den in parts:
+                    nums.append(int(num))
+                    dens.append(den_of[den])
+            except ValueError:
+                pass
+            else:
+                if min(den_of.values(), default=1) > 0:
+                    self.i = stop
+                    return nums, dens
+        nums, dens = [], []
+        for t in range(count):
+            num, den = self.rational(what(t))
+            nums.append(num)
+            dens.append(den)
+        return nums, dens
+
     def rational(self, what):
         """The next token as an integer pair (num, den) with den > 0, not reduced."""
         text = self.next(what)
@@ -112,30 +177,28 @@ def parse_instance(data: bytes):
         if n < 1:
             raise rd.error(0, "vertex count must be positive")
         rd.word("maxn")
-        maxn = [rd.integer(f"max neighbor of vertex {j}") for j in range(1, n + 1)]
+        maxn = rd.integers(n, lambda t: f"max neighbor of vertex {t + 1}")
         rd.done()
         return "pig", ProperIntervalGraph(maxn)
     if head == "intervals":
         n = rd.integer("interval count")
         if n < 1:
             raise rd.error(0, "interval count must be positive")
-        nums, dens = [], []  # left, right, left, right, ...
-        for j in range(1, n + 1):
-            for side in ("left", "right"):
-                num, den = rd.rational(f"{side} endpoint {j}")
-                nums.append(num)
-                dens.append(den)
+        # token 2j - 2 of the payload is interval j's left endpoint, 2j - 1 its right one
+        nums, dens = rd.rationals(2 * n, lambda t: f"{('left', 'right')[t % 2]} endpoint {t // 2 + 1}")
         rd.done()
-        scale = common_scale(dens)
+        scale = common_scale(set(dens))
         if scale is None:
-            ends = [Fraction(num, den) for num, den in zip(nums, dens)]
+            ends = list(map(Fraction, nums, dens))
         else:
-            ends = [num * (scale // den) for num, den in zip(nums, dens)]
+            ends = list(map(mul, nums, map(floordiv, itertools.repeat(scale), dens)))
         del nums, dens
-        for j in range(1, n + 1):
-            if ends[2 * j - 2] > ends[2 * j - 1]:  # token 2j is interval j's left endpoint
-                raise rd.error(2 * j, f"interval {j} has left endpoint above right endpoint")
+        above = map(gt, itertools.islice(ends, 0, None, 2), itertools.islice(ends, 1, None, 2))
+        for j in itertools.compress(itertools.count(1), above):
+            # the first reversed interval; token 2j of the file is its left endpoint
+            raise rd.error(2 * j, f"interval {j} has left endpoint above right endpoint")
         pairs = iter(ends)
+        del ends, above  # the list goes as from_intervals reads the last pair
         return "intervals", ProperIntervalGraph.from_intervals(zip(pairs, pairs))
     if head == "bubbles":
         c = rd.integer("column count")

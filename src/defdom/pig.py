@@ -20,6 +20,7 @@ exactly, only more slowly.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -46,13 +47,47 @@ def common_scale(dens: Iterable[int]) -> Optional[int]:
     return scale
 
 
+def _scaled_ends(entries) -> list:
+    """The endpoints as one flat list, left, right, left, ..., as ints on the
+    common scale of ``common_scale``, or as Fractions past its budget.
+
+    Entries of two plain ints in order, as ``defdom.io`` builds them, are
+    kept as they are (scale 1).  From the first other entry on, each endpoint
+    goes through the per-endpoint loop, which converts floats exactly and
+    names the first reversed interval.
+    """
+    ends = []
+    entries = iter(entries)
+    for left, right in entries:
+        if type(left) is not int or type(right) is not int or left > right:
+            entries = chain([(left, right)], entries)
+            break
+        ends.append(left)
+        ends.append(right)
+    else:
+        return ends
+    for idx, (left, right) in enumerate(entries, start=len(ends) // 2):
+        if not isinstance(left, (int, Fraction)):
+            left = Fraction(left)
+        if not isinstance(right, (int, Fraction)):
+            right = Fraction(right)
+        if left > right:
+            raise ValueError(f"interval {idx + 1} has left endpoint above right endpoint")
+        ends.append(left)
+        ends.append(right)
+    scale = common_scale(x.denominator for x in ends)
+    if scale is not None and scale != 1:
+        ends = [x.numerator * (scale // x.denominator) for x in ends]
+    return ends
+
+
 class ProperIntervalGraph:
     """A proper interval graph in canonical vertex order."""
 
     __slots__ = ("n", "_maxn", "_minn")
 
     def __init__(self, maxn: Sequence[int]):
-        maxn = tuple(int(m) for m in maxn)
+        maxn = tuple(map(int, maxn))
         n = len(maxn)
         if n == 0:
             raise InvalidRanges("graph needs at least one vertex")
@@ -93,23 +128,12 @@ class ProperIntervalGraph:
         1-based input positions, if one interval properly contains another.
 
         Endpoints are compared on the common scale of ``common_scale``;
-        when they are all ints already (L = 1) they are used as they are.
+        when they are all ints already (L = 1) they are used as they are,
+        with no conversion and no fold.
         """
-        ends = []  # left, right, left, right, ...
-        for idx, (left, right) in enumerate(entries):
-            if not isinstance(left, (int, Fraction)):
-                left = Fraction(left)
-            if not isinstance(right, (int, Fraction)):
-                right = Fraction(right)
-            if left > right:
-                raise ValueError(f"interval {idx + 1} has left endpoint above right endpoint")
-            ends.append(left)
-            ends.append(right)
+        ends = _scaled_ends(entries)
         if not ends:
             raise ValueError("need at least one interval")
-        scale = common_scale(x.denominator for x in ends)
-        if scale is not None and scale != 1:
-            ends = [x.numerator * (scale // x.denominator) for x in ends]
         pairs = iter(ends)
         items = sorted(zip(pairs, pairs, range(len(ends) // 2)))
         del ends
@@ -144,9 +168,6 @@ class ProperIntervalGraph:
         if u > v:
             u, v = v, u
         return self._maxn[u] >= v
-
-    def closed_neighborhood(self, v: int) -> tuple[int, int]:
-        return self._minn[v], self._maxn[v]
 
     def neighborhood_of_range(self, i: int, j: int) -> tuple[int, int]:
         """Closed neighborhood of the consecutive set [i..j], as a range."""

@@ -249,6 +249,21 @@ def reference_parse_intervals(data: bytes) -> ProperIntervalGraph:
     return reference_from_intervals(entries)
 
 
+def reference_parse_pig(data: bytes) -> ProperIntervalGraph:
+    """Reference reading of a ``pig`` file: one ``_Reader.integer`` call per token."""
+    rd = _Reader(data)
+    if not rd.tokens:
+        raise FormatError(0, "empty file")
+    rd.word("pig")
+    n = rd.integer("vertex count")
+    if n < 1:
+        raise rd.error(0, "vertex count must be positive")
+    rd.word("maxn")
+    maxn = [rd.integer(f"max neighbor of vertex {j}") for j in range(1, n + 1)]
+    rd.done()
+    return ProperIntervalGraph(maxn)
+
+
 def outcome(fn, *args):
     """What a call gives: ('ok', result) or (error class, message, byte offset or None)."""
     try:

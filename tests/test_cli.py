@@ -4,7 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import defdom.cli as cli_module
+from defdom import gen_family, solve_greedy
 from defdom.cli import run
+from defdom.io import format_pig
 
 
 def cli(*argv):
@@ -67,6 +70,39 @@ def test_verify_defenders_file_forms(tmp_path, monkeypatch):
     f = tmp_path / "commas.txt"
     assert cli("verify", "--input", path, "--k", "2", "--defenders", "2", "--defenders-file", str(f))[0] == 2
     assert cli("verify", "--input", path, "--k", "2")[0] == 2
+
+
+def test_verify_defenders_failure_order(tmp_path):
+    """The first bad token in order is reported, whichever check refuses it."""
+    path = write_p5(tmp_path)
+    bad = {
+        "9,x": "defender 9 outside 1..5",
+        "x,9": "defender 'x' is not a vertex number",
+        "2,,3": "defender '' is not a vertex number",
+        "0": "defender 0 outside 1..5",
+    }
+    for text, message in bad.items():
+        assert cli("verify", "--input", path, "--k", "2", "--defenders", text) == (2, "", f"error: {message}\n"), text
+    f = tmp_path / "defenders.txt"
+    for text in ("9\nx\n", "x\n9\n"):
+        f.write_text(text)
+        message = bad[text.strip().replace("\n", ",")]
+        assert cli("verify", "--input", path, "--k", "2", "--defenders-file", str(f)) == (2, "", f"error: {message}\n"), text
+    assert cli("verify", "--input", path, "--k", "2", "--defenders", "2, 3,5") == (0, "OK\n", "")
+    f.write_text("size=3\n5\n3\n2\n")
+    assert cli("verify", "--input", path, "--k", "2", "--defenders-file", str(f)) == (0, "OK\n", "")
+
+
+def test_solve_answer_spans_write_chunks(tmp_path):
+    """An answer longer than one write chunk prints one vertex per line, in order."""
+    n = 8 * cli_module._ANSWER_CHUNK + 5
+    path = tmp_path / "path.pig"
+    path.write_text(format_pig(gen_family("path", n)))
+    for algo in ("greedy", "bubble"):
+        code, out, _ = cli("solve", "--input", str(path), "--k", "1", "--algo", algo)
+        want = solve_greedy(gen_family("path", n), 1)
+        assert len(want) > 2 * cli_module._ANSWER_CHUNK
+        assert (code, out) == (0, f"size={len(want)}\n" + "".join(f"{v}\n" for v in want)), algo
 
 
 def test_solve_piped_into_verify_at_100k(tmp_path):

@@ -13,7 +13,7 @@ from defdom.cli import run
 from defdom.generators import UNIT, random_unit_intervals
 from defdom.io import _Reader, format_bubbles, format_intervals, format_pig, parse_instance
 from defdom.pig import SCALE_BITS, common_scale
-from helpers import outcome, reference_parse_intervals, reference_tokenize
+from helpers import outcome, reference_parse_intervals, reference_parse_pig, reference_tokenize
 
 # Derandomized and without an example database, so every run checks the same
 # examples and writes no .hypothesis/ directory.
@@ -265,6 +265,68 @@ def test_intervals_match_fraction_reference(text):
 def test_intervals_differential_against_fraction_reference(data):
     """Same graph, or the same error class, message and byte offset, as one Fraction per token."""
     assert outcome(_parse_graph, data) == outcome(reference_parse_intervals, data)
+
+
+@st.composite
+def pig_file(draw) -> bytes:
+    """A near-valid pig file: a max-neighbor sequence in the integer spellings
+    ``int`` accepts, with some tokens, values or the count broken."""
+    n = draw(st.integers(1, 8))
+    maxn, prev = [], 1
+    for j in range(1, n + 1):
+        prev = draw(st.integers(max(prev, j), n))
+        maxn.append(prev)
+    tokens = []
+    for m in maxn:
+        form = draw(st.integers(0, 5))
+        if form == 1:
+            tokens.append(f"+{m}")
+        elif form == 2:
+            tokens.append(f"0{m}")
+        elif form == 3:
+            tokens.append(str(m).translate(DIGITS))
+        elif form == 4:
+            tokens.append(f"{m}_0" if m % 10 == 0 and m else f"{m // 10}_{m % 10}")
+        else:
+            tokens.append(str(m))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        i = draw(st.integers(0, n - 1))
+        tokens[i] = draw(st.sampled_from(["x", "1/2", "1.5", "--1", "1__0", "_1", "0", "-1", str(n + 1), "\u0661/"]))
+    count = n + draw(st.sampled_from([0, 0, 0, 0, -1, 1, 3]))
+    sep = draw(st.sampled_from([" ", "\n", " # c\n", "\t"]))
+    return f"pig {count}\nmaxn {sep.join(tokens)}\n".encode()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "pig 10\nmaxn +2 3 4 5 6 7 8 9 1_0 10\n",  # a plus sign and a digit separator
+        "pig 2\nmaxn \u0662 \u0662\n",  # non-ASCII digits
+        "pig 3\nmaxn x 3 3\n",  # a bad token first,
+        "pig 3\nmaxn 2 x 3\n",  # in the middle
+        "pig 3\nmaxn 2 3 x\n",  # and last
+        "pig 3\nmaxn 9 x 3\n",  # a token the range check refuses, then one int refuses
+        "pig 4\nmaxn 2 3 3\n",  # the count above the number of tokens
+        "pig 3\nmaxn 2 3 1\n",  # a decreasing sequence
+    ],
+)
+def test_pig_match_per_token_reference(text):
+    data = text.encode()
+    assert outcome(_parse_graph, data) == outcome(reference_parse_pig, data)
+
+
+def test_pig_count_below_tokens_is_a_trailing_token():
+    data = b"pig 2\nmaxn 2 2 3\n"
+    assert outcome(_parse_graph, data) == outcome(reference_parse_pig, data)
+    with pytest.raises(FormatError, match="trailing token '3'"):
+        parse_instance(data)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(pig_file())
+def test_pig_differential_against_per_token_reference(data):
+    """Same graph, or the same error class, message and byte offset, as one ``integer`` call per token."""
+    assert outcome(_parse_graph, data) == outcome(reference_parse_pig, data)
 
 
 def _shifted_family(dens, nest_at=None) -> bytes:

@@ -192,3 +192,24 @@ def test_from_intervals_differential_against_fraction_reference(entries):
     """Same graph, or the same error class and message, as comparing every endpoint as a Fraction."""
     assert outcome(ProperIntervalGraph.from_intervals, entries) == outcome(reference_from_intervals, entries)
     assert outcome(ProperIntervalGraph.from_intervals, iter(entries)) == outcome(reference_from_intervals, entries)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [(0, 1), (1, 2), (5, 6), (1, 2)],  # int tuples, taken as they are
+        [(0, 1), (2, 1)],  # reversed
+        [(0, 3), (1, 2)],  # nested
+        [(0, 1), (0, 2)],  # nested, shared left endpoint
+        [[0, 1], (1, 2)],  # a list entry
+        [(0, 1), (True, 2)],  # a bool endpoint
+        [(0, 1), (1, 2, 3)],  # not a pair
+        [(0, 1), (1,)],
+        [(0, 1), (2, 3), (Fraction(1, 2), 1)],  # ints, then a Fraction
+        [(0, 2**300), (1, 2**300 + 1)],
+    ],
+)
+def test_int_entries_match_fraction_reference(entries):
+    """Plain int pairs, kept as they are, give the reference's graph, error class and message."""
+    assert outcome(ProperIntervalGraph.from_intervals, entries) == outcome(reference_from_intervals, entries)
+    assert outcome(ProperIntervalGraph.from_intervals, iter(entries)) == outcome(reference_from_intervals, entries)
