@@ -126,7 +126,9 @@ def _cmd_solve(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    g = _graph(_load(args.input))
+    payload = _load(args.input)
+    # a compact structure is verified on its bubble model, never expanded
+    g = linear_from_compact(payload) if isinstance(payload, CompactBubbles) else payload
     defenders = _defenders(args, g.n)
     bad = first_undefended_attack(g, defenders, args.k)
     if bad is None:

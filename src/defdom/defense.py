@@ -5,7 +5,10 @@ f: D -> A with f(d) in the closed neighborhood of d.  On a canonical proper
 interval graph every closed neighborhood is a range [min_nbr(x)..max_nbr(x)]
 whose ends never decrease with x.  So ``first_undefended_attack`` decides
 every window at once by Hall's condition on consecutive sub-ranges, in
-O(n + |D|) for any k.  ``defends_consecutive`` builds an actual defense of
+O(n + |D|) for any k on a graph.  On a ``LinearBubbles`` it decides the same
+windows in one pass over the bubbles, in O(|B|) counted steps plus two
+bisects per bubble, so a compact file is verified without expanding it
+to n vertices.  ``defends_consecutive`` builds an actual defense of
 one attack, the rightmost monotone one, found by scanning attackers right to
 left and giving each the rightmost unused defender adjacent to it.
 ``defends_matching`` is the structure-free counterpart: a maximum bipartite
@@ -14,10 +17,13 @@ matching on an arbitrary graph, used as an independent oracle.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
+from itertools import repeat
+from operator import sub
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
+from .bubbles import LinearBubbles
 from .pig import ProperIntervalGraph
 
 
@@ -170,7 +176,10 @@ def defends_matching(adjacency, defenders: Iterable[int], attack: Iterable[int])
 
 
 def first_undefended_attack(
-    g: ProperIntervalGraph, defenders: Iterable[int], k: int, stats: Optional[dict] = None
+    g: ProperIntervalGraph | LinearBubbles,
+    defenders: Iterable[int],
+    k: int,
+    stats: Optional[dict] = None,
 ) -> Optional[Attack]:
     """The leftmost consecutive attack of size m = min(k, n) with no defense.
 
@@ -183,15 +192,20 @@ def first_undefended_attack(
     cnt(x) the number of defenders at most x, the pair a <= b < a+m fails
     exactly when cnt(max_nbr(b)) - b < cnt(min_nbr(a)-1) - a + 1.
 
-    One left-to-right pass over b keeps the largest right-hand side among
-    the last m values of a in a monotone deque, and reads both counts
-    through two forward pointers into the sorted defenders.  The first
-    failing b names the leftmost failing window.  Work is O(n + |D|) for
-    any k, after sorting the defenders.  ``stats`` receives ``steps``:
-    pointer moves plus deque pushes and pops.
+    ``g`` is a graph or a bubble model, and the input type picks the pass.
+    On a graph, one left-to-right pass over b keeps the largest right-hand
+    side among the last m values of a in a monotone deque, and reads both
+    counts through two forward pointers into the sorted defenders.  The
+    first failing b names the leftmost failing window.  Work is O(n + |D|)
+    for any k, after sorting the defenders.  ``stats`` receives ``steps``:
+    pointer moves plus deque pushes and pops.  On a ``LinearBubbles`` the
+    same windows are decided in one pass over the bubbles, never over the
+    vertices (see ``_first_undefended_bubbles``).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if isinstance(g, LinearBubbles):
+        return _first_undefended_bubbles(g, defenders, k, stats)
     n = g.n
     m = min(k, n)
     maxn, minn = g.maxn, g.minn
@@ -222,6 +236,96 @@ def first_undefended_attack(
         # Pointers only advance one at a time from 0; each of the b pushed
         # entries left the deque at most once, and the rest are still in it.
         stats.update(steps=below + upto + 2 * b - len(q))
+    return bad
+
+
+def _first_undefended_bubbles(
+    lb: LinearBubbles, defenders: Iterable[int], k: int, stats: Optional[dict]
+) -> Optional[Attack]:
+    """``first_undefended_attack`` on a bubble model, in one pass over the bubbles.
+
+    Let bubble j hold vertices [s_j..e_j], with L_j = cnt(min_nbr_j - 1) and
+    R_j = cnt(max_nbr_j), one C-level bisect each.  With v(a) = L(a) - a,
+    window end b fails iff F(b) = b + max v over [c..b] >= R(b), where
+    c = max(1, b-m+1).  Since min_nbr never decreases, v(a+1) >= v(a) - 1,
+    so F never decreases.  R is fixed inside a bubble, so the failing ends
+    inside a bubble form a suffix of it, and only b = e_j needs a test.
+    Inside a bubble v falls by one per vertex, so each bubble's largest v in
+    range sits at its first vertex in range.  The bubble i holding c offers
+    L_i - c, so b + L_i - c = L_i + min(b-1, m-1); each later bubble up to j
+    offers P = L - s, so F(b) = max(L_i + min(b-1, m-1), b + top_i) with
+    top_i the largest P over bubbles (i..j].  One forward pointer tracks i.
+    A stack keeps the strict suffix maxima of P over bubbles 0..j, and its
+    head index skips the entries at or below i, so the head is top_i.
+
+    The stack never drops its dead front, so top_i for any earlier i is one
+    C-level bisect.  Inside the first failing bubble j, the ends whose c
+    lies in bubble i form a stretch that ends at e_i + m - 1, and F is
+    monotone, so the stretch holding the first failing end is found by
+    bisecting over i.  Inside that stretch F is the larger of a term that
+    grows with b until b = m and then stays fixed, and b + top_i.  So the
+    first failing end is the smaller of the first ends at which either term
+    reaches R_j, and no vertex is ever visited.
+
+    ``stats`` receives ``steps``: pointer moves, stack pushes, pops and head
+    moves, and bisection probes.  The pointer moves at most |B| - 1 times.
+    Each bubble is pushed once, popped at most once, and passed by the head
+    at most once, since the head only falls back to the stack's new end.
+    The bisection makes at most bit_length(|B|) probes.  So steps are at
+    most 4|B| + bit_length(|B|), whatever n and k are.
+    """
+    n = lb.n
+    m = min(k, n)
+    ds = sorted(set(defenders))
+    starts, ends = lb.min_v, lb.max_v
+    left = list(map(bisect_left, repeat(ds), lb.min_nbr))
+    right = list(map(bisect_right, repeat(ds), lb.max_nbr))
+    peak = list(map(sub, left, starts))
+    floor = -n - 1  # below every P: the top of an empty range
+    q: list[int] = []  # bubble indices, peak strictly decreasing
+    h = i = 0  # q's first entry above i, and the bubble holding c
+    steps = 0
+    bad = None
+    for j, (p, e, r) in enumerate(zip(peak, ends, right)):
+        while q and peak[q[-1]] <= p:
+            q.pop()
+        if h > len(q):
+            h = len(q)
+        q.append(j)
+        c = e - m + 1
+        while ends[i] < c:
+            i += 1
+        while h < len(q) and q[h] <= i:
+            h += 1
+            steps += 1
+        if left[i] + (m - 1 if c > 0 else e - 1) < r and e + (peak[q[h]] if h < len(q) else floor) < r:
+            continue
+        # The first failing end lies in bubble j.  Bisect the bubbles holding
+        # its c: a bubble mid below i holds c for the ends up to e_mid + m - 1.
+        lo, hi = bisect_left(ends, starts[j] - m + 1), i
+        while lo < hi:
+            mid = (lo + hi) // 2
+            t = bisect_right(q, mid)
+            b = ends[mid] + m - 1
+            if left[mid] + m - 1 >= r or b + (peak[q[t]] if t < len(q) else floor) >= r:
+                hi = mid
+            else:
+                lo = mid + 1
+            steps += 1
+        # In bubble lo's stretch, the first end with b + top_lo >= r, or with
+        # L_lo + min(b-1, m-1) >= r where that term can reach r at all.
+        t = bisect_right(q, lo)
+        b = r - (peak[q[t]] if t < len(q) else floor)
+        if r - left[lo] < m:
+            b = min(b, r - left[lo] + 1)
+        b = max(b, starts[j], ends[lo - 1] + m if lo else 1)
+        s = max(1, b - m + 1)
+        bad = Attack(s, s + m - 1)
+        break
+    if stats is not None:
+        # The pointer advanced i times from 0, and of the j+1 pushed bubbles
+        # those not on the stack were popped once each.
+        stats.update(steps=steps + i + 2 * (j + 1) - len(q))
     return bad
 
 

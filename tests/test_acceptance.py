@@ -7,6 +7,7 @@ from itertools import combinations
 
 from defdom import (
     Attack,
+    CompactBubbles,
     ProperIntervalGraph,
     SplitMix64,
     bubbles_from_pig,
@@ -17,6 +18,7 @@ from defdom import (
     gen_random_bubbles,
     gen_random_unit_intervals,
     is_k_defensive,
+    linear_from_compact,
     min_defensive_bruteforce,
     pig_from_bubbles,
     solve_bubble,
@@ -207,7 +209,9 @@ def test_criterion_4_complexity_instrumentation():
     window pushes one deque entry and each entry leaves at most once, at
     most 2n in all; the pointer passes each defender once and each recruit
     makes at most one suffix add, at most |D| in all.  So the steps are at
-    most 2n + |D|, and c = 2.
+    most 2n + |D|, and c = 2.  Part (e) bounds the bubble-model verifier's
+    steps by 4|B| + bit_length(|B|), as derived in
+    ``defense._first_undefended_bubbles``: no term grows with n.
     """
     import math
 
@@ -259,7 +263,7 @@ def test_criterion_4_complexity_instrumentation():
     # (c) verifier work is linear in n + |D| whatever k is: the same instance
     # at k = 1, 8 and n, each with that k's greedy answer so the pass runs
     # to the end; (d) so is the greedy's, on the same runs
-    verify_ratio = greedy_ratio = 0.0
+    verify_ratio = greedy_ratio = bubble_ratio = 0.0
     for fam in families:
         g = build_instance(fam, 10_000, 0)
         for kk in (1, k, g.n):
@@ -273,6 +277,24 @@ def test_criterion_4_complexity_instrumentation():
             ratio = stats["steps"] / (g.n + len(ds))
             assert ratio <= 2.0, (fam, kk, stats)
             verify_ratio = max(verify_ratio, ratio)
+            # (e) the bubble-model verifier's work is 4|B| + bit_length(|B|)
+            # at most, on the pass that runs to the end and on one that stops
+            lb = bubbles_from_pig(g)
+            bound = 4 * lb.count + lb.count.bit_length()
+            for defenders, want_ok in ((ds, True), (ds[1:], False)):
+                stats = {}
+                assert (first_undefended_attack(lb, defenders, kk, stats=stats) is None) == want_ok, (fam, kk)
+                assert stats["steps"] <= bound, (fam, kk, lb.count, stats)
+                bubble_ratio = max(bubble_ratio, stats["steps"] / lb.count)
+    # (e) on one bubble of n twins the steps do not grow with n, up to 10^15
+    twin_steps = set()
+    for n in (10, 10**6, 10**15):
+        lb = linear_from_compact(CompactBubbles([[(1, n)]]))
+        for kk in (1, 2, n):
+            stats = {}
+            assert (first_undefended_attack(lb, [1], kk, stats=stats) is None) == (kk == 1)
+            twin_steps.add(stats["steps"])
+    assert max(twin_steps) <= 4 * 1 + (1).bit_length(), twin_steps
 
     # CPU time within 2x of a through-origin linear fit, per algorithm and
     # family: the fit checks growth across the three decades of n, leaving
@@ -298,7 +320,8 @@ def test_criterion_4_complexity_instrumentation():
         "PASS criterion 4: greedy steps <= "
         f"{c1:.2f}*n*k on all runs; heap ops <= 2|B| and iterations <= 2|B|+3 everywhere; "
         f"verifier steps <= {verify_ratio:.2f}*(n+|D|) and greedy steps <= {greedy_ratio:.2f}*(n+|D|) "
-        f"at k=1, {k}, n; "
+        f"at k=1, {k}, n; bubble verifier steps <= {bubble_ratio:.2f}*|B| there and "
+        f"{max(twin_steps)} on 10^15 twins; "
         f"CPU-time fit spread greedy {spreads['greedy']}, "
         f"bubble {spreads['bubble']} (within 0.5-2.0)"
     )

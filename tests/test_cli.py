@@ -2,12 +2,13 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import defdom.cli as cli_module
-from defdom import gen_family, solve_greedy
+from defdom import compact_for_family, gen_family, solve_greedy
 from defdom.cli import run
-from defdom.io import format_pig
+from defdom.io import format_bubbles, format_pig
 
 
 def cli(*argv):
@@ -73,24 +74,67 @@ def test_verify_defenders_file_forms(tmp_path, monkeypatch):
 
 
 def test_verify_defenders_failure_order(tmp_path):
-    """The first bad token in order is reported, whichever check refuses it."""
-    path = write_p5(tmp_path)
+    """The first bad token in order is reported, whichever check refuses it, for a graph or a compact file."""
+    compact = tmp_path / "p5.bubbles"
+    compact.write_text(format_bubbles(compact_for_family("path", 5)))
     bad = {
         "9,x": "defender 9 outside 1..5",
         "x,9": "defender 'x' is not a vertex number",
         "2,,3": "defender '' is not a vertex number",
         "0": "defender 0 outside 1..5",
     }
-    for text, message in bad.items():
-        assert cli("verify", "--input", path, "--k", "2", "--defenders", text) == (2, "", f"error: {message}\n"), text
     f = tmp_path / "defenders.txt"
-    for text in ("9\nx\n", "x\n9\n"):
-        f.write_text(text)
-        message = bad[text.strip().replace("\n", ",")]
-        assert cli("verify", "--input", path, "--k", "2", "--defenders-file", str(f)) == (2, "", f"error: {message}\n"), text
-    assert cli("verify", "--input", path, "--k", "2", "--defenders", "2, 3,5") == (0, "OK\n", "")
-    f.write_text("size=3\n5\n3\n2\n")
-    assert cli("verify", "--input", path, "--k", "2", "--defenders-file", str(f)) == (0, "OK\n", "")
+    for path in (write_p5(tmp_path), str(compact)):
+        for text, message in bad.items():
+            want = (2, "", f"error: {message}\n")
+            assert cli("verify", "--input", path, "--k", "2", "--defenders", text) == want, (path, text)
+        for text in ("9\nx\n", "x\n9\n"):
+            f.write_text(text)
+            message = bad[text.strip().replace("\n", ",")]
+            want = (2, "", f"error: {message}\n")
+            assert cli("verify", "--input", path, "--k", "2", "--defenders-file", str(f)) == want, (path, text)
+        assert cli("verify", "--input", path, "--k", "2", "--defenders", "2, 3,5") == (0, "OK\n", "")
+        assert cli("verify", "--input", path, "--k", "2", "--defenders", "2,3") == (1, "FAIL [4..5]\n", "")
+        f.write_text("size=3\n5\n3\n2\n")
+        assert cli("verify", "--input", path, "--k", "2", "--defenders-file", str(f)) == (0, "OK\n", "")
+
+
+def test_verify_rejects_invalid_compact_files_as_solve_does(tmp_path):
+    """A bad bubbles file ends verify with exit 2 and the bubble solver's one-line error."""
+    cases = {
+        "rows": "bubbles 1\ncol 1 2\n2 1\n1 1\n",
+        "empty": "bubbles 1\ncol 1 1\n1 0\n",
+        "row0": "bubbles 1\ncol 1 1\n0 3\n",
+        "short": "bubbles 2\ncol 1 1\n1 3\n",
+        "column": "bubbles 1\ncol 2 1\n1 3\n",
+        "token": "bubbles 1\ncol 1 1\n1 x\n",
+    }
+    for name, text in cases.items():
+        path = tmp_path / f"{name}.bubbles"
+        path.write_text(text)
+        solve = cli("solve", "--input", str(path), "--k", "1", "--algo", "bubble")
+        verify = cli("verify", "--input", str(path), "--k", "1", "--defenders", "1")
+        assert verify == solve, name
+        code, out, err = verify
+        assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1, (name, err)
+
+
+def test_verify_on_compact_files_never_expands(tmp_path, monkeypatch):
+    """verify reads a bubbles file into the bubble model only: no pig_from_bubbles, no vertex graph."""
+    from defdom import bubbles, pig
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify expanded a compact file")
+
+    path = tmp_path / "chain.bubbles"
+    path.write_text(format_bubbles(compact_for_family("clique_chain", sizes=[4, 6, 3, 5])))
+    answer = cli("solve", "--input", str(path), "--k", "3", "--algo", "bubble")[1].split()[1:]
+    monkeypatch.setattr(bubbles, "pig_from_bubbles", refuse)
+    monkeypatch.setattr(cli_module, "pig_from_bubbles", refuse)
+    monkeypatch.setattr(pig.ProperIntervalGraph, "__init__", refuse)
+    assert cli("verify", "--input", str(path), "--k", "3", "--defenders", ",".join(answer)) == (0, "OK\n", "")
+    code, out, err = cli("verify", "--input", str(path), "--k", "3", "--defenders", ",".join(answer[1:]))
+    assert code == 1 and out.startswith("FAIL [") and err == ""
 
 
 def test_solve_answer_spans_write_chunks(tmp_path):
@@ -105,22 +149,23 @@ def test_solve_answer_spans_write_chunks(tmp_path):
         assert (code, out) == (0, f"size={len(want)}\n" + "".join(f"{v}\n" for v in want)), algo
 
 
-def test_solve_piped_into_verify_at_100k(tmp_path):
-    """An answer far beyond the argument-length limit reaches verify through stdin."""
+def _defdom(*argv, stdin=None):
+    """Run ``python -m defdom.cli`` on this checkout's sources in a fresh process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    cmd = [sys.executable, "-m", "defdom.cli", *argv]
+    return subprocess.run(cmd, env=env, input=stdin, capture_output=True, text=True, timeout=120)
+
+
+def test_solve_piped_into_verify_at_100k(tmp_path):
+    """An answer far beyond the argument-length limit reaches verify through stdin."""
     path = str(tmp_path / "path.pig")
-
-    def defdom(*argv, stdin=None):
-        cmd = [sys.executable, "-m", "defdom.cli", *argv]
-        return subprocess.run(cmd, env=env, input=stdin, capture_output=True, text=True, timeout=120)
-
-    assert defdom("gen", "--family", "path", "--n", "100000", "--output", path).returncode == 0
-    solve = defdom("solve", "--input", path, "--k", "3")
+    assert _defdom("gen", "--family", "path", "--n", "100000", "--output", path).returncode == 0
+    solve = _defdom("solve", "--input", path, "--k", "3")
     assert solve.returncode == 0 and len(solve.stdout) > 131_072  # Linux's limit on one argument
-    verify = defdom("verify", "--input", path, "--k", "3", "--defenders-file", "-", stdin=solve.stdout)
+    verify = _defdom("verify", "--input", path, "--k", "3", "--defenders-file", "-", stdin=solve.stdout)
     assert (verify.returncode, verify.stdout, verify.stderr) == (0, "OK\n", "")
-    bad = defdom("verify", "--input", path, "--k", "3", "--defenders-file", "-", stdin="size=2\n1\nx\n")
+    bad = _defdom("verify", "--input", path, "--k", "3", "--defenders-file", "-", stdin="size=2\n1\nx\n")
     assert bad.returncode == 2 and bad.stdout == "" and bad.stderr.startswith("error: ")
     assert bad.stderr.count("\n") == 1
 
@@ -165,14 +210,15 @@ def test_bubbles_file_input(tmp_path):
 
 
 def test_huge_twin_class_solves_without_expansion(tmp_path):
-    """A 3-line file of 10^15 twins: the bubble solver answers; every expansion is refused."""
+    """A 3-line file of 10^15 twins: the bubble solver and verify answer; every expansion is refused."""
     path = tmp_path / "huge.bubbles"
     path.write_text("bubbles 1\ncol 1 1\n1 1000000000000000\n")
     code, out, err = cli("solve", "--input", str(path), "--k", "1", "--algo", "bubble")
     assert (code, out, err) == (0, "size=1\n1000000000000000\n", "")
+    for k, want in (("1", (0, "OK\n", "")), ("2", (1, "FAIL [1..2]\n", ""))):
+        assert cli("verify", "--input", str(path), "--k", k, "--defenders", "1") == want, k
     for argv in (
         ("solve", "--k", "1", "--algo", "greedy"),
-        ("verify", "--k", "1", "--defenders", "1"),
         ("oracle", "--k", "1"),
         ("solve", "--k", "1000000000000000", "--algo", "bubble"),
         ("solve", "--k", "1", "--algo", "bubble", "--emit-defense"),
@@ -181,6 +227,26 @@ def test_huge_twin_class_solves_without_expansion(tmp_path):
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert "expansion cap of 2000000" in err, (argv, err)
+    # k = n: the one window is every twin, and one defender covers one of them
+    tracemalloc.start()
+    try:
+        result = cli("verify", "--input", str(path), "--k", "1000000000000000", "--defenders", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (1, "FAIL [1..1000000000000000]\n", "")
+    assert peak < 64 * 1024, peak
+
+
+def test_solve_piped_into_verify_above_the_expansion_cap(tmp_path):
+    """A compact clique chain of about 2.8 million vertices: the bubble answer verifies through stdin."""
+    path = str(tmp_path / "chain.bubbles")
+    sizes = ",".join(["700000"] * 4)
+    assert cli("gen", "--family", "clique_chain", "--sizes", sizes, "--format", "bubbles", "--output", path)[0] == 0
+    solve = _defdom("solve", "--input", path, "--k", "1", "--algo", "bubble")
+    assert solve.returncode == 0 and solve.stdout.startswith("size="), solve.stderr
+    verify = _defdom("verify", "--input", path, "--k", "1", "--defenders-file", "-", stdin=solve.stdout)
+    assert (verify.returncode, verify.stdout, verify.stderr) == (0, "OK\n", "")
 
 
 def test_gen_examples(tmp_path):

@@ -6,13 +6,18 @@ from defdom import (
     Attack,
     ProperIntervalGraph,
     SplitMix64,
+    bubbles_from_pig,
+    compact_for_family,
     defends_consecutive,
     defends_matching,
     enumerate_connected_graphs,
     first_undefended_attack,
     gen_family,
+    gen_random_bubbles,
     is_bridged,
     is_k_defensive,
+    linear_from_compact,
+    pig_from_bubbles,
     range_of,
     solve_greedy,
 )
@@ -104,18 +109,63 @@ def test_is_k_defensive_clamps_k():
 
 
 def test_hall_verifier_matches_scan_exhaustive():
-    """Every canonical graph with n <= 6, every defender subset, every k up to n+1."""
+    """Every canonical graph with n <= 6, every defender subset, every k up to n+1,
+    on the graph and on its bubble model."""
     checked = 0
     for n in range(1, 7):
         for maxn in all_maxn(n):
             g = ProperIntervalGraph(maxn)
+            lb = bubbles_from_pig(g)
             for mask in range(1 << n):
                 ds = [v for v in range(1, n + 1) if mask >> (v - 1) & 1]
                 for k in range(1, n + 2):
                     want = scan_first_undefended(g, ds, k)
                     assert first_undefended_attack(g, ds, k) == want, (maxn, ds, k)
+                    stats = {}
+                    assert first_undefended_attack(lb, ds, k, stats=stats) == want, (maxn, ds, k)
+                    assert stats["steps"] <= 4 * lb.count + lb.count.bit_length(), (maxn, ds, k, stats)
                     checked += 1
     assert checked == 68_508
+
+
+def test_bubble_verifier_matches_vertex_pass_on_compact_models():
+    """3,000 seeded compact models, near-threshold defenders: the same Attack or None as the expanded graph.
+
+    Random scatters (often disconnected: equal rows in adjacent columns do not
+    join), clique chains, and scatters over many columns with few rows.  Each
+    model is tried at four k with the greedy answer, the answer minus one
+    defender, one defender swapped for a non-defender, and a random set.
+    """
+    rng = SplitMix64(1212)
+    models = disconnected = 0
+    for trial in range(3000):
+        style = trial % 3
+        if style == 0:
+            cb = gen_random_bubbles(1 + rng.below(120), 1 + rng.below(8), 1 + rng.below(8), seed=trial)
+        elif style == 1:
+            cb = compact_for_family("clique_chain", sizes=[2 + rng.below(12) for _ in range(1 + rng.below(25))])
+        else:
+            cb = gen_random_bubbles(1 + rng.below(120), 2 + rng.below(30), 1 + rng.below(3), seed=trial)
+        lb = linear_from_compact(cb)
+        g = pig_from_bubbles(cb)
+        n = g.n
+        disconnected += not g.is_connected()
+        for k in (1, 1 + rng.below(min(n, 8)), 1 + rng.below(n), n + rng.below(2)):
+            answer = solve_greedy(g, k)
+            sets = [answer, [v for v in range(1, n + 1) if rng.below(2)]]
+            i = rng.below(len(answer))
+            sets.append(answer[:i] + answer[i + 1 :])
+            outside = sorted(set(range(1, n + 1)).difference(answer))
+            if outside:
+                sets.append(answer[:i] + [outside[rng.below(len(outside))]] + answer[i + 1 :])
+            for ds in sets:
+                stats = {}
+                assert first_undefended_attack(lb, ds, k, stats=stats) == first_undefended_attack(g, ds, k), (cb, ds, k)
+                assert stats["steps"] <= 4 * lb.count + lb.count.bit_length(), (cb, ds, k, stats)
+            assert first_undefended_attack(lb, answer, k) is None
+            assert first_undefended_attack(lb, sets[2], k) is not None
+        models += 1
+    assert models == 3000 and disconnected > 300, disconnected
 
 
 def test_hall_verifier_matches_scan_near_threshold():
