@@ -13,14 +13,19 @@ closed neighborhood; that is all the bubble solver needs.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain, islice
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import InvalidBubbles, InvalidRanges, TooLarge
 from .pig import ProperIntervalGraph
 
-#: Most vertices a bubble model is ever expanded into.  Expanding a path with
-#: pig_from_bubbles peaks at about 435 bytes per vertex (48 on one clique;
-#: tracemalloc at n = 10^5 and 3*10^5), so the worst shape stays near 1 GB.
+#: Most vertices a bubble model is ever expanded into.  pig_from_bubbles keeps
+#: two tuples of n references plus a few lists per bubble, so a path, one
+#: bubble per vertex, is the worst shape: its peak is about 175 bytes per
+#: vertex (20 on a clique chain of 100-cliques, 18 on one clique; tracemalloc
+#: at n = 10^5 and 3*10^5), and the cap keeps it near 350 MB.
 MAX_EXPANDED_VERTICES = 2_000_000
 
 
@@ -119,10 +124,7 @@ class LinearBubbles:
 
     def to_graph(self) -> ProperIntervalGraph:
         check_expansion(self.n, "bubble model")
-        maxn = []
-        for i in range(self.count):
-            maxn.extend([self.max_nbr[i]] * self.sizes[i])
-        return ProperIntervalGraph(maxn)
+        return ProperIntervalGraph.from_runs(self.sizes, self.max_nbr)
 
     def __eq__(self, other):
         return (
@@ -216,33 +218,36 @@ def linear_from_compact(cb: CompactBubbles) -> LinearBubbles:
 def pig_from_bubbles(cb: CompactBubbles) -> ProperIntervalGraph:
     """Expand the adjacency rule bubble by bubble into a canonical graph.
 
-    Deliberately independent of linear_from_compact: neighbors are found by
-    scanning whole adjacent columns, so the two routes cross-check each other.
+    Deliberately independent of linear_from_compact: each bubble finds its
+    neighbors by a binary search over the rows of each adjacent column, not
+    by the lagging pointers, and ``min_nbr`` is derived from ``max_nbr`` and
+    checked against the rule's first neighbor, so the two routes cross-check
+    each other.  The graph is built run by run (``from_runs``), one run per
+    bubble, so no Python loop visits a vertex.
     """
     check_expansion(cb.n, "bubble structure")
-    layout, col_first, col_last = _column_layout(cb)
-    c = len(layout)
-    maxn = []
-    minn_expected = []
-    for j in range(c):
-        nxt = layout[j + 1] if j + 1 < c else []
-        prv = layout[j - 1] if j > 0 else []
-        for row, size, idx, lo, hi in layout[j]:
-            last = col_last[j]
-            for nrow, nsize, nidx, nlo, nhi in nxt:
-                if nrow < row:
-                    last = max(last, nhi)
-            first = col_first[j]
-            for prow, psize, pidx, plo, phi in prv:
-                if prow > row:
-                    first = min(first, plo)
-                    break
-            maxn.extend([last] * size)
-            minn_expected.extend([first] * size)
+    cols, row_of = cb.columns, itemgetter(0)
+    sizes = list(map(itemgetter(1), chain.from_iterable(cols)))
+    tops = list(accumulate(sizes, initial=0))  # tops[i]: the vertex before bubble i
+    base = list(accumulate(map(len, cols), initial=0))  # base[j]: column j's first bubble
+    lasts, befores = [], []  # per bubble: last neighbor, the vertex before the first
+    for j, col in enumerate(cols):
+        nxt = cols[j + 1] if j + 1 < len(cols) else ()
+        prv = cols[j - 1] if j else ()
+        nb, pb = base[j + 1], base[j - 1] if j else 0
+        for row, size in col:
+            # The next column's bubbles in strictly lower rows are a prefix of
+            # it, and the previous column's in strictly higher rows a suffix;
+            # with none, the bubble's own column ends its neighborhood.
+            lasts.append(tops[nb + bisect_left(nxt, row, key=row_of)])
+            befores.append(tops[pb + bisect_right(prv, row, key=row_of)])
     try:
-        g = ProperIntervalGraph(maxn)
+        g = ProperIntervalGraph.from_runs(sizes, lasts)
     except InvalidRanges as exc:
         raise InvalidBubbles(f"bubble structure induces invalid neighbor ranges: {exc}") from exc
-    if list(g.minn[1:]) != minn_expected:
-        raise InvalidBubbles("bubble structure breaks adjacency symmetry")
+    # min_nbr never decreases, so its two ends pin a whole bubble
+    minn = g.minn
+    for lo, hi, before in zip(tops, islice(tops, 1, None), befores):
+        if not minn[lo + 1] == minn[hi] == before + 1:
+            raise InvalidBubbles("bubble structure breaks adjacency symmetry")
     return g

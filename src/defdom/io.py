@@ -141,6 +141,41 @@ class _Reader:
             dens.append(den)
         return nums, dens
 
+    def columns(self, count):
+        """The next ``count`` bubble columns, ``col j cnt`` then cnt (row, size) pairs.
+
+        Each column's pairs are one bulk ``map(int, ...)`` over a slice of the
+        tokens, with no method call per token.  A wrong ``col j`` header, a
+        token ``int`` refuses, a negative count or a file that ends first
+        sends the read back to the per-token loop, which names the first bad
+        token.
+        """
+        tokens, i, out = self.tokens, self.i, []
+        try:
+            for j in range(1, count + 1):
+                if tokens[i] != "col" or int(tokens[i + 1]) != j:
+                    raise ValueError
+                stop = i + 3 + 2 * int(tokens[i + 2])
+                if not i + 3 <= stop <= len(tokens):
+                    raise ValueError
+                pairs = list(map(int, tokens[i + 3 : stop]))
+                out.append(list(zip(pairs[::2], pairs[1::2])))
+                i = stop
+        except (ValueError, IndexError):
+            pass
+        else:
+            self.i = i
+            return out
+        out = []
+        for j in range(1, count + 1):
+            self.word("col")
+            got = self.integer("column index")
+            if got != j:
+                raise self.error(self.i - 1, f"expected column {j}, got {got}")
+            cnt = self.integer("bubble count")
+            out.append([(self.integer("row"), self.integer("size")) for _ in range(cnt)])
+        return out
+
     def rational(self, what):
         """The next token as an integer pair (num, den) with den > 0, not reduced."""
         text = self.next(what)
@@ -204,19 +239,7 @@ def parse_instance(data: bytes):
         c = rd.integer("column count")
         if c < 1:
             raise rd.error(0, "column count must be positive")
-        columns = []
-        for j in range(1, c + 1):
-            rd.word("col")
-            got = rd.integer("column index")
-            if got != j:
-                raise rd.error(rd.i - 1, f"expected column {j}, got {got}")
-            cnt = rd.integer("bubble count")
-            col = []
-            for _ in range(cnt):
-                row = rd.integer("row")
-                size = rd.integer("size")
-                col.append((row, size))
-            columns.append(col)
+        columns = rd.columns(c)
         rd.done()
         return "bubbles", CompactBubbles(columns)
     raise rd.error(0, f"unknown header '{head}' (expected pig, intervals, or bubbles)")

@@ -20,7 +20,7 @@ exactly, only more slowly.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -116,6 +116,39 @@ class ProperIntervalGraph:
     @classmethod
     def from_neighbor_ranges(cls, maxn: Sequence[int]) -> "ProperIntervalGraph":
         return cls(maxn)
+
+    @classmethod
+    def from_runs(cls, sizes: Sequence[int], values: Sequence[int]) -> "ProperIntervalGraph":
+        """The graph whose ``maxn`` holds ``values[r]`` for ``sizes[r]``
+        consecutive vertices, built with Python work per run only.
+
+        ``__init__``'s three checks are made once per run: the value is at
+        least the run's last vertex, at most n, and not below the previous
+        value.  ``min_nbr`` takes one pointer over the runs: the vertices in
+        (previous top, m] get the first vertex of the run whose value m first
+        reaches them.  The two sequences have one entry per run.  Empty
+        input, a run of no vertices, or any failed check goes to ``cls`` on
+        the expanded sequence, so every error is ``__init__``'s, word for word.
+        """
+        n = sum(sizes)
+        end = top = 0
+        starts, widths = [], []  # min_nbr as runs
+        for s, m in zip(sizes, values):
+            if s <= 0 or m < end + s or m > n or m < top:
+                break
+            if m > top:
+                starts.append(end + 1)
+                widths.append(m - top)
+                top = m
+            end += s
+        else:
+            if n:
+                g = cls.__new__(cls)
+                g.n = n
+                g._maxn = tuple(chain((0,), chain.from_iterable(map(repeat, values, sizes))))
+                g._minn = tuple(chain((0,), chain.from_iterable(map(repeat, starts, widths))))
+                return g
+        return cls(list(chain.from_iterable(map(repeat, values, sizes))))
 
     @classmethod
     def from_intervals(cls, entries: Iterable) -> "ProperIntervalGraph":

@@ -8,6 +8,7 @@ from typing import Callable, Optional
 
 from defdom import (
     Attack,
+    CompactBubbles,
     FormatError,
     ProperIntervalGraph,
     ProperViolation,
@@ -262,6 +263,32 @@ def reference_parse_pig(data: bytes) -> ProperIntervalGraph:
     maxn = [rd.integer(f"max neighbor of vertex {j}") for j in range(1, n + 1)]
     rd.done()
     return ProperIntervalGraph(maxn)
+
+
+def reference_parse_bubbles(data: bytes) -> CompactBubbles:
+    """Reference reading of a ``bubbles`` file: one ``_Reader`` call per token."""
+    rd = _Reader(data)
+    if not rd.tokens:
+        raise FormatError(0, "empty file")
+    rd.word("bubbles")
+    c = rd.integer("column count")
+    if c < 1:
+        raise rd.error(0, "column count must be positive")
+    columns = []
+    for j in range(1, c + 1):
+        rd.word("col")
+        got = rd.integer("column index")
+        if got != j:
+            raise rd.error(rd.i - 1, f"expected column {j}, got {got}")
+        cnt = rd.integer("bubble count")
+        col = []
+        for _ in range(cnt):
+            row = rd.integer("row")
+            size = rd.integer("size")
+            col.append((row, size))
+        columns.append(col)
+    rd.done()
+    return CompactBubbles(columns)
 
 
 def outcome(fn, *args):

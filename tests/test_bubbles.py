@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import pytest
 
 from defdom import (
@@ -6,6 +9,7 @@ from defdom import (
     ProperIntervalGraph,
     SplitMix64,
     bubbles_from_pig,
+    compact_for_family,
     gen_random_bubbles,
     linear_from_compact,
     pig_from_bubbles,
@@ -125,6 +129,44 @@ def test_linear_from_compact_agrees_with_rule_expansion():
         assert list(zip(tw.sizes, tw.min_nbr, tw.max_nbr)) == coarsen(lbm)
         assert tw.count <= lbm.count <= n
         assert [lbm.max_v[r - 1] for r in lbm.reach] == list(lbm.max_nbr)
+
+
+def test_expansion_of_long_columns_is_not_quadratic():
+    """Two 20,000-row interleaved columns: each bubble finds its neighbors by
+    a binary search, where a whole-column scan per bubble takes minutes."""
+    rows = 20_000
+    cb = CompactBubbles(
+        [
+            [(2 * i, 1 + i % 3) for i in range(1, rows + 1)],
+            [(2 * i - 1, 1 + i % 2) for i in range(1, rows + 1)],
+        ]
+    )
+    want = linear_from_compact(cb).to_graph()
+    c0 = time.thread_time()
+    g = pig_from_bubbles(cb)
+    cpu = time.thread_time() - c0
+    assert g == want and g.minn == want.minn
+    assert cpu < 2.0, cpu
+
+
+def test_expansion_peak_per_vertex():
+    """tracemalloc peak of pig_from_bubbles per vertex at n ~ 10^5: the graph's
+    two tuples plus per-bubble lists.  The path, one bubble per vertex, is the
+    worst shape; 435 bytes is the figure MAX_EXPANDED_VERTICES was set on."""
+    shapes = {
+        "clique_chain": (compact_for_family("clique_chain", sizes=[100] * 1000), 30),
+        "complete": (compact_for_family("complete", 100_000), 30),
+        "path": (compact_for_family("path", 100_000), 435),
+    }
+    for name, (cb, bound) in shapes.items():
+        tracemalloc.start()
+        try:
+            g = pig_from_bubbles(cb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == cb.n >= 99_000
+        assert peak / cb.n < bound, (name, peak / cb.n)
 
 
 def test_bubble_members_are_twins_columns_are_cliques():

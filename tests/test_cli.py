@@ -137,6 +137,24 @@ def test_verify_on_compact_files_never_expands(tmp_path, monkeypatch):
     assert code == 1 and out.startswith("FAIL [") and err == ""
 
 
+def test_greedy_and_oracle_on_compact_files_build_the_graph_by_runs(tmp_path, monkeypatch):
+    """solve --algo greedy and oracle expand a bubbles file run by run: the
+    per-vertex ProperIntervalGraph.__init__ is never entered."""
+    from defdom import pig
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a compact file was expanded vertex by vertex")
+
+    path = tmp_path / "chain.bubbles"  # 10 vertices, within the oracle's cap
+    path.write_text(format_bubbles(compact_for_family("clique_chain", sizes=[4, 5, 3])))
+    bubble = cli("solve", "--input", str(path), "--k", "3", "--algo", "bubble")
+    oracle = cli("oracle", "--input", str(path), "--k", "3")
+    assert bubble[0] == oracle[0] == 0 and bubble[1].split()[0] == oracle[1].split()[0]
+    monkeypatch.setattr(pig.ProperIntervalGraph, "__init__", refuse)
+    assert cli("solve", "--input", str(path), "--k", "3", "--algo", "greedy") == bubble
+    assert cli("oracle", "--input", str(path), "--k", "3") == oracle
+
+
 def test_solve_answer_spans_write_chunks(tmp_path):
     """An answer longer than one write chunk prints one vertex per line, in order."""
     n = 8 * cli_module._ANSWER_CHUNK + 5

@@ -13,7 +13,13 @@ from defdom.cli import run
 from defdom.generators import UNIT, random_unit_intervals
 from defdom.io import _Reader, format_bubbles, format_intervals, format_pig, parse_instance
 from defdom.pig import SCALE_BITS, common_scale
-from helpers import outcome, reference_parse_intervals, reference_parse_pig, reference_tokenize
+from helpers import (
+    outcome,
+    reference_parse_bubbles,
+    reference_parse_intervals,
+    reference_parse_pig,
+    reference_tokenize,
+)
 
 # Derandomized and without an example database, so every run checks the same
 # examples and writes no .hypothesis/ directory.
@@ -327,6 +333,60 @@ def test_pig_count_below_tokens_is_a_trailing_token():
 def test_pig_differential_against_per_token_reference(data):
     """Same graph, or the same error class, message and byte offset, as one ``integer`` call per token."""
     assert outcome(_parse_graph, data) == outcome(reference_parse_pig, data)
+
+
+@st.composite
+def bubbles_file(draw):
+    """A bubbles file of up to 5 columns, sometimes with a bad token, a wrong
+    column header or bubble count, or a column count off by one."""
+    c = draw(st.integers(1, 5))
+    rows = st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True).map(sorted)
+    cols = [[(r, draw(st.integers(1, 99))) for r in draw(rows)] for _ in range(c)]
+    lines = [["bubbles", str(c + draw(st.sampled_from([0, 0, 0, 0, -1, 1])))]]
+    for j, col in enumerate(cols, start=1):
+        lines.append(["col", str(j), str(len(col))])
+        lines.extend([str(r), str(s)] for r, s in col)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        line = draw(st.sampled_from(lines[1:]))
+        i = draw(st.integers(0, len(line) - 1))
+        line[i] = draw(st.sampled_from(["x", "col", "1/2", "-1", "0", "+3", "1_0", "\u0663", "99999"]))
+    sep = draw(st.sampled_from([" ", "\n", " # c\n", "\t"]))
+    return "\n".join(sep.join(line) for line in lines).encode() + b"\n"
+
+
+def _parse_bubbles(data):
+    kind, payload = parse_instance(data)
+    assert kind == "bubbles"
+    return payload
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "bubbles 2\ncol 1 2\n1 3\n2 +4\ncol 2 1\n1 1_0\n",  # a plus sign and a digit separator
+        "bubbles 2\ncol 1 1\n1 x\ncol 2 1\n1 1\n",  # a bad size in the first column
+        "bubbles 2\ncol 1 1\n1 1\ncol 2 1\ny 1\n",  # a bad row in the last
+        "bubbles 2\ncol 1 1\n1 1\ncol 3 1\n1 1\n",  # a wrong column index
+        "bubbles 2\ncol 1 1\n1 1\nrow 2 1\n1 1\n",  # a wrong column header
+        "bubbles 2\ncol 1 -1\ncol 2 1\n1 1\n",  # a negative bubble count,
+        "bubbles 1\ncol 1 -1\n",  # in the last column
+        "bubbles 1\ncol 1 0\n",  # an empty column
+        "bubbles 1\ncol 1 3\n1 1\n",  # a bubble count above the tokens
+        "bubbles 3\ncol 1 1\n1 1\n",  # a column count above the columns
+        "bubbles 1\ncol 1 1\n1 1\ncol 2 1\n1 1\n",  # a column count below them
+        "bubbles 1\ncol 1 2\n2 1\n1 1\n",  # rows out of order
+    ],
+)
+def test_bubbles_match_per_token_reference(text):
+    data = text.encode()
+    assert outcome(_parse_bubbles, data) == outcome(reference_parse_bubbles, data)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(bubbles_file())
+def test_bubbles_differential_against_per_token_reference(data):
+    """Same columns, or the same error class, message and byte offset, as one ``integer`` call per token."""
+    assert outcome(_parse_bubbles, data) == outcome(reference_parse_bubbles, data)
 
 
 def _shifted_family(dens, nest_at=None) -> bytes:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from defdom import InvalidRanges, ProperIntervalGraph, ProperViolation, SplitMix64
 from defdom.pig import SCALE_BITS
-from helpers import diamond, outcome, p5, random_maxn, reference_from_intervals
+from helpers import all_maxn, diamond, outcome, p5, random_maxn, reference_from_intervals
 
 
 def brute_edges_from_intervals(entries):
@@ -73,6 +73,62 @@ def test_two_isolated_vertices_is_valid():
 def test_invalid_ranges(maxn):
     with pytest.raises(InvalidRanges):
         ProperIntervalGraph.from_neighbor_ranges(maxn)
+
+
+def _graph_fields(fn, *args):
+    got = outcome(fn, *args)
+    return got if got[0] != "ok" else ("ok", got[1].n, got[1].maxn, got[1].minn)
+
+
+def _expand(sizes, values):
+    return [m for s, m in zip(sizes, values) for _ in range(s)]
+
+
+def test_from_runs_matches_expanded_constructor():
+    """Every maxn on at most 8 vertices, cut into maximal runs, into single
+    vertices and at seeded random points, builds the same graph as __init__."""
+    rng = SplitMix64(1313)
+    count = 0
+    for n in range(1, 9):
+        for maxn in all_maxn(n):
+            want = _graph_fields(ProperIntervalGraph, maxn)
+            maximal = [[1, maxn[0]]]
+            for m in maxn[1:]:
+                if m == maximal[-1][1]:
+                    maximal[-1][0] += 1
+                else:
+                    maximal.append([1, m])
+            cuts = [0] + [j for j in range(1, n) if maxn[j] != maxn[j - 1] or rng.below(2)]
+            splits = (
+                ([s for s, _ in maximal], [m for _, m in maximal]),
+                ([1] * n, list(maxn)),
+                ([b - a for a, b in zip(cuts, cuts[1:] + [n])], [maxn[a] for a in cuts]),
+            )
+            for sizes, values in splits:
+                assert _expand(sizes, values) == list(maxn)
+                assert _graph_fields(ProperIntervalGraph.from_runs, sizes, values) == want, (maxn, sizes)
+            count += 1
+    assert count == 1430 + 429 + 132 + 42 + 14 + 5 + 2 + 1  # Catalan numbers C_1..C_8
+
+
+@pytest.mark.parametrize(
+    "sizes, values",
+    [
+        ([], []),  # empty input
+        ([2, 1], [1, 3]),  # a value below its run's last vertex
+        ([3, 2], [3, 4]),  # ... below a later vertex of a longer run
+        ([1, 2], [2, 4]),  # a value above n
+        ([2, 1, 1], [3, 2, 4]),  # a decreasing value
+        ([1, 1, 1], [3, 2, 3]),  # a decreasing value past the first run
+        ([2, 0, 1], [3, 3, 3]),  # a run of no vertices
+        ([2, -1, 2], [3, 3, 3]),  # a run of negative length
+    ],
+)
+def test_from_runs_errors_match_expanded_constructor(sizes, values):
+    want = outcome(ProperIntervalGraph, _expand(sizes, values))
+    assert outcome(ProperIntervalGraph.from_runs, sizes, values) == want
+    if sizes and min(sizes) > 0:
+        assert want[0] is InvalidRanges, want
 
 
 def test_neighborhood_of_range_examples():
