@@ -15,7 +15,7 @@ from .bubbles import (
     linear_from_compact,
     pig_from_bubbles,
 )
-from .bubble_solver import BubbleSolverState, solve_bubble
+from .bubble_solver import solve_bubble
 from .defense import (
     Attack,
     Defense,
@@ -32,7 +32,6 @@ from .errors import (
     FormatError,
     InvalidBubbles,
     InvalidRanges,
-    Overflow,
     ProperViolation,
     TooLarge,
 )
@@ -55,7 +54,6 @@ __version__ = "1.0.0"
 __all__ = [
     "Attack",
     "BadParameters",
-    "BubbleSolverState",
     "CompactBubbles",
     "Defense",
     "DefdomError",
@@ -63,7 +61,6 @@ __all__ = [
     "InvalidBubbles",
     "InvalidRanges",
     "LinearBubbles",
-    "Overflow",
     "ProperIntervalGraph",
     "ProperViolation",
     "SplitMix64",

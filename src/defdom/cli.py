@@ -139,9 +139,10 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_oracle(args, out) -> int:
-    g = _graph(_load(args.input))
-    if g.n > MINIMUM_CAP:
-        raise TooLarge(g.n, MINIMUM_CAP)
+    payload = _load(args.input)
+    if payload.n > MINIMUM_CAP:  # before a compact file is expanded
+        raise TooLarge(payload.n, MINIMUM_CAP)
+    g = _graph(payload)
     size, witness = min_defensive_bruteforce(g.n, g.edges(), args.k)
     print(f"size={size}", file=out)
     for v in witness:

@@ -35,10 +35,6 @@ class TooLarge(DefdomError):
         super().__init__(message or f"instance has {n} vertices, oracle cap is {cap}")
 
 
-class Overflow(DefdomError):
-    """An attack window was advanced past the last vertex (caller bug)."""
-
-
 class BadParameters(DefdomError):
     """Invalid generator parameters."""
 

@@ -1,9 +1,7 @@
 import pytest
 
 from defdom import (
-    BubbleSolverState,
     LinearBubbles,
-    Overflow,
     ProperIntervalGraph,
     SplitMix64,
     bubbles_from_pig,
@@ -15,7 +13,8 @@ from defdom import (
     solve_bubble,
     solve_greedy,
 )
-from helpers import p5, diamond, k4, random_components, random_graph
+from defdom import bubble_solver
+from helpers import all_maxn, p5, diamond, k4, random_components, random_graph
 
 
 def test_examples():
@@ -25,89 +24,57 @@ def test_examples():
     assert len(r) == 2
 
 
-def test_initial_add_mirrors_greedy_prefix():
+def trace(monkeypatch, lbm, k, stats=None):
+    """Solve with validation; return (first, last, defenders, live bubbles, bubbles
+    with a heap entry, heap length) as the validation hook sees them after every step."""
+    check, steps = bubble_solver._check, []
+
+    def watched(graph, k, first, last, d, max_v, live, seg, key, heap):
+        count = len(d) - 1
+        entries = sorted({count - e % (count + 1) for e in heap})
+        steps.append((first, last, bubble_solver._defenders(d, max_v), list(live), entries, len(heap)))
+        check(graph, k, first, last, d, max_v, live, seg, key, heap)
+
+    monkeypatch.setattr(bubble_solver, "_check", watched)
+    assert solve_bubble(lbm, k, stats=stats, validate=True) == solve_greedy(lbm.to_graph(), k)
+    return steps
+
+
+def test_initial_add_mirrors_greedy_prefix(monkeypatch):
     # after the initial fill of a width-2 window on the path, defenders are {2,3}
-    st = BubbleSolverState(bubbles_from_pig(p5()), 2)
-    st.add_new_vertices(2)
-    assert st.last == 2
-    assert st.defenders() == [2, 3]
+    assert trace(monkeypatch, bubbles_from_pig(p5()), 2)[0][:3] == (1, 2, [2, 3])
     # on the diamond the first two recruits are {3,4}
-    st = BubbleSolverState(bubbles_from_pig(diamond()), 2)
-    st.add_new_vertices(2)
-    assert st.defenders() == [3, 4]
+    assert trace(monkeypatch, bubbles_from_pig(diamond()), 2)[0][:3] == (1, 2, [3, 4])
 
 
-def test_add_zero_is_noop_and_overflow_raises():
-    st = BubbleSolverState(bubbles_from_pig(p5()), 2)
-    st.add_new_vertices(2)
-    before = (st.first, st.last, st.defenders())
-    st.add_new_vertices(0)
-    assert (st.first, st.last, st.defenders()) == before
-    with pytest.raises(Overflow):
-        st.add_new_vertices(4)  # would pass the last vertex
+def test_slack_and_bottleneck_on_path_trace(monkeypatch):
+    steps = [step[:4] for step in trace(monkeypatch, bubbles_from_pig(p5()), 2)]
+    assert steps == [
+        (1, 2, [2, 3], [2, 3]),  # defenders 2 and 3 can stretch to attackers 3 and 4: slack 2
+        (3, 4, [2, 3], [2, 3]),  # the window slides by 2, leaving zero slack
+        # the rightmost zero-slack bubble {3} covers attacker 4: attacker 3 and
+        # bubble {2}'s segment leave, and attacker 5 recruits vertex 5
+        (4, 5, [2, 3, 5], [3, 5]),
+    ]
+    # on a 6-vertex path both bubbles reach zero slack at window [3..4]; the
+    # tie goes to the rightmost, {3}, so attackers 3 and 4 leave in one step
+    steps = [step[:4] for step in trace(monkeypatch, bubbles_from_pig(gen_family("path", 6)), 2)]
+    assert steps[1:] == [(3, 4, [2, 3], [2, 3]), (5, 6, [2, 3, 5, 6], [5, 6])]
 
 
-def test_slack_and_bottleneck_on_path_trace():
-    st = BubbleSolverState(bubbles_from_pig(p5()), 2)
-    st.add_new_vertices(2)
-    # defenders 2 and 3 can stretch to vertices 3 and 4: slack 2
-    assert st.slack() == 2
-    with pytest.raises(ValueError):
-        st.bottleneck()
-    st.shift(2)
-    assert (st.first, st.last) == (3, 4)
-    assert st.slack() == 0
-    # rightmost zero-slack bubble is {3}, covering attacker 4
-    assert st.bottleneck() == 4
-
-
-def test_offset_heap_arithmetic():
-    # diamond: defenders 3 (bubble {2,3}) and 4 (bubble {4}) hold attackers 1 and 2
-    st = BubbleSolverState(bubbles_from_pig(diamond()), 2)
-    st.add_new_vertices(2)
-    assert list(st.live) == [2, 3] and st.offset == 0
-    # slack is the last neighbor less the assigned attacker: 4 - 1 and 4 - 2
-    assert [st.key[b] - st.offset for b in st.live] == [3, 2]
-    assert st.slack() == 2
-    st.shift(1)
-    assert st.offset == 1 and st.slack() == 1
-    # path: defenders 2 and 3 hold attackers 1 and 2, both with slack 2
-    st = BubbleSolverState(bubbles_from_pig(p5()), 2)
-    st.add_new_vertices(2)
-    assert [st.key[b] - st.offset for b in st.live] == [2, 2]
-    st.shift(2)
-    # equal keys surface the rightmost bubble: {3}, whose last neighbor is 4, not {2}'s 3
-    assert st.slack() == 0 and st.bottleneck() == 4
-
-
-def test_offset_shift_leaves_keys_untouched():
-    st = BubbleSolverState(bubbles_from_pig(p5()), 2)
-    st.add_new_vertices(2)
-    slack_before = st.slack()
-    keys_before, heap_before = [st.key[b] for b in st.live], list(st.heap)
-    st.shift(1)
-    assert [st.key[b] for b in st.live] == keys_before and st.heap == heap_before
-    assert st.slack() == slack_before - 1
-
-
-def test_remove_left_examples():
-    st = BubbleSolverState(bubbles_from_pig(p5()), 2)
-    st.add_new_vertices(2)
-    st.shift(2)  # window [3..4], segments for bubbles {2} and {3}
-    before = (st.first, st.last, list(st.live))
-    st.remove_left(0)
-    assert (st.first, st.last, list(st.live)) == before
-    st.remove_left(2)  # full flush
-    assert not st.live
-    assert st.first == 5 and st.last == 4
-    assert sum(st.seg) == 0
-
-
-def test_remove_left_rejects_overdraw():
-    st = BubbleSolverState(bubbles_from_pig(p5()), 2)
-    st.add_new_vertices(2)
-    with pytest.raises(ValueError):
-        st.remove_left(3)
+def test_remove_left_examples(monkeypatch):
+    # two 4-vertex paths side by side, 4 bubbles each: the first component's
+    # segments and heap entries are dropped before the second one starts
+    g = ProperIntervalGraph([2, 3, 4, 4, 6, 7, 8, 8])
+    stats = {}
+    steps = trace(monkeypatch, bubbles_from_pig(g), 2, stats)
+    second = [step for step in steps if step[0] >= 5]
+    assert second and second[0][:2] == (5, 6)
+    for first, last, _, live, entries, _ in second:
+        assert live and min(live) >= 5 and min(entries) >= 5, (first, last, live, entries)
+    # every segment that joined the defense left it, at a bottleneck or in the
+    # flush, except those of the last component's final window
+    assert stats["heap_inserts"] - stats["heap_deletes"] == len(steps[-1][3])
 
 
 def test_empty_model_rejected():
@@ -167,7 +134,7 @@ def test_counter_bounds():
         assert stats["list_ops"] <= 2 * B, (g.maxn, k, stats)
 
 
-def test_heap_stays_within_twice_the_live_bound():
+def test_heap_stays_within_twice_the_live_bound(monkeypatch):
     """Stale entries are dropped by a rebuild, so the heap never passes 2*min(k, |B|) + 1."""
     rng = SplitMix64(2718)
     worst = 0.0
@@ -175,19 +142,34 @@ def test_heap_stays_within_twice_the_live_bound():
         n = 2 + rng.below(300)
         g = random_graph(rng, n, seed_tag=21) if trial % 3 else random_components(rng, 1 + rng.below(12), 2 + rng.below(5))
         k = 1 + rng.below(max(1, g.n - 1))
-        st = BubbleSolverState(bubbles_from_pig(g), k)
-        merge, peak = st._merge_segments, [0]
-
-        def watched(receivers):  # entries are pushed only inside a merge
-            merge(receivers)
-            peak[0] = max(peak[0], len(st.heap))
-
-        st._merge_segments = watched
-        assert st.run() == solve_greedy(g, k), (g.maxn, k)
-        bound = 2 * min(k, st.count) + 1
-        assert peak[0] <= bound, (g.maxn, k, peak[0], bound)
-        worst = max(worst, peak[0] / bound)
+        lbm = bubbles_from_pig(g)
+        peak = max((step[5] for step in trace(monkeypatch, lbm, k)), default=0)
+        bound = 2 * min(k, lbm.count) + 1
+        assert peak <= bound, (g.maxn, k, peak, bound)
+        worst = max(worst, peak / bound)
     assert worst > 0.5  # the runs do fill the heap towards the bound
+
+
+def test_exhaustive_agreement_with_validation():
+    """Every graph with n <= 7, connected or not, at every k from 1 to n + 1:
+    the validated bubble solver returns the greedy's defenders within its
+    heap, iteration and segment bounds."""
+    runs = 0
+    for n in range(1, 8):
+        for maxn in all_maxn(n):
+            g = ProperIntervalGraph(maxn)
+            lbm = bubbles_from_pig(g)
+            B = lbm.count
+            for k in range(1, n + 2):
+                stats = {}
+                assert solve_bubble(lbm, k, stats=stats, validate=True) == solve_greedy(g, k), (maxn, k)
+                assert stats["heap_inserts"] + stats["heap_deletes"] <= 2 * B, (maxn, k, stats)
+                assert stats["iterations"] <= 2 * B + 3, (maxn, k, stats)
+                assert stats["list_ops"] <= 2 * B, (maxn, k, stats)
+                # the segments still live at the end hold one attacker each at least
+                assert 0 <= stats["heap_inserts"] - stats["heap_deletes"] <= min(k, B), (maxn, k, stats)
+                runs += 1
+    assert runs == 4706
 
 
 def test_exact_counters():

@@ -204,6 +204,21 @@ def test_oracle_refuses_large(tmp_path):
     assert code == 2 and "cap" in err
 
 
+def test_oracle_refuses_large_compact_file_before_expanding(tmp_path, monkeypatch):
+    """The oracle's cap is checked on the compact file's vertex count, so a
+    3-line file of two million twins is refused without building its graph."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a compact file was expanded before the oracle cap")
+
+    path = tmp_path / "twins.bubbles"
+    path.write_text("bubbles 1\ncol 1 1\n1 2000000\n")
+    monkeypatch.setattr(cli_module, "pig_from_bubbles", refuse)
+    assert cli("oracle", "--input", str(path), "--k", "1") == (
+        2, "", "error: instance has 2000000 vertices, oracle cap is 12\n"
+    )
+
+
 def test_bubbles_listing_and_dot(tmp_path):
     path = tmp_path / "dia.pig"
     path.write_text("pig 4\nmaxn 3 4 4 4\n")
@@ -235,16 +250,16 @@ def test_huge_twin_class_solves_without_expansion(tmp_path):
     assert (code, out, err) == (0, "size=1\n1000000000000000\n", "")
     for k, want in (("1", (0, "OK\n", "")), ("2", (1, "FAIL [1..2]\n", ""))):
         assert cli("verify", "--input", str(path), "--k", k, "--defenders", "1") == want, k
-    for argv in (
-        ("solve", "--k", "1", "--algo", "greedy"),
-        ("oracle", "--k", "1"),
-        ("solve", "--k", "1000000000000000", "--algo", "bubble"),
-        ("solve", "--k", "1", "--algo", "bubble", "--emit-defense"),
+    for argv, cap in (
+        (("solve", "--k", "1", "--algo", "greedy"), "expansion cap of 2000000"),
+        (("oracle", "--k", "1"), "oracle cap is 12"),
+        (("solve", "--k", "1000000000000000", "--algo", "bubble"), "expansion cap of 2000000"),
+        (("solve", "--k", "1", "--algo", "bubble", "--emit-defense"), "expansion cap of 2000000"),
     ):
         code, out, err = cli(*argv, "--input", str(path))
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-        assert "expansion cap of 2000000" in err, (argv, err)
+        assert cap in err, (argv, err)
     # k = n: the one window is every twin, and one defender covers one of them
     tracemalloc.start()
     try:
