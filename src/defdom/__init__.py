@@ -18,13 +18,10 @@ from .bubbles import (
 from .bubble_solver import solve_bubble
 from .defense import (
     Attack,
-    Defense,
     defends_consecutive,
     defends_matching,
     first_undefended_attack,
-    is_bridged,
     is_k_defensive,
-    range_of,
 )
 from .errors import (
     BadParameters,
@@ -38,8 +35,6 @@ from .errors import (
 from .generators import (
     SplitMix64,
     compact_for_family,
-    enumerate_connected_graphs,
-    enumerate_connected_maxn,
     gen_family,
     gen_random_bubbles,
     gen_random_unit_intervals,
@@ -55,7 +50,6 @@ __all__ = [
     "Attack",
     "BadParameters",
     "CompactBubbles",
-    "Defense",
     "DefdomError",
     "FormatError",
     "InvalidBubbles",
@@ -69,20 +63,16 @@ __all__ = [
     "compact_for_family",
     "defends_consecutive",
     "defends_matching",
-    "enumerate_connected_graphs",
-    "enumerate_connected_maxn",
     "first_undefended_attack",
     "gen_family",
     "gen_random_bubbles",
     "gen_random_unit_intervals",
-    "is_bridged",
     "is_k_defensive",
     "is_k_defensive_bruteforce",
     "linear_from_compact",
     "min_defensive_bruteforce",
     "pig_from_bubbles",
     "random_unit_intervals",
-    "range_of",
     "solve_bubble",
     "solve_greedy",
 ]

@@ -9,8 +9,9 @@ O(n + |D|) for any k on a graph.  On a ``LinearBubbles`` it decides the same
 windows in one pass over the bubbles, in O(|B|) counted steps plus two
 bisects per bubble, so a compact file is verified without expanding it
 to n vertices.  ``defends_consecutive`` builds an actual defense of
-one attack, the rightmost monotone one, found by scanning attackers right to
-left and giving each the rightmost unused defender adjacent to it.
+one attack, the rightmost monotone one, as its list of (defender, attacker)
+pairs, found by scanning attackers right to left and giving each the
+rightmost unused defender adjacent to it.
 ``defends_matching`` is the structure-free counterpart: a maximum bipartite
 matching on an arbitrary graph, used as an independent oracle.
 """
@@ -41,52 +42,15 @@ class Attack(NamedTuple):
         return f"[{self.first}..{self.last}]"
 
 
-class Defense:
-    """An assignment of defenders to attackers, one pair per attacker."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: Iterable[tuple[int, int]]):
-        self.pairs = tuple(pairs)
-
-    def defenders(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.pairs)
-
-    def attackers(self) -> tuple[int, ...]:
-        return tuple(a for _, a in self.pairs)
-
-    def is_monotonic(self) -> bool:
-        ds = self.defenders()
-        return all(x < y for x, y in zip(ds, ds[1:]))
-
-    def is_valid_for(self, g: ProperIntervalGraph, attack: Attack) -> bool:
-        covered = sorted(a for _, a in self.pairs)
-        if covered != list(range(attack.first, attack.last + 1)):
-            return False
-        if len({d for d, _ in self.pairs}) != len(self.pairs):
-            return False
-        return all(d == a or g.adjacent(d, a) for d, a in self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __eq__(self, other):
-        return isinstance(other, Defense) and self.pairs == other.pairs
-
-    def __repr__(self):
-        return f"Defense({list(self.pairs)!r})"
-
-
 def defends_consecutive(
     g: ProperIntervalGraph, defenders: Sequence[int], attack: Attack
-) -> Optional[Defense]:
+) -> Optional[list[tuple[int, int]]]:
     """Rightmost monotone defense of sorted ``defenders`` against ``attack``.
 
-    Returns None when no defense exists.  Work is proportional to the attack
-    size plus the number of defenders inspected inside its neighborhood.
+    The defense is its (defender, attacker) pairs, one per attacker in
+    ascending order, so the defenders ascend too; None when no defense
+    exists.  Work is proportional to the attack size plus the number of
+    defenders inspected inside its neighborhood.
     """
     if not 1 <= attack.first <= attack.last <= g.n:
         raise ValueError(f"attack {attack} out of range for n={g.n}")
@@ -102,7 +66,7 @@ def defends_consecutive(
         pairs.append((defenders[idx], x))
         idx -= 1
     pairs.reverse()
-    return Defense(pairs)
+    return pairs
 
 
 def _neighbor_map(adjacency) -> Mapping[int, set]:
@@ -339,29 +303,3 @@ def is_k_defensive(g: ProperIntervalGraph, defenders: Iterable[int], k: int) -> 
     O(n + |D|) for any k.
     """
     return first_undefended_attack(g, defenders, k) is None
-
-
-def is_bridged(g: ProperIntervalGraph, attack: Iterable[int]) -> bool:
-    """True when every gap in the attack's interval union is spanned.
-
-    Consecutive sorted attackers u < v leave a gap when non-adjacent; the
-    gap is bridged exactly when u's furthest neighbor reaches v.
-    """
-    vs = sorted(set(attack))
-    if not vs:
-        raise ValueError("attack must be nonempty")
-    maxn = g.maxn
-    for u, v in zip(vs, vs[1:]):
-        if maxn[u] >= v:
-            continue
-        if maxn[maxn[u]] < v:
-            return False
-    return True
-
-
-def range_of(g: ProperIntervalGraph, attack: Iterable[int]) -> Attack:
-    """Smallest consecutive range containing the attack."""
-    vs = list(attack)
-    if not vs:
-        raise ValueError("attack must be nonempty")
-    return Attack(min(vs), max(vs))

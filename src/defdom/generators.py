@@ -7,7 +7,6 @@ All randomness comes from an embedded splitmix64 generator so that identical
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
 
 from .bubbles import CompactBubbles
 from .errors import BadParameters
@@ -183,27 +182,3 @@ def compact_for_family(family: str, n: int | None = None, sizes=None) -> Compact
             columns.append(col)
         return CompactBubbles(columns)
     raise BadParameters(f"unknown family {family!r}")
-
-
-def enumerate_connected_maxn(n: int) -> Iterator[tuple[int, ...]]:
-    """All max-neighbor sequences of connected canonical graphs on n vertices."""
-    if n < 1:
-        return
-    if n == 1:
-        yield (1,)
-        return
-
-    def rec(prefix, j):
-        if j == n:
-            yield tuple(prefix) + (n,)
-            return
-        lo = max(prefix[-1] if prefix else 1, j + 1)
-        for m in range(lo, n + 1):
-            yield from rec(prefix + [m], j + 1)
-
-    yield from rec([], 1)
-
-
-def enumerate_connected_graphs(n: int) -> Iterator[ProperIntervalGraph]:
-    for maxn in enumerate_connected_maxn(n):
-        yield ProperIntervalGraph(maxn)

@@ -16,12 +16,12 @@ DEFENSIVE_CAP = 16
 MINIMUM_CAP = 12
 
 
-def is_k_defensive_bruteforce(n, adjacency, defenders, k, cap=DEFENSIVE_CAP):
+def is_k_defensive_bruteforce(n, adjacency, defenders, k):
     """Check every attack of at most k vertices by maximum matching."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if n > cap:
-        raise TooLarge(n, cap)
+    if n > DEFENSIVE_CAP:
+        raise TooLarge(n, DEFENSIVE_CAP)
     nbr = _neighbor_map(adjacency)
     dset = set(defenders)
     vertices = range(1, n + 1)
@@ -32,7 +32,7 @@ def is_k_defensive_bruteforce(n, adjacency, defenders, k, cap=DEFENSIVE_CAP):
     return True
 
 
-def min_defensive_bruteforce(n, adjacency, k, cap=MINIMUM_CAP):
+def min_defensive_bruteforce(n, adjacency, k):
     """Smallest k-defensive set, found by exhaustive search.
 
     Candidate sets are enumerated by cardinality (starting at the forced
@@ -41,12 +41,12 @@ def min_defensive_bruteforce(n, adjacency, k, cap=MINIMUM_CAP):
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if n > cap:
-        raise TooLarge(n, cap)
+    if n > MINIMUM_CAP:
+        raise TooLarge(n, MINIMUM_CAP)
     nbr = _neighbor_map(adjacency)
     vertices = range(1, n + 1)
     for c in range(min(k, n), n + 1):
         for candidate in combinations(vertices, c):
-            if is_k_defensive_bruteforce(n, nbr, candidate, k, cap=cap):
+            if is_k_defensive_bruteforce(n, nbr, candidate, k):
                 return c, list(candidate)
     return n, list(vertices)  # unreachable: the full vertex set always defends

@@ -1,9 +1,9 @@
 """Canonical representation of proper interval graphs.
 
 Vertices are numbered 1..n in left-endpoint order of an interval
-representation.  Adjacency is stored as one number per vertex: ``max_nbr(j)``
+representation.  Adjacency is stored as one number per vertex: ``maxn[j]``
 is the largest vertex whose interval meets interval j, so ``u ~ v`` for
-``u < v`` exactly when ``max_nbr(u) >= v``.  The symmetric ``min_nbr`` is
+``u < v`` exactly when ``maxn[u] >= v``.  The symmetric ``minn`` is
 derived.
 
 All endpoint arithmetic is exact, never floating point.  Endpoints are
@@ -114,10 +114,6 @@ class ProperIntervalGraph:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def from_neighbor_ranges(cls, maxn: Sequence[int]) -> "ProperIntervalGraph":
-        return cls(maxn)
-
-    @classmethod
     def from_runs(cls, sizes: Sequence[int], values: Sequence[int]) -> "ProperIntervalGraph":
         """The graph whose ``maxn`` holds ``values[r]`` for ``sizes[r]``
         consecutive vertices, built with Python work per run only.
@@ -189,25 +185,6 @@ class ProperIntervalGraph:
 
     # -- basic queries ----------------------------------------------------
 
-    def max_nbr(self, v: int) -> int:
-        return self._maxn[v]
-
-    def min_nbr(self, v: int) -> int:
-        return self._minn[v]
-
-    def adjacent(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        if u > v:
-            u, v = v, u
-        return self._maxn[u] >= v
-
-    def neighborhood_of_range(self, i: int, j: int) -> tuple[int, int]:
-        """Closed neighborhood of the consecutive set [i..j], as a range."""
-        if not 1 <= i <= j <= self.n:
-            raise ValueError(f"invalid range [{i}..{j}] for n={self.n}")
-        return self._minn[i], self._maxn[j]
-
     def is_connected(self) -> bool:
         return all(self._maxn[j] >= j + 1 for j in range(1, self.n))
 
@@ -221,16 +198,6 @@ class ProperIntervalGraph:
                 start = j + 1
         out.append((start, self.n))
         return out
-
-    def are_twins(self, u: int, v: int) -> bool:
-        """True when u and v are adjacent with identical closed neighborhoods."""
-        if u == v:
-            raise ValueError("twins are two distinct vertices")
-        return (
-            self.adjacent(u, v)
-            and self._minn[u] == self._minn[v]
-            and self._maxn[u] == self._maxn[v]
-        )
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(1, self.n + 1) for v in range(u + 1, self._maxn[u] + 1)]

@@ -163,6 +163,55 @@ def all_maxn(n: int):
     yield from rec([])
 
 
+def connected_graphs(n: int):
+    """Every connected canonical graph on n vertices, in ``all_maxn`` order."""
+    for maxn in all_maxn(n):
+        if all(maxn[j - 1] > j for j in range(1, n)):
+            yield ProperIntervalGraph(maxn)
+
+
+def are_twins(g: ProperIntervalGraph, u: int, v: int) -> bool:
+    """True when u < v are adjacent with identical closed neighborhoods."""
+    return g.maxn[u] >= v and (g.minn[u], g.maxn[u]) == (g.minn[v], g.maxn[v])
+
+
+def is_valid_defense(g: ProperIntervalGraph, pairs, attack: Attack) -> bool:
+    """True when the (defender, attacker) pairs cover every attacker of the
+    window once, each by its own defender from its closed neighborhood."""
+    covered = sorted(a for _, a in pairs)
+    if covered != list(range(attack.first, attack.last + 1)):
+        return False
+    if len({d for d, _ in pairs}) != len(pairs):
+        return False
+    return all(g.maxn[min(d, a)] >= max(d, a) for d, a in pairs)
+
+
+def is_bridged(g: ProperIntervalGraph, attack) -> bool:
+    """True when every gap in the attack's interval union is spanned.
+
+    Consecutive sorted attackers u < v leave a gap when non-adjacent; the
+    gap is bridged exactly when u's furthest neighbor reaches v.
+    """
+    vs = sorted(set(attack))
+    if not vs:
+        raise ValueError("attack must be nonempty")
+    maxn = g.maxn
+    for u, v in zip(vs, vs[1:]):
+        if maxn[u] >= v:
+            continue
+        if maxn[maxn[u]] < v:
+            return False
+    return True
+
+
+def range_of(attack) -> Attack:
+    """Smallest consecutive range containing the attack."""
+    vs = list(attack)
+    if not vs:
+        raise ValueError("attack must be nonempty")
+    return Attack(min(vs), max(vs))
+
+
 _TOKEN = re.compile(rb"\S+")
 
 

@@ -13,7 +13,6 @@ from defdom import (
     bubbles_from_pig,
     defends_consecutive,
     defends_matching,
-    enumerate_connected_graphs,
     first_undefended_attack,
     gen_random_bubbles,
     gen_random_unit_intervals,
@@ -26,6 +25,7 @@ from defdom import (
 )
 from defdom.bench import build_instance, run_once
 from defdom.cli import run as cli_run
+from helpers import connected_graphs, is_bridged, range_of
 
 import io as _io
 
@@ -54,7 +54,7 @@ def test_criterion_1_oracle_optimality():
     """Both solvers hit the brute-force minimum on every small instance."""
     checked = 0
     for n in range(1, 8):
-        for g in enumerate_connected_graphs(n):
+        for g in connected_graphs(n):
             edges = g.edges()
             for k in KS:
                 a = solve_greedy(g, k)
@@ -145,8 +145,6 @@ def test_criterion_3_structural_fact_suite():
 
     # (c) bridged == square-graph connectivity, and (d) neighborhoods of
     # bridged sets collapse to their range, over every vertex subset
-    from defdom import is_bridged, range_of
-
     def square_connected(g, attack):
         vs = sorted(attack)
         inside, seen, frontier = set(vs), {vs[0]}, [vs[0]]
@@ -154,12 +152,12 @@ def test_criterion_3_structural_fact_suite():
             u = frontier.pop()
             for v in inside - seen:
                 lo, hi = sorted((u, v))
-                if g.max_nbr(lo) >= hi or g.max_nbr(g.max_nbr(lo)) >= hi:
+                if g.maxn[lo] >= hi or g.maxn[g.maxn[lo]] >= hi:
                     seen.add(v)
                     frontier.append(v)
         return seen == inside
 
-    corpus = list(enumerate_connected_graphs(5))
+    corpus = list(connected_graphs(5))
     corpus += [_random_instance(rng, 8, rng.below(1 << 30)) for _ in range(40)]
     trials_cd = 0
     for g in corpus:
@@ -169,10 +167,10 @@ def test_criterion_3_structural_fact_suite():
                 bridged = is_bridged(g, attack)
                 assert bridged == square_connected(g, attack), (g.maxn, attack)
                 if bridged:
-                    r = range_of(g, attack)
-                    assert g.neighborhood_of_range(r.first, r.last) == (
-                        min(g.min_nbr(v) for v in attack),
-                        max(g.max_nbr(v) for v in attack),
+                    r = range_of(attack)
+                    assert (g.minn[r.first], g.maxn[r.last]) == (
+                        min(g.minn[v] for v in attack),
+                        max(g.maxn[v] for v in attack),
                     ), (g.maxn, attack)
                 trials_cd += 1
 

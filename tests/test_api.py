@@ -1,0 +1,60 @@
+"""The package exports only what the CLI, the README, the demos and the benchmark use."""
+
+import re
+from pathlib import Path
+
+import defdom
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "defdom"
+
+
+def test_exported_names_are_pinned():
+    assert sorted(defdom.__all__) == [
+        "Attack",
+        "BadParameters",
+        "CompactBubbles",
+        "DefdomError",
+        "FormatError",
+        "InvalidBubbles",
+        "InvalidRanges",
+        "LinearBubbles",
+        "ProperIntervalGraph",
+        "ProperViolation",
+        "SplitMix64",
+        "TooLarge",
+        "bubbles_from_pig",
+        "compact_for_family",
+        "defends_consecutive",
+        "defends_matching",
+        "first_undefended_attack",
+        "gen_family",
+        "gen_random_bubbles",
+        "gen_random_unit_intervals",
+        "is_k_defensive",
+        "is_k_defensive_bruteforce",
+        "linear_from_compact",
+        "min_defensive_bruteforce",
+        "pig_from_bubbles",
+        "random_unit_intervals",
+        "solve_bubble",
+        "solve_greedy",
+    ]
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    """Each name is used beyond its own definition: in a package module (its
+    own included, ``__init__``'s re-export not), in README.md, or in demos/
+    or perfbench/."""
+    texts = [path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    texts.append((ROOT / "README.md").read_text(encoding="utf-8"))
+    for folder in ("demos", "perfbench"):
+        texts.extend(path.read_text(encoding="utf-8") for path in (ROOT / folder).glob("*.py"))
+    unused = []
+    for name in defdom.__all__:
+        uses = sum(len(re.findall(rf"\b{name}\b", text)) for text in texts)
+        definitions = sum(len(re.findall(rf"^(?:def|class) {name}\b", text, re.M)) for text in texts)
+        assert definitions == 1, (name, definitions)
+        if uses == definitions:
+            unused.append(name)
+    assert not unused, unused

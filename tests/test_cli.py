@@ -9,6 +9,7 @@ import defdom.cli as cli_module
 from defdom import compact_for_family, gen_family, solve_greedy
 from defdom.cli import run
 from defdom.io import format_bubbles, format_pig
+from helpers import is_valid_defense
 
 
 def cli(*argv):
@@ -438,7 +439,7 @@ def test_bench_deterministic_outside_timing_column():
 
 
 def test_emit_defense_lines_are_valid(tmp_path):
-    from defdom import ProperIntervalGraph
+    from defdom import Attack, ProperIntervalGraph
 
     path = tmp_path / "chain.pig"
     code, _, _ = cli("gen", "--family", "clique_chain", "--sizes", "3,4,3", "--output", str(path))
@@ -459,7 +460,6 @@ def test_emit_defense_lines_are_valid(tmp_path):
         pairs = [tuple(map(int, p.split(">"))) for p in body.split()]
         assert [a for _, a in pairs] == list(range(int(lo), int(hi) + 1))
         assert all(d in defenders for d, _ in pairs)
-        assert all(d == a or g.adjacent(d, a) for d, a in pairs)
-        assert len({d for d, _ in pairs}) == len(pairs)
+        assert is_valid_defense(g, pairs, Attack(int(lo), int(hi)))
         windows += 1
     assert windows == g.n - 3 + 1

@@ -10,25 +10,26 @@ from defdom import (
     compact_for_family,
     defends_consecutive,
     defends_matching,
-    enumerate_connected_graphs,
     first_undefended_attack,
     gen_family,
     gen_random_bubbles,
-    is_bridged,
     is_k_defensive,
     linear_from_compact,
     pig_from_bubbles,
-    range_of,
     solve_greedy,
 )
 from helpers import (
     all_maxn,
+    connected_graphs,
     diamond,
+    is_bridged,
+    is_valid_defense,
     p3,
     p5,
     random_components,
     random_graph,
     random_subset,
+    range_of,
     scan_first_undefended,
 )
 
@@ -46,7 +47,7 @@ def square_connected(g, attack):
         for v in inside - seen:
             # distance at most 2 in the underlying graph
             lo, hi = sorted((u, v))
-            if g.max_nbr(lo) >= hi or g.max_nbr(g.max_nbr(lo)) >= hi:
+            if g.maxn[lo] >= hi or g.maxn[g.maxn[lo]] >= hi:
                 seen.add(v)
                 frontier.append(v)
     return seen == inside
@@ -54,19 +55,19 @@ def square_connected(g, attack):
 
 def test_defends_consecutive_examples():
     d = defends_consecutive(p3(), (1, 3), Attack(1, 2))
-    assert d is not None and d.pairs == ((1, 1), (3, 2))
+    assert d == [(1, 1), (3, 2)]
     assert defends_consecutive(p3(), (3,), Attack(1, 1)) is None
     d = defends_consecutive(p5(), (2, 3), Attack(3, 4))
-    assert d is not None and d.pairs == ((2, 3), (3, 4))
+    assert d == [(2, 3), (3, 4)]
 
 
 def test_defense_object_checks():
     g = p5()
     d = defends_consecutive(g, (2, 3, 5), Attack(3, 5))
     assert d is not None
-    assert d.is_monotonic()
-    assert d.is_valid_for(g, Attack(3, 5))
-    assert not d.is_valid_for(g, Attack(2, 5))
+    assert all(x < y for (x, _), (y, _) in zip(d, d[1:]))
+    assert is_valid_defense(g, d, Attack(3, 5))
+    assert not is_valid_defense(g, d, Attack(2, 5))
 
 
 def test_defends_matching_examples():
@@ -228,9 +229,9 @@ def test_is_bridged_examples():
 
 
 def test_range_of_examples():
-    assert range_of(p5(), {2, 4}) == Attack(2, 4)
-    assert range_of(p5(), {3}) == Attack(3, 3)
-    assert range_of(diamond(), {1, 4}) == Attack(1, 4)
+    assert range_of({2, 4}) == Attack(2, 4)
+    assert range_of({3}) == Attack(3, 3)
+    assert range_of({1, 4}) == Attack(1, 4)
 
 
 def test_scan_equals_matching_on_consecutive_attacks():
@@ -271,7 +272,7 @@ def test_consecutive_sufficiency_small():
 
 def test_bridged_iff_square_connected_exhaustive():
     rng = SplitMix64(303)
-    graphs = list(enumerate_connected_graphs(5)) + [random_graph(rng, 8, seed_tag=3) for _ in range(20)]
+    graphs = list(connected_graphs(5)) + [random_graph(rng, 8, seed_tag=3) for _ in range(20)]
     for g in graphs:
         n = g.n
         for size in range(1, min(n, 5) + 1):
@@ -287,10 +288,10 @@ def test_range_neighborhood_for_bridged_sets():
             for attack in combinations(range(1, n + 1), size):
                 if not is_bridged(g, attack):
                     continue
-                r = range_of(g, attack)
-                lo, hi = g.neighborhood_of_range(r.first, r.last)
-                want_lo = min(g.min_nbr(v) for v in attack)
-                want_hi = max(g.max_nbr(v) for v in attack)
+                r = range_of(attack)
+                lo, hi = g.minn[r.first], g.maxn[r.last]
+                want_lo = min(g.minn[v] for v in attack)
+                want_hi = max(g.maxn[v] for v in attack)
                 assert (lo, hi) == (want_lo, want_hi), (g.maxn, attack)
 
 
@@ -308,8 +309,8 @@ def test_hall_count_over_bridged_attacks():
             for attack in combinations(range(1, g.n + 1), size):
                 if not is_bridged(g, attack):
                     continue
-                lo = min(g.min_nbr(v) for v in attack)
-                hi = max(g.max_nbr(v) for v in attack)
+                lo = min(g.minn[v] for v in attack)
+                hi = max(g.maxn[v] for v in attack)
                 if sum(1 for d in defenders if lo <= d <= hi) < size:
                     hall = False
                     break
@@ -344,4 +345,4 @@ def test_attack_validation():
     with pytest.raises(ValueError):
         is_bridged(p5(), set())
     with pytest.raises(ValueError):
-        range_of(p5(), [])
+        range_of([])

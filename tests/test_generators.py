@@ -5,7 +5,6 @@ from defdom import (
     ProperIntervalGraph,
     SplitMix64,
     compact_for_family,
-    enumerate_connected_maxn,
     gen_family,
     gen_random_bubbles,
     gen_random_unit_intervals,
@@ -13,6 +12,7 @@ from defdom import (
     pig_from_bubbles,
     random_unit_intervals,
 )
+from helpers import connected_graphs
 
 
 def test_path_complete():
@@ -103,5 +103,5 @@ def test_compact_for_family_matches_graphs():
 
 def test_enumerate_connected_counts():
     # one connected canonical graph for n=1,2; Catalan growth beyond
-    counts = [sum(1 for _ in enumerate_connected_maxn(n)) for n in range(1, 8)]
+    counts = [sum(1 for _ in connected_graphs(n)) for n in range(1, 8)]
     assert counts == [1, 1, 2, 5, 14, 42, 132]

@@ -6,7 +6,6 @@ from defdom import (
     ProperIntervalGraph,
     SplitMix64,
     defends_matching,
-    enumerate_connected_graphs,
     gen_family,
     gen_random_unit_intervals,
     is_k_defensive,
@@ -14,7 +13,7 @@ from defdom import (
     solve_greedy,
 )
 from defdom.greedy import SkipDown
-from helpers import all_maxn, diamond, p3, p5, k4, random_components, random_graph, scan_greedy
+from helpers import all_maxn, connected_graphs, diamond, p3, p5, k4, random_components, random_graph, scan_greedy
 
 
 def test_examples():
@@ -26,7 +25,7 @@ def test_examples():
 
 def test_output_is_defensive_and_optimal_small():
     for n in range(1, 7):
-        for g in enumerate_connected_graphs(n):
+        for g in connected_graphs(n):
             for k in range(1, min(n, 4) + 1):
                 d = solve_greedy(g, k)
                 assert is_k_defensive(g, d, k), (g.maxn, k, d)

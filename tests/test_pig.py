@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from defdom import InvalidRanges, ProperIntervalGraph, ProperViolation, SplitMix64
 from defdom.pig import SCALE_BITS
-from helpers import all_maxn, diamond, outcome, p5, random_maxn, reference_from_intervals
+from helpers import all_maxn, are_twins, diamond, outcome, p5, random_maxn, reference_from_intervals
 
 
 def brute_edges_from_intervals(entries):
@@ -45,22 +45,22 @@ def test_proper_violation_shared_left_endpoint():
 
 def test_equal_intervals_are_twins():
     g = ProperIntervalGraph.from_intervals([(0, 1), (0, 1), (2, 3)])
-    assert g.are_twins(1, 2)
-    assert not g.adjacent(2, 3)
+    assert are_twins(g, 1, 2)
+    assert g.maxn[2] < 3
 
 
 def test_from_neighbor_ranges_path():
-    g = ProperIntervalGraph.from_neighbor_ranges([2, 3, 4, 5, 5])
+    g = ProperIntervalGraph([2, 3, 4, 5, 5])
     assert g.edges() == [(1, 2), (2, 3), (3, 4), (4, 5)]
 
 
 def test_from_neighbor_ranges_diamond():
-    g = ProperIntervalGraph.from_neighbor_ranges([3, 4, 4, 4])
+    g = ProperIntervalGraph([3, 4, 4, 4])
     assert g.edges() == [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]
 
 
 def test_two_isolated_vertices_is_valid():
-    g = ProperIntervalGraph.from_neighbor_ranges([1, 2])
+    g = ProperIntervalGraph([1, 2])
     assert not g.is_connected()
     assert g.components() == [(1, 1), (2, 2)]
     assert g.edges() == []
@@ -72,7 +72,7 @@ def test_two_isolated_vertices_is_valid():
 )
 def test_invalid_ranges(maxn):
     with pytest.raises(InvalidRanges):
-        ProperIntervalGraph.from_neighbor_ranges(maxn)
+        ProperIntervalGraph(maxn)
 
 
 def _graph_fields(fn, *args):
@@ -132,9 +132,10 @@ def test_from_runs_errors_match_expanded_constructor(sizes, values):
 
 
 def test_neighborhood_of_range_examples():
-    assert p5().neighborhood_of_range(3, 4) == (2, 5)
-    assert p5().neighborhood_of_range(1, 1) == (1, 2)
-    assert diamond().neighborhood_of_range(2, 3) == (1, 4)
+    g, d = p5(), diamond()
+    assert (g.minn[3], g.maxn[4]) == (2, 5)
+    assert (g.minn[1], g.maxn[1]) == (1, 2)
+    assert (d.minn[2], d.maxn[3]) == (1, 4)
 
 
 def test_neighborhood_of_range_matches_vertexwise_union():
@@ -145,9 +146,9 @@ def test_neighborhood_of_range_matches_vertexwise_union():
         for _ in range(10):
             i = 1 + rng.below(n)
             j = i + rng.below(n - i + 1)
-            lo, hi = g.neighborhood_of_range(i, j)
-            want_lo = min(g.min_nbr(v) for v in range(i, j + 1))
-            want_hi = max(g.max_nbr(v) for v in range(i, j + 1))
+            lo, hi = g.minn[i], g.maxn[j]
+            want_lo = min(g.minn[v] for v in range(i, j + 1))
+            want_hi = max(g.maxn[v] for v in range(i, j + 1))
             assert (lo, hi) == (want_lo, want_hi)
 
 
@@ -160,9 +161,9 @@ def test_connectivity_examples():
 
 
 def test_twins_examples():
-    assert diamond().are_twins(2, 3)
-    assert not p5().are_twins(2, 3)
-    assert ProperIntervalGraph([3, 3, 3]).are_twins(1, 3)
+    assert are_twins(diamond(), 2, 3)
+    assert not are_twins(p5(), 2, 3)
+    assert are_twins(ProperIntervalGraph([3, 3, 3]), 1, 3)
 
 
 def test_twin_classes_are_consecutive():
@@ -173,10 +174,10 @@ def test_twin_classes_are_consecutive():
         # vertices with identical neighborhoods form consecutive runs
         for u in range(1, n + 1):
             for v in range(u + 2, n + 1):
-                if g.min_nbr(u) == g.min_nbr(v) and g.max_nbr(u) == g.max_nbr(v):
+                if g.minn[u] == g.minn[v] and g.maxn[u] == g.maxn[v]:
                     for w in range(u + 1, v):
-                        assert g.min_nbr(w) == g.min_nbr(u)
-                        assert g.max_nbr(w) == g.max_nbr(u)
+                        assert g.minn[w] == g.minn[u]
+                        assert g.maxn[w] == g.maxn[u]
 
 
 def test_interval_roundtrip_against_pairwise_intersection():
@@ -201,7 +202,7 @@ def test_minn_maxn_symmetry():
         g = ProperIntervalGraph(random_maxn(rng, n))
         for u in range(1, n + 1):
             for v in range(u + 1, n + 1):
-                assert (g.max_nbr(u) >= v) == (g.min_nbr(v) <= u)
+                assert (g.maxn[u] >= v) == (g.minn[v] <= u)
 
 
 def test_canonical_intervals_realize_the_graph():
