@@ -3,7 +3,9 @@
 
 The window solver checks each window by Hall's condition and does work
 proportional to n + |D| for every k (its counted steps stay at most
-2(n + |D|)); the bubble solver does n + |B|*log k.
+2(n + |D|)); the bubble solver counts its work in bubble events: segments
+entering and leaving the defense, at most 2|B|, and loop iterations, at
+most 2|B| + 3.
 
 Run:  python demos/scaling.py
 """
@@ -33,7 +35,6 @@ stats = {}
 dd.solve_bubble(dd.bubbles_from_pig(g), 64, stats=stats)
 B = stats["bubbles"]
 print(f"  bubbles                 {B}")
-print(f"  heap inserts + deletes  {stats['heap_inserts'] + stats['heap_deletes']}  (bound: 2|B| = {2 * B})")
+print(f"  segments in + out       {stats['heap_inserts'] + stats['heap_deletes']}  (bound: 2|B| = {2 * B})")
 print(f"  main-loop iterations    {stats['iterations']}  (bound: 2|B|+3 = {2 * B + 3})")
-print(f"  segment enters/leaves   {stats['list_ops']}")
-print(f"  re-pair walk touches    {stats['merge_touches']}")
+print(f"  merge re-keys           {stats['merge_touches']}")

@@ -22,19 +22,27 @@ slack; at zero slack the bubble of least slack ends its defenders at its last
 neighbor, so the attackers up to there leave, popping whole segments off the
 front, and as many new ones grow the window.
 
-A ``heapq`` list holds one packed int per key ever set,
-key * (|B| + 1) + (|B| - b), so the least slack surfaces first and the
-rightmost bubble wins a tie.  Re-keying pushes a new entry; an entry whose
-bubble left the defense or whose key moved on is skipped when it surfaces,
-and the heap is rebuilt from the live bubbles once it holds more than twice
-as many entries, so it stays O(min(k, |B|)) long.
+A second deque, ``mins``, holds the live bubbles whose key is strictly below
+the key of every live bubble above them, so its front is the least slack,
+rightmost on a tie.  A merge of m recruits strictly lowers every key it
+touches: ``offset - last`` falls by m, and the bubble's suffix grows by less,
+as the receiver at or below it takes at least one.  Slides change no key,
+and a zero-slack step only pops from the front.  So a bubble that a later
+one undercuts or ties stays undercut until it leaves, and the merge need
+only pop ``mins`` from the back before pushing each bubble back.  Each push
+is an insert or a merge touch and each pop undoes a push, so the deque costs
+O(1) amortized per insert or touch.  The only step above linear is sorting
+each grow's receivers.
+
+``stats`` keeps its historical counter names: ``heap_inserts`` and
+``heap_deletes`` count segments joining and leaving the defense, and
+``heap_adjusts`` counts re-keys, which are the merge touches.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from heapq import heapify, heappop, heappush
 from typing import Optional
 
 from .bubbles import LinearBubbles, check_expansion
@@ -53,8 +61,8 @@ def solve_bubble(
     Returns the same defender set as the vertex-by-vertex greedy.  A
     component ends at a bubble whose neighborhood ends at its own last
     vertex; the window never leaves one.  A component of at most k vertices
-    is pinned whole; after any other but the last, its live segments and
-    heap entries are dropped.  With ``validate``, the state is checked
+    is pinned whole; after any other but the last, its live segments are
+    dropped.  With ``validate``, the state is checked
     against the rightmost defense of the expanded graph after every step.
     """
     if k < 1:
@@ -69,15 +77,15 @@ def solve_bubble(
     reach = (0, *lbm.reach)
     d = [0] * width
     seg = [0] * width
-    # True slack of live bubble b is key[b] - offset; heap holds packed entries.
+    # True slack of live bubble b is key[b] - offset.
     key = [0] * width
     live: deque[int] = deque()  # the bubbles with a segment, ascending
-    heap: list[int] = []
+    mins: deque[int] = deque()  # the strict suffix minima of key over live
     spare = SkipDown(count)
     first, last, offset = 1, 0, 0
     # Bubbles holding ``first`` and ``last + 1``; moved only by chunks, as both end past n.
     first_bubble = next_bubble = 1
-    inserts = deletes = adjusts = touches = zero = positive = chunks = 0
+    inserts = deletes = touches = zero = positive = chunks = 0
     graph = lbm.to_graph() if validate else None
     top = 0
     for c in range(1, width):
@@ -127,35 +135,30 @@ def solve_bubble(
                     seg[b] += take
                     while live and live[-1] >= b:
                         t = live.pop()
-                        kt = max_nbr[t] + suffix + base
-                        if kt != key[t]:
-                            key[t] = kt
-                            heappush(heap, kt * width + count - t)
-                            adjusts += 1
+                        if mins and mins[-1] == t:
+                            mins.pop()
+                        key[t] = max_nbr[t] + suffix + base
                         suffix += seg[t]
                         back.append(t)
                         touches += 1
                     if fresh:
-                        key[b] = kt = max_nbr[b] + suffix + base
-                        heappush(heap, kt * width + count - b)
+                        key[b] = max_nbr[b] + suffix + base
                         inserts += 1
                         suffix += take
                         back.append(b)
+                for b in reversed(back):
+                    kt = key[b]
+                    while mins and key[mins[-1]] >= kt:
+                        mins.pop()
+                    mins.append(b)
                 live.extend(reversed(back))
-                if len(heap) > 2 * len(live) + 1:
-                    heap = [key[b] * width + count - b for b in live]
-                    heapify(heap)
             if graph is not None:
-                _check(graph, k, first, last, d, max_v, live, seg, key, heap)
+                _check(graph, first, last, d, max_v, live, seg, key, mins)
             if last >= end:
                 break
-            # The live bubble of least key, rightmost on ties; stale entries are popped.
-            while True:
-                kt, r = divmod(heap[0], width)
-                b = count - r
-                if seg[b] and key[b] == kt:
-                    break
-                heappop(heap)
+            # The live bubble of least key, rightmost on ties.
+            b = mins[0]
+            kt = key[b]
             if kt > offset:
                 positive += 1
                 step = min(kt - offset, end - last)
@@ -173,7 +176,9 @@ def solve_bubble(
                 if seg[h] <= step:
                     step -= seg[h]
                     live.popleft()
-                    seg[h] = 0  # its heap entries are skipped when they surface
+                    if mins[0] == h:
+                        mins.popleft()
+                    seg[h] = 0  # a later recruit into h starts a fresh segment
                     deletes += 1
                 else:
                     # Keys are untouched: the window start and the dropped prefix
@@ -181,22 +186,23 @@ def solve_bubble(
                     seg[h] -= step
                     step = 0
         if end < n:
-            # The dropped bubbles keep their seg counts: with the heap cleared
-            # and recruits confined to later components, nothing reads them.
+            # The dropped bubbles keep their seg counts: recruits are confined
+            # to later components, so nothing reads them.
             deletes += len(live)
             live.clear()
-            heap.clear()
+            mins.clear()
             first = last + 1
     if stats is not None:
         stats.update(
             heap_inserts=inserts,
             heap_deletes=deletes,
-            heap_adjusts=adjusts,
+            # every touch lowers the key: see the module docstring
+            heap_adjusts=touches,
             merge_touches=touches,
             zero_slack_iterations=zero,
             positive_slack_iterations=positive,
             chunks=chunks,
-            # a segment joins or leaves the defense exactly where it enters or leaves the heap
+            # a segment joins or leaves the defense exactly once each way
             list_ops=inserts + deletes,
             # every iteration sees either zero or positive slack
             iterations=zero + positive,
@@ -215,9 +221,9 @@ def _defenders(d, max_v) -> list[int]:
     return out
 
 
-def _check(graph, k, first, last, d, max_v, live, seg, key, heap):
-    """Segments must encode the rightmost monotone defense of the defenders so far."""
-    count = len(d) - 1
+def _check(graph, first, last, d, max_v, live, seg, key, mins):
+    """Segments must encode the rightmost monotone defense of the defenders so far,
+    and ``mins`` the strict suffix minima of their keys."""
     window = Attack(first, last)
     defense = defends_consecutive(graph, _defenders(d, max_v), window)
     assert defense is not None, f"state holds an undefendable window {window}"
@@ -230,8 +236,8 @@ def _check(graph, k, first, last, d, max_v, live, seg, key, heap):
     assert list(segments) == sorted(segments) and all(segments.values()), f"segment deque {segments} out of order"
     assert blocks == segments, f"segments {segments} disagree with the rightmost defense {blocks}"
     assert sum(segments.values()) == window.size, "segment counts do not cover the window"
-    entries = set(heap)
-    missing = [b for b in segments if key[b] * (count + 1) + count - b not in entries]
-    assert not missing, f"live bubbles {missing} lack a current heap entry"
-    bound = 2 * min(k, count) + 1
-    assert len(heap) <= bound, f"heap holds {len(heap)} entries, above {bound}"
+    want: list[int] = []
+    for b in reversed(live):
+        if not want or key[b] < key[want[-1]]:
+            want.append(b)
+    assert list(mins) == want[::-1], f"minima deque {list(mins)} is not the suffix minima {want[::-1]}"

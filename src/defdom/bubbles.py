@@ -159,56 +159,32 @@ def bubbles_from_pig(g: ProperIntervalGraph) -> LinearBubbles:
     return LinearBubbles(sizes, min_nbr, max_nbr)
 
 
-def _column_layout(cb: CompactBubbles):
-    """Per-column lists of (row, size, linear_index) plus vertex offsets."""
-    layout = []
-    idx = 0
-    offset = 0
-    col_first = []
-    col_last = []
-    for col in cb.columns:
-        entries = []
-        col_first.append(offset + 1)
-        for row, size in col:
-            idx += 1
-            entries.append((row, size, idx, offset + 1, offset + size))
-            offset += size
-        col_last.append(offset)
-        layout.append(entries)
-    return layout, col_first, col_last
-
-
 def linear_from_compact(cb: CompactBubbles) -> LinearBubbles:
     """Linear model of a compact structure, in time linear in the bubble count.
 
-    The last adjacent bubble of each bubble is found by sweeping each pair of
-    consecutive columns in decreasing row order with one lagging pointer; the
-    first adjacent bubble symmetrically in increasing row order.
+    A bubble's neighborhood ends at the last bubble of the next column in a
+    strictly lower row and starts at the first bubble of the previous column
+    in a strictly higher row; with none, its own column bounds it.  Both are
+    found by lagging pointers, one per adjacent column, that walk up the
+    rows with the bubble.
     """
-    layout, col_first, col_last = _column_layout(cb)
-    c = len(layout)
-    count = sum(len(col) for col in layout)
-    sizes = [0] * count
-    max_nbr = [0] * count
-    min_nbr = [0] * count
-    for j in range(c):
-        col = layout[j]
-        for row, size, idx, lo, hi in col:
-            sizes[idx - 1] = size
-        # Rightmost neighbor: sweep this column and the next, rows decreasing.
-        nxt = layout[j + 1] if j + 1 < c else []
-        p = len(nxt) - 1
-        for row, size, idx, lo, hi in reversed(col):
-            while p >= 0 and nxt[p][0] >= row:
-                p -= 1
-            max_nbr[idx - 1] = nxt[p][4] if p >= 0 else col_last[j]
-        # Leftmost neighbor: sweep the previous column, rows increasing.
-        prv = layout[j - 1] if j > 0 else []
-        q = 0
-        for row, size, idx, lo, hi in col:
+    cols = cb.columns
+    sizes = [size for col in cols for _, size in col]
+    tops = list(accumulate(sizes, initial=0))  # tops[i]: the vertex before bubble i
+    base = list(accumulate(map(len, cols), initial=0))  # base[j]: column j's first bubble
+    min_nbr, max_nbr = [], []
+    for j, col in enumerate(cols):
+        nxt = cols[j + 1] if j + 1 < len(cols) else ()
+        prv = cols[j - 1] if j else ()
+        nb, pb = base[j + 1], base[j - 1] if j else 0
+        p = q = 0  # next-column rows below the bubble's, previous-column rows at or below
+        for row, _ in col:
+            while p < len(nxt) and nxt[p][0] < row:
+                p += 1
             while q < len(prv) and prv[q][0] <= row:
                 q += 1
-            min_nbr[idx - 1] = prv[q][3] if q < len(prv) else col_first[j]
+            max_nbr.append(tops[nb + p])
+            min_nbr.append(tops[pb + q] + 1)
     try:
         return LinearBubbles(sizes, min_nbr, max_nbr)
     except InvalidBubbles as exc:

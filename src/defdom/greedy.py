@@ -90,79 +90,73 @@ def solve_greedy(
     read off the final sizes, so the loop pays nothing for it.  It is at most
     2n + |D| whatever k is.
 
-    Disconnected graphs are solved one component at a time: no window
-    reaches left of its component, and a component of at most k vertices
-    is required whole.  Defenders of earlier components lie below every
-    neighborhood of the current one, so they cancel out of both sides.
+    Disconnected graphs need no split.  A sub-range crossing a component
+    gap is deficient only if its part in j's component is, which is itself
+    a sub-range of the window, so every recruit lies in j's component, and
+    a component of at most k vertices is recruited whole by its windows.
     ``stats`` also receives ``additions``, the number of defenders;
-    ``on_step`` is called after each window with the defenders chosen so far:
-    the solver's own ascending list, the same object on every call and the
-    one returned.  The hook must not change it, and must copy it to keep a
-    snapshot.
+    ``on_step`` is called after each window, once per vertex, with the
+    defenders chosen so far: the solver's own ascending list, the same
+    object on every call and the one returned.  The hook must not change
+    it, and must copy it to keep a snapshot.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    maxn, minn = g.maxn, g.minn
-    spare = SkipDown(g.n)
+    n, maxn, minn = g.n, g.maxn, g.minn
+    spare = SkipDown(n)
     find, occupy = spare.find, spare.occupy
-    steps = 0
     ds: list[int] = []
-    for lo, hi in g.components():
-        if hi - lo + 1 <= k:
-            # An attack on the whole component pins every vertex.
-            ds.extend(range(lo, hi + 1))
-            continue
-        # p counts the defenders below min_nbr(j), nxt is the next one (or
-        # hi + 1 past the last); earlier components' defenders all are below.
-        p = p0 = nd = len(ds)
-        nxt = hi + 1
-        # Deque of window positions a, live from index h: the strict suffix
-        # maxima of v over the window, whose values run front, front-1, ...,
-        # tail.  The first front lies below every v, so the first push
-        # starts the deque.
-        q: list[int] = []
-        h = 0
-        front = tail = -hi - 1
-        for j in range(lo, hi + 1):
-            t = minn[j]
-            while nxt < t:
-                p += 1
-                nxt = ds[p] if p < nd else hi + 1
-            v = p - j
-            if v >= front:  # every live entry leaves
-                q.clear()
+    # p counts the defenders below min_nbr(j), nxt is the next one (or n + 1
+    # past the last).
+    p = nd = 0
+    nxt = n + 1
+    # Deque of window positions a, live from index h: the strict suffix
+    # maxima of v over the window, whose values run front, front-1, ...,
+    # tail.  The first front lies below every v, so the first push starts
+    # the deque.
+    q: list[int] = []
+    h = 0
+    front = tail = -n - 1
+    for j in range(1, n + 1):
+        t = minn[j]
+        while nxt < t:
+            p += 1
+            nxt = ds[p] if p < nd else n + 1
+        v = p - j
+        if v >= front:  # every live entry leaves
+            q.clear()
+            h = 0
+            front = v
+        elif v >= tail:  # the entries valued tail..v leave
+            del q[tail - v - 1 :]
+        q.append(j)
+        tail = v
+        if q[h] <= j - k:  # slid out of the window
+            h += 1
+            front -= 1
+            if h > len(q) - h + 32:  # drop the dead prefix, amortized O(1)
+                del q[:h]
                 h = 0
-                front = v
-            elif v >= tail:  # the entries valued tail..v leave
-                del q[tail - v - 1 :]
-            q.append(j)
-            tail = v
-            if q[h] <= j - k:  # slid out of the window
-                h += 1
-                front -= 1
-                if h > len(q) - h + 32:  # drop the dead prefix, amortized O(1)
-                    del q[:h]
-                    h = 0
-            if front >= nd - j:
-                jp = find(maxn[j])
-                assert jp >= minn[max(lo, j - k + 1)], "no recruit available inside the window neighborhood"
-                occupy(jp)
-                insort(ds, jp)
-                nd += 1
-                if jp < t:
-                    p += 1
-                    tail += 1
-                    s = bisect_right(q, maxn[jp], h)
-                    if s > h:  # the entry before the suffix now ties with it
-                        del q[s - 1]
-                    else:
-                        front += 1
-                elif jp < nxt:
-                    nxt = jp
-                assert front < nd - j, "the recruit did not repair the window"
-            if on_step is not None:
-                on_step(j, ds)
-        steps += p - p0 + 2 * (hi - lo + 1) - (len(q) - h)
+        if front >= nd - j:
+            jp = find(maxn[j])
+            assert jp >= minn[max(1, j - k + 1)], "no recruit available inside the window neighborhood"
+            occupy(jp)
+            insort(ds, jp)
+            nd += 1
+            if jp < t:
+                p += 1
+                tail += 1
+                s = bisect_right(q, maxn[jp], h)
+                if s > h:  # the entry before the suffix now ties with it
+                    del q[s - 1]
+                else:
+                    front += 1
+            elif jp < nxt:
+                nxt = jp
+            assert front < nd - j, "the recruit did not repair the window"
+        if on_step is not None:
+            on_step(j, ds)
+    steps = p + 2 * n - (len(q) - h)
     if stats is not None:
         stats.update(defense_steps=steps, additions=len(ds))
     return ds

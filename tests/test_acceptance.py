@@ -296,10 +296,11 @@ def test_criterion_4_complexity_instrumentation():
 
     # CPU time within 2x of a through-origin linear fit, per algorithm and
     # family: the fit checks growth across the three decades of n, leaving
-    # each family its own constant
+    # each family its own constant.  The greedy's work is n + |D| at any k,
+    # as (d) counts it.
     def work(algo, r):
         if algo == "greedy":
-            return r["n"] * r["k"]
+            return r["n"] + r["size"]
         return r["n"] + r["bubbles"] * math.log2(max(r["k"], 2))
 
     spreads = {}

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from defdom import (
@@ -26,14 +28,12 @@ def test_examples():
 
 def trace(monkeypatch, lbm, k, stats=None):
     """Solve with validation; return (first, last, defenders, live bubbles, bubbles
-    with a heap entry, heap length) as the validation hook sees them after every step."""
+    in the minima deque, its length) as the validation hook sees them after every step."""
     check, steps = bubble_solver._check, []
 
-    def watched(graph, k, first, last, d, max_v, live, seg, key, heap):
-        count = len(d) - 1
-        entries = sorted({count - e % (count + 1) for e in heap})
-        steps.append((first, last, bubble_solver._defenders(d, max_v), list(live), entries, len(heap)))
-        check(graph, k, first, last, d, max_v, live, seg, key, heap)
+    def watched(graph, first, last, d, max_v, live, seg, key, mins):
+        steps.append((first, last, bubble_solver._defenders(d, max_v), list(live), sorted(mins), len(mins)))
+        check(graph, first, last, d, max_v, live, seg, key, mins)
 
     monkeypatch.setattr(bubble_solver, "_check", watched)
     assert solve_bubble(lbm, k, stats=stats, validate=True) == solve_greedy(lbm.to_graph(), k)
@@ -64,7 +64,7 @@ def test_slack_and_bottleneck_on_path_trace(monkeypatch):
 
 def test_remove_left_examples(monkeypatch):
     # two 4-vertex paths side by side, 4 bubbles each: the first component's
-    # segments and heap entries are dropped before the second one starts
+    # segments and minima are dropped before the second one starts
     g = ProperIntervalGraph([2, 3, 4, 4, 6, 7, 8, 8])
     stats = {}
     steps = trace(monkeypatch, bubbles_from_pig(g), 2, stats)
@@ -134,26 +134,50 @@ def test_counter_bounds():
         assert stats["list_ops"] <= 2 * B, (g.maxn, k, stats)
 
 
-def test_heap_stays_within_twice_the_live_bound(monkeypatch):
-    """Stale entries are dropped by a rebuild, so the heap never passes 2*min(k, |B|) + 1."""
+def test_minima_deque_is_exact_on_random_runs(monkeypatch):
+    """Validated runs check at every step that the deque holds exactly the
+    strict suffix minima of the live keys, and so the least slack first."""
     rng = SplitMix64(2718)
-    worst = 0.0
+    checked = 0
     for trial in range(150):
         n = 2 + rng.below(300)
         g = random_graph(rng, n, seed_tag=21) if trial % 3 else random_components(rng, 1 + rng.below(12), 2 + rng.below(5))
         k = 1 + rng.below(max(1, g.n - 1))
-        lbm = bubbles_from_pig(g)
-        peak = max((step[5] for step in trace(monkeypatch, lbm, k)), default=0)
-        bound = 2 * min(k, lbm.count) + 1
-        assert peak <= bound, (g.maxn, k, peak, bound)
-        worst = max(worst, peak / bound)
-    assert worst > 0.5  # the runs do fill the heap towards the bound
+        for _, _, _, live, entries, length in trace(monkeypatch, bubbles_from_pig(g), k):
+            assert entries and entries[-1] == live[-1] and length <= len(live), (g.maxn, k, live, entries)
+            checked += 1
+    assert checked > 500  # 785 validated steps in all
+
+
+def test_summed_counters_over_a_seeded_sweep():
+    """Every counter summed over 2,400 seeded runs of four shapes, so a change
+    that moves one event anywhere shows."""
+    rng = SplitMix64(0x5EED5)
+    total = Counter()
+    for trial in range(2400):
+        kind = trial % 4
+        if kind == 0:
+            lbm = bubbles_from_pig(random_graph(rng, 2 + rng.below(120), seed_tag=30))
+        elif kind == 1:
+            lbm = bubbles_from_pig(random_components(rng, 1 + rng.below(12), 1 + rng.below(6)))
+        elif kind == 2:
+            lbm = bubbles_from_pig(gen_random_unit_intervals(2 + rng.below(150), spread=1 + rng.below(6), seed=trial))
+        else:
+            cb = gen_random_bubbles(1 + rng.below(300), max_columns=1 + rng.below(8), max_rows=1 + rng.below(6), seed=trial)
+            lbm = linear_from_compact(cb)
+        k = 1 + rng.below(max(1, min(lbm.n, 40)))
+        stats = {}
+        solve_bubble(lbm, k, stats=stats)
+        total.update(stats)
+    assert dict(total) == dict(
+        heap_inserts=11631, heap_deletes=5866, heap_adjusts=2786, merge_touches=2786, zero_slack_iterations=2262,
+        positive_slack_iterations=4138, chunks=12629, list_ops=17497, iterations=6400, bubbles=80604)
 
 
 def test_exhaustive_agreement_with_validation():
     """Every graph with n <= 7, connected or not, at every k from 1 to n + 1:
     the validated bubble solver returns the greedy's defenders within its
-    heap, iteration and segment bounds."""
+    counter bounds."""
     runs = 0
     for n in range(1, 8):
         for maxn in all_maxn(n):

@@ -118,6 +118,17 @@ def test_on_step_gets_the_live_list_once_per_window():
     assert first[0] is d
 
 
+def test_on_step_runs_once_per_vertex_past_small_components():
+    """A component of at most k vertices is recruited by its own windows, so
+    the hook still sees every vertex, in order."""
+    g = ProperIntervalGraph([2, 2, 5, 5, 5, 7, 8, 9, 9])  # components [1..2], [3..5], [6..9]
+    for k in (1, 2, 3, 4, 9):
+        windows = []
+        d = solve_greedy(g, k, on_step=lambda j, ds: windows.append((j, len(ds))))
+        assert [j for j, _ in windows] == list(range(1, g.n + 1)), (k, windows)
+        assert windows[-1][1] == len(d), (k, windows)
+
+
 def _agrees_with_scan(g, k):
     """Same defenders as the predecessor-list scan; the step counts differ by design."""
     assert solve_greedy(g, k) == scan_greedy(g, k), (g.maxn, k)
@@ -236,7 +247,7 @@ def _check_fixed_runs(solve, steps):
 
 def test_exact_counters():
     """Defenders and every counter of a few fixed runs, so a refactor that moves a step shows."""
-    _check_fixed_runs(solve_greedy, (11, 6, 16, 77, 57))
+    _check_fixed_runs(solve_greedy, (11, 6, 16, 87, 99))
 
 
 def test_scan_reference_exact_counters():
