@@ -1,7 +1,7 @@
 """Bubble-model greedy solver.
 
-Simulates the left-to-right greedy in bubble-sized chunks, in one loop over
-the components of the model.  The live state is an attack window
+Simulates the left-to-right greedy in bubble-sized chunks, in one pass over
+the whole model.  The live state is an attack window
 [first..last], per-bubble defender counts ``d``, and the current rightmost
 monotone defense kept as one (bubble, count) segment per bubble, the bubbles
 in a deque in bubble order, which is attacker order.  Because every live
@@ -11,7 +11,7 @@ further right its defenders can stretch) is key[b] - offset: sliding the
 whole window right by s only bumps the offset.
 
 Each step of the loop either grows the window or slides it.  Growing by m
-attackers (k at the start of a component, and after each zero-slack step)
+attackers (min(k, n) at the start, and after each zero-slack step)
 recruits m defenders in chunks, one per bubble holding the new right end:
 the new attackers of a chunk are twins and take the rightmost spare vertices
 of their neighborhood.  The recruits are then merged in descending bubble
@@ -36,7 +36,7 @@ each grow's receivers.
 
 ``stats`` keeps its historical counter names: ``heap_inserts`` and
 ``heap_deletes`` count segments joining and leaving the defense, and
-``heap_adjusts`` counts re-keys, which are the merge touches.
+``merge_touches`` counts re-keys.
 """
 
 from __future__ import annotations
@@ -58,12 +58,15 @@ def solve_bubble(
 ) -> list[int]:
     """Minimum k-defensive dominating set from a linear bubble model.
 
-    Returns the same defender set as the vertex-by-vertex greedy.  A
-    component ends at a bubble whose neighborhood ends at its own last
-    vertex; the window never leaves one.  A component of at most k vertices
-    is pinned whole; after any other but the last, its live segments are
-    dropped.  With ``validate``, the state is checked
-    against the rightmost defense of the expanded graph after every step.
+    Returns the same defender set as the vertex-by-vertex greedy.
+    Disconnected models need no split.  Recruits stay in the component of
+    the new attackers, as in ``solve_greedy``.  While the window spans a
+    component gap, the earlier component's top live bubble covers that
+    component's last vertex, which is also its last neighbor, so its slack
+    is 0: the window never slides across a gap, and the next zero-slack
+    step drops every attacker up to the earlier component's end.  With
+    ``validate``, the state is checked against the rightmost defense of the
+    expanded graph after every step.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -87,123 +90,101 @@ def solve_bubble(
     first_bubble = next_bubble = 1
     inserts = deletes = touches = zero = positive = chunks = 0
     graph = lbm.to_graph() if validate else None
-    top = 0
-    for c in range(1, width):
-        end = max_v[c]
-        if max_nbr[c] != end:
-            continue
-        if end - last <= k:
-            d[top + 1 : c + 1] = size[top + 1 : c + 1]
-            first, last = end + 1, end
-            top = c
-            continue
-        top = c
-        grow = k
-        while True:
-            if grow:
-                received: dict[int, int] = {}
-                while grow > 0:
-                    chunks += 1
-                    while max_v[first_bubble] < first:
-                        first_bubble += 1
-                    while max_v[next_bubble] <= last:
-                        next_bubble += 1
-                    step = min(grow, max_v[next_bubble] - last)
-                    last += step
-                    grow -= step
-                    # The rightmost `step` spare vertices of the window neighborhood.
-                    b = spare.find(reach[next_bubble])
-                    while step > 0:
-                        assert b >= 1 and max_v[b] >= min_nbr[first_bubble], (
-                            "recruit search left the window neighborhood"
-                        )
-                        take = min(size[b] - d[b], step)
-                        d[b] += take
-                        step -= take
-                        received[b] = received.get(b, 0) + take
-                        if d[b] == size[b]:
-                            spare.occupy(b)
-                        if step:
-                            b = spare.find(b)
-                # Live bubbles at or above the lowest receiver change their
-                # assigned attackers, so they come off the back and are re-keyed.
-                back = []
-                suffix = 0
-                base = offset - last  # a bubble's key is max_nbr + suffix + base
-                for b, take in sorted(received.items(), reverse=True):
-                    fresh = not seg[b]
-                    seg[b] += take
-                    while live and live[-1] >= b:
-                        t = live.pop()
-                        if mins and mins[-1] == t:
-                            mins.pop()
-                        key[t] = max_nbr[t] + suffix + base
-                        suffix += seg[t]
-                        back.append(t)
-                        touches += 1
-                    if fresh:
-                        key[b] = max_nbr[b] + suffix + base
-                        inserts += 1
-                        suffix += take
-                        back.append(b)
-                for b in reversed(back):
-                    kt = key[b]
-                    while mins and key[mins[-1]] >= kt:
-                        mins.pop()
-                    mins.append(b)
-                live.extend(reversed(back))
-            if graph is not None:
-                _check(graph, first, last, d, max_v, live, seg, key, mins)
-            if last >= end:
-                break
-            # The live bubble of least key, rightmost on ties.
-            b = mins[0]
-            kt = key[b]
-            if kt > offset:
-                positive += 1
-                step = min(kt - offset, end - last)
-                first += step
+    grow = min(k, n)
+    while True:
+        if grow:
+            received: dict[int, int] = {}
+            while grow > 0:
+                chunks += 1
+                while max_v[first_bubble] < first:
+                    first_bubble += 1
+                while max_v[next_bubble] <= last:
+                    next_bubble += 1
+                step = min(grow, max_v[next_bubble] - last)
                 last += step
-                offset += step
-                continue
-            zero += 1
-            # At zero slack the top bubble's last attacker is its last neighbor.
-            grow = min(end - last, max_nbr[b] - first + 1)
-            first += grow
-            step = grow
-            while step > 0:
-                h = live[0]
-                if seg[h] <= step:
-                    step -= seg[h]
-                    live.popleft()
-                    if mins[0] == h:
-                        mins.popleft()
-                    seg[h] = 0  # a later recruit into h starts a fresh segment
-                    deletes += 1
-                else:
-                    # Keys are untouched: the window start and the dropped prefix
-                    # cancel in every surviving bubble's assigned position.
-                    seg[h] -= step
-                    step = 0
-        if end < n:
-            # The dropped bubbles keep their seg counts: recruits are confined
-            # to later components, so nothing reads them.
-            deletes += len(live)
-            live.clear()
-            mins.clear()
-            first = last + 1
+                grow -= step
+                # The rightmost `step` spare vertices of the window neighborhood.
+                b = spare.find(reach[next_bubble])
+                while step > 0:
+                    assert b >= 1 and max_v[b] >= min_nbr[first_bubble], (
+                        "recruit search left the window neighborhood"
+                    )
+                    take = min(size[b] - d[b], step)
+                    d[b] += take
+                    step -= take
+                    received[b] = received.get(b, 0) + take
+                    if d[b] == size[b]:
+                        spare.occupy(b)
+                    if step:
+                        b = spare.find(b)
+            # Live bubbles at or above the lowest receiver change their
+            # assigned attackers, so they come off the back and are re-keyed.
+            back = []
+            suffix = 0
+            base = offset - last  # a bubble's key is max_nbr + suffix + base
+            for b, take in sorted(received.items(), reverse=True):
+                fresh = not seg[b]
+                seg[b] += take
+                while live and live[-1] >= b:
+                    t = live.pop()
+                    if mins and mins[-1] == t:
+                        mins.pop()
+                    key[t] = max_nbr[t] + suffix + base
+                    suffix += seg[t]
+                    back.append(t)
+                    touches += 1
+                if fresh:
+                    key[b] = max_nbr[b] + suffix + base
+                    inserts += 1
+                    suffix += take
+                    back.append(b)
+            for b in reversed(back):
+                kt = key[b]
+                while mins and key[mins[-1]] >= kt:
+                    mins.pop()
+                mins.append(b)
+            live.extend(reversed(back))
+        if graph is not None:
+            _check(graph, first, last, d, max_v, live, seg, key, mins)
+        if last >= n:
+            break
+        # The live bubble of least key, rightmost on ties.
+        b = mins[0]
+        kt = key[b]
+        if kt > offset:
+            positive += 1
+            step = min(kt - offset, n - last)
+            first += step
+            last += step
+            offset += step
+            continue
+        zero += 1
+        # At zero slack the top bubble's last attacker is its last neighbor.
+        grow = min(n - last, max_nbr[b] - first + 1)
+        first += grow
+        step = grow
+        while step > 0:
+            h = live[0]
+            if seg[h] <= step:
+                step -= seg[h]
+                live.popleft()
+                if mins[0] == h:
+                    mins.popleft()
+                seg[h] = 0  # a later recruit into h starts a fresh segment
+                deletes += 1
+            else:
+                # Keys are untouched: the window start and the dropped prefix
+                # cancel in every surviving bubble's assigned position.
+                seg[h] -= step
+                step = 0
     if stats is not None:
         stats.update(
             heap_inserts=inserts,
             heap_deletes=deletes,
-            # every touch lowers the key: see the module docstring
-            heap_adjusts=touches,
             merge_touches=touches,
             zero_slack_iterations=zero,
             positive_slack_iterations=positive,
             chunks=chunks,
-            # a segment joins or leaves the defense exactly once each way
-            list_ops=inserts + deletes,
             # every iteration sees either zero or positive slack
             iterations=zero + positive,
             bubbles=count,
