@@ -8,7 +8,9 @@ Every column is a clique and every bubble is a set of pairwise twins.
 
 The linear model lists the bubbles column by column, row order inside a
 column, and records per bubble the vertex range plus the extremes of its
-closed neighborhood; that is all the bubble solver needs.
+closed neighborhood; that is all the bubble solver needs.  ``LinearBubbles(...)``,
+and so ``linear_from_compact``, validate it; ``bubbles_from_pig`` builds it
+unchecked from the twin runs of a graph, which are valid by construction.
 """
 
 from __future__ import annotations
@@ -87,39 +89,36 @@ class LinearBubbles:
             raise InvalidBubbles("need at least one bubble")
         if not (len(sizes) == len(min_nbr) == len(max_nbr)):
             raise InvalidBubbles("bubble field lengths differ")
-        max_v = []
-        acc = 0
-        for s in sizes:
-            if s <= 0:
-                raise InvalidBubbles("bubble sizes must be positive")
-            acc += s
-            max_v.append(acc)
-        min_v = tuple(m - s + 1 for m, s in zip(max_v, sizes))
-        self.sizes = sizes
-        self.min_v = min_v
-        self.max_v = tuple(max_v)
-        self.min_nbr = min_nbr
-        self.max_nbr = max_nbr
-        self.count = len(sizes)
-        self.n = acc
-        starts = set(min_v)
-        reach, r = [], 0  # 1-based bubble ending at each max_nbr, by one forward pointer
+        if min(sizes) <= 0:
+            raise InvalidBubbles("bubble sizes must be positive")
+        max_v = tuple(accumulate(sizes))
+        n, ends, starts = max_v[-1], set(max_v), {m - s + 1 for m, s in zip(max_v, sizes)}
         prev_lo, prev_hi = 0, 0
-        for i in range(self.count):
-            lo, hi = min_nbr[i], max_nbr[i]
-            if not (lo <= min_v[i] and hi >= self.max_v[i]):
-                raise InvalidBubbles(f"bubble {i + 1} neighborhood excludes its own vertices")
+        for i, lo, hi, s, m in zip(range(1, len(sizes) + 1), min_nbr, max_nbr, sizes, max_v):
+            if not (lo <= m - s + 1 and hi >= m):
+                raise InvalidBubbles(f"bubble {i} neighborhood excludes its own vertices")
             if lo < prev_lo or hi < prev_hi:
-                raise InvalidBubbles(f"neighborhood extremes decrease at bubble {i + 1}")
-            if hi > self.n or lo < 1:
-                raise InvalidBubbles(f"bubble {i + 1} neighborhood leaves the vertex range")
+                raise InvalidBubbles(f"neighborhood extremes decrease at bubble {i}")
+            if hi > n or lo < 1:
+                raise InvalidBubbles(f"bubble {i} neighborhood leaves the vertex range")
+            # Twin classes mean neighborhoods cover whole bubbles.
+            if hi not in ends or lo not in starts:
+                raise InvalidBubbles(f"bubble {i} neighborhood splits a bubble")
+            prev_lo, prev_hi = lo, hi
+        self._derive(sizes, min_nbr, max_nbr)
+
+    def _derive(self, sizes, min_nbr, max_nbr) -> None:
+        """Keep the three fields of a valid model and derive the rest; no checks."""
+        sizes = self.sizes = tuple(sizes)
+        self.min_nbr, self.max_nbr, self.count = tuple(min_nbr), tuple(max_nbr), len(sizes)
+        max_v = self.max_v = tuple(accumulate(sizes))
+        self.min_v = tuple(accumulate(islice(sizes, self.count - 1), initial=1))
+        self.n = max_v[-1]
+        reach, r = [], 0  # 1-based bubble ending at each max_nbr, by one forward pointer
+        for hi in self.max_nbr:
             while max_v[r] < hi:
                 r += 1
-            # Twin classes mean neighborhoods cover whole bubbles.
-            if max_v[r] != hi or lo not in starts:
-                raise InvalidBubbles(f"bubble {i + 1} neighborhood splits a bubble")
             reach.append(r + 1)
-            prev_lo, prev_hi = lo, hi
         self.reach = tuple(reach)
 
     def to_graph(self) -> ProperIntervalGraph:
@@ -156,7 +155,9 @@ def bubbles_from_pig(g: ProperIntervalGraph) -> LinearBubbles:
     sizes.append(g.n + 1 - run_start)
     min_nbr.append(minn[run_start])
     max_nbr.append(maxn[run_start])
-    return LinearBubbles(sizes, min_nbr, max_nbr)
+    lb = LinearBubbles.__new__(LinearBubbles)  # twin runs of a valid graph: a valid model
+    lb._derive(sizes, min_nbr, max_nbr)
+    return lb
 
 
 def linear_from_compact(cb: CompactBubbles) -> LinearBubbles:

@@ -14,6 +14,10 @@ comment anywhere on a line.
     col <j> <count>
     <row> <size>                                      (count lines per column)
 
+Tokens are split on exactly the six ASCII whitespace characters: by
+``str.split()`` on an all-ASCII file with none of 0x1c-0x1f, where it splits
+on just those six, and by the ``_TOKEN`` regex on any other file.
+
 Interval endpoints are read as integer pairs (num, den), with no Fraction
 per token, and put on one common scale: each becomes num * (L / den) for
 L = lcm of all the denominators (``defdom.pig.common_scale``).  Scaling by
@@ -47,6 +51,8 @@ from .pig import ProperIntervalGraph, common_scale
 #: Tokens split on exactly ASCII whitespace, as a bytes ``\S+`` would;
 #: ``str.split()`` would also split on NBSP, ``\x1c``-``\x1f``, U+2028 and more.
 _TOKEN = re.compile(r"[^ \t\n\r\f\v]+")
+#: The only ASCII characters ``str.split()`` splits on that ``_TOKEN`` does not.
+_ODD_SPACE = "\x1c\x1d\x1e\x1f"
 _COMMENT = re.compile(rb"#[^\n]*")
 
 
@@ -67,7 +73,9 @@ class _Reader:
             self.text = _COMMENT.sub(lambda m: b" " * len(m[0]), data).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(exc.start, "invalid UTF-8") from None
-        self.tokens = _TOKEN.findall(self.text)
+        text = self.text
+        plain = text.isascii() and not any(c in text for c in _ODD_SPACE)
+        self.tokens = text.split() if plain else _TOKEN.findall(text)
         self.i = 0
 
     def error(self, j, message) -> FormatError:

@@ -4,7 +4,8 @@ Vertices are numbered 1..n in left-endpoint order of an interval
 representation.  Adjacency is stored as one number per vertex: ``maxn[j]``
 is the largest vertex whose interval meets interval j, so ``u ~ v`` for
 ``u < v`` exactly when ``maxn[u] >= v``.  The symmetric ``minn`` is
-derived.
+derived.  ``ProperIntervalGraph(maxn)`` and ``from_runs`` check their input;
+``from_intervals`` stores its sweep's ``maxn``, valid by construction, unchecked.
 
 All endpoint arithmetic is exact, never floating point.  Endpoints are
 compared as plain integers on one common scale: every endpoint p/q is
@@ -100,13 +101,17 @@ class ProperIntervalGraph:
             if m < prev:
                 raise InvalidRanges(f"max neighbor sequence decreases at vertex {j}")
             prev = m
-        self.n = n
-        self._maxn = (0,) + maxn  # 1-based
+        self._store(maxn)
+
+    def _store(self, maxn: Sequence[int]) -> None:
+        """Keep a valid, non-empty ``maxn`` (vertex 1 first) and derive ``minn``; no checks."""
+        n = self.n = len(maxn)
+        maxn = self._maxn = (0, *maxn)  # 1-based
         # min_nbr(j) = least i with max_nbr(i) >= j
         minn = [0] * (n + 1)
         i = 1
         for j in range(1, n + 1):
-            while self._maxn[i] < j:
+            while maxn[i] < j:
                 i += 1
             minn[j] = i
         self._minn = tuple(minn)
@@ -181,7 +186,9 @@ class ProperIntervalGraph:
             while m + 1 < n and items[m + 1][0] <= rj:
                 m += 1
             maxn[j] = m + 1
-        return cls(maxn)
+        g = cls.__new__(cls)  # j < maxn[j] <= n, never decreasing: valid as built
+        g._store(maxn)
+        return g
 
     # -- basic queries ----------------------------------------------------
 

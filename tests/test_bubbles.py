@@ -1,3 +1,4 @@
+import re
 import time
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 from defdom import (
     CompactBubbles,
     InvalidBubbles,
+    LinearBubbles,
     ProperIntervalGraph,
     SplitMix64,
     bubbles_from_pig,
@@ -14,7 +16,7 @@ from defdom import (
     linear_from_compact,
     pig_from_bubbles,
 )
-from helpers import are_twins, p5, diamond, k4, random_maxn
+from helpers import all_maxn, are_twins, p5, diamond, k4, random_maxn
 
 
 def coarsen(lbm):
@@ -192,16 +194,43 @@ def test_bubble_members_are_twins_columns_are_cliques():
 
 
 def test_linear_bubbles_validation():
-    from defdom import LinearBubbles
-
-    with pytest.raises(InvalidBubbles):
-        LinearBubbles([2, 2], [1, 1], [3, 4])  # reach 3 splits the second bubble
-    with pytest.raises(InvalidBubbles):
-        LinearBubbles([1, 1], [1, 1], [2, 1])  # reach shrinks
-    with pytest.raises(InvalidBubbles):
-        LinearBubbles([1, 1], [2, 2], [2, 2])  # first bubble excludes itself
+    cases = [
+        (([], [], []), "need at least one bubble"),
+        (([1, 1], [1], [1, 2]), "bubble field lengths differ"),
+        (([1, 0], [1, 2], [1, 2]), "bubble sizes must be positive"),
+        (([1, 1], [2, 2], [2, 2]), "bubble 1 neighborhood excludes its own vertices"),
+        (([1, 1], [1, 1], [2, 1]), "bubble 2 neighborhood excludes its own vertices"),
+        (([1, 1, 1], [1, 2, 1], [1, 2, 3]), "neighborhood extremes decrease at bubble 3"),
+        (([1, 1], [1, 0], [2, 2]), "neighborhood extremes decrease at bubble 2"),  # and below vertex 1
+        (([1, 1], [1, 1], [2, 3]), "bubble 2 neighborhood leaves the vertex range"),  # max_nbr past n
+        (([2, 2], [1, 1], [4, 9]), "bubble 2 neighborhood leaves the vertex range"),
+        (([1], [0], [1]), "bubble 1 neighborhood leaves the vertex range"),
+        (([2, 2], [1, 1], [3, 4]), "bubble 1 neighborhood splits a bubble"),  # reach 3 splits bubble 2
+        (([2, 2], [1, 2], [4, 4]), "bubble 2 neighborhood splits a bubble"),  # starts inside bubble 1
+    ]
+    for args, message in cases:
+        with pytest.raises(InvalidBubbles, match=f"^{re.escape(message)}$"):
+            LinearBubbles(*args)
     LinearBubbles([1, 1], [1, 2], [1, 2])  # two isolated vertices: fine
     LinearBubbles([2, 2], [1, 1], [4, 4])  # one clique, two bubbles: fine
+
+
+def _fields(lb):
+    return {name: getattr(lb, name) for name in type(lb).__slots__}
+
+
+def test_bubbles_from_pig_matches_validating_constructor():
+    """Twin runs of a valid graph, built unchecked, give the validated model field for field."""
+    rng = SplitMix64(18)
+    graphs = [ProperIntervalGraph(maxn) for n in range(1, 9) for maxn in all_maxn(n)]
+    graphs += [
+        ProperIntervalGraph(random_maxn(rng, n, hop=hop))
+        for n in (10, 100, 1_000, 10_000)
+        for hop in (1, 6, 40)
+    ]
+    for g in graphs:
+        lb = bubbles_from_pig(g)
+        assert _fields(lb) == _fields(LinearBubbles(lb.sizes, lb.min_nbr, lb.max_nbr)), g
 
 
 def test_roundtrip_twin_aligned():

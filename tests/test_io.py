@@ -25,12 +25,14 @@ from helpers import (
 # examples and writes no .hypothesis/ directory.
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
-# Token soup: header words, integers, rationals, words, non-ASCII whitespace
-# that is not a separator (NBSP, \x1c, U+2028) and invalid UTF-8, between
-# separators that include CRLF, \x0b, \x0c and comments.
+# Token soup: header words, integers, rationals, words, whitespace that is
+# not a separator (NBSP, \x1c-\x1f, NEL, U+2028, U+3000) and invalid UTF-8,
+# between separators that include CRLF, \x0b, \x0c and comments.  The ASCII
+# ones among them send an all-ASCII file down the regex tokenizer.
 PIECES = st.sampled_from([
     b"pig", b"intervals", b"bubbles", b"maxn", b"col", b"0", b"1", b"2", b"3", b"5", b"-1", b"3/2", b"1/0",
-    b"x", "\u0661\u0662".encode(), b"\xc2\xa0", b"\x1c", b"\xe2\x80\xa8", b"\xff", b"\xc3", b"\xc3\xa9",
+    b"x", "\u0661\u0662".encode(), b"\xc2\xa0", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\xc2\x85",
+    b"\xe2\x80\xa8", "\u3000".encode(), b"\xff", b"\xc3", b"\xc3\xa9",
 ])
 SEPARATORS = st.sampled_from([b" ", b"\n", b"\r\n", b"\t", b"\x0b", b"\x0c", b" # c\n", b"#\xff\xc3\n", b"#"])
 
@@ -118,6 +120,14 @@ def test_truncation_reports_file_end():
     with pytest.raises(FormatError) as exc:
         parse_instance(data + b"\n")
     assert exc.value.offset == len(data) + 1
+
+
+def test_ascii_separator_lookalike_stays_inside_its_token():
+    """The unit separator, 0x1f, is ASCII and ``str.split()`` whitespace but no separator: its token stays whole."""
+    with pytest.raises(FormatError) as exc:
+        parse_instance(b"pig 2\nmaxn 2\x1f2 2\n")
+    assert exc.value.offset == 11
+    assert str(exc.value) == "byte 11: expected integer max neighbor of vertex 1, got '2\x1f2'"
 
 
 def test_trailing_tokens_rejected():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defdom import InvalidRanges, ProperIntervalGraph, ProperViolation, SplitMix64
+from defdom.generators import random_unit_intervals
 from defdom.pig import SCALE_BITS
 from helpers import all_maxn, are_twins, diamond, outcome, p5, random_maxn, reference_from_intervals
 
@@ -211,6 +212,21 @@ def test_canonical_intervals_realize_the_graph():
         n = 1 + rng.below(25)
         g = ProperIntervalGraph(random_maxn(rng, n))
         assert ProperIntervalGraph.from_intervals(g.canonical_intervals()) == g
+
+
+def test_from_intervals_matches_validating_constructor():
+    """The sweep's ``maxn``, stored unchecked, gives the validated graph's ``maxn`` and ``minn``."""
+    rng = SplitMix64(18)
+    families = [g.canonical_intervals() for n in range(1, 8) for g in map(ProperIntervalGraph, all_maxn(n))]
+    families += [
+        random_unit_intervals(n, spread, rng.below(1 << 30))
+        for n in (10, 1_000, 10_000)
+        for spread in (Fraction(1, 16), 2)
+    ]
+    for entries in families:
+        g = ProperIntervalGraph.from_intervals(entries)
+        ref = ProperIntervalGraph(list(g.maxn[1:]))
+        assert (g.n, g.maxn, g.minn) == (ref.n, ref.maxn, ref.minn)
 
 
 @st.composite
