@@ -47,7 +47,28 @@ from typing import Optional
 
 from .bubbles import LinearBubbles, check_expansion
 from .defense import Attack, defends_consecutive
-from .greedy import SkipDown
+
+
+class SkipDown:
+    """Largest free position at or below a query point, by path-compressed
+    pointers; positions start free and ``occupy`` removes one."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, n):
+        self.parent = list(range(n + 1))
+
+    def find(self, x):
+        p = self.parent
+        root = x
+        while p[root] != root:
+            root = p[root]
+        while p[x] != root:
+            p[x], x = root, p[x]
+        return root
+
+    def occupy(self, x):
+        self.parent[x] = x - 1
 
 
 def solve_bubble(

@@ -19,7 +19,6 @@ matching on an arbitrary graph, used as an independent oracle.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import deque
 from itertools import repeat
 from operator import sub
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -176,8 +175,11 @@ def first_undefended_attack(
     ds = sorted(set(defenders))
     ds.append(n + 1)  # sentinel: above every max_nbr
     below = upto = 0  # defenders below min_nbr(b), and at most max_nbr(b)
-    q: deque = deque()  # (a, cnt(min_nbr(a)-1) - a + 1), values decreasing
-    push, pop, popleft = q.append, q.pop, q.popleft
+    # Positions a, live from index h, whose need(a) = cnt(min_nbr(a)-1) - a + 1
+    # run front, front-1, ..., tail; the first push, above -n - 1, starts it.
+    q: list[int] = []
+    h = 0
+    front = tail = -n - 1
     bad = None
     for b in range(1, n + 1):
         t = minn[b]
@@ -187,19 +189,28 @@ def first_undefended_attack(
         while ds[upto] <= t:
             upto += 1
         need = below - b + 1
-        while q and q[-1][1] <= need:
-            pop()
-        push((b, need))
-        if q[0][0] <= b - m:
-            popleft()
-        if q[0][1] > upto - b:
+        if need >= front:  # every live entry leaves
+            q.clear()
+            h = 0
+            front = need
+        elif need >= tail:  # the entries valued tail..need leave
+            del q[tail - need - 1 :]
+        q.append(b)
+        tail = need
+        if q[h] <= b - m:  # slid out of the window
+            h += 1
+            front -= 1
+            if h > len(q) - h + 32:  # drop the dead prefix, amortized O(1)
+                del q[:h]
+                h = 0
+        if front > upto - b:
             s = max(1, b - m + 1)
             bad = Attack(s, s + m - 1)
             break
     if stats is not None:
         # Pointers only advance one at a time from 0; each of the b pushed
         # entries left the deque at most once, and the rest are still in it.
-        stats.update(steps=below + upto + 2 * b - len(q))
+        stats.update(steps=below + upto + 2 * b - (len(q) - h))
     return bad
 
 

@@ -2,44 +2,20 @@
 
 Slides a window of at most k consecutive attackers over the canonical vertex
 order; whenever the current defenders cannot cover the window, the rightmost
-non-defender in the window's neighborhood is recruited.  Each window is
-decided by Hall's condition on its consecutive sub-ranges, of which only
-those ending at the new window end are new, with a monotone deque over their
-starts and one forward pointer into the ascending defenders.  A run costs
-O(n + |D|) Python steps for every k, plus at most one bisect per recruit.
+non-defender in the window's neighborhood, read off a stack of defender runs,
+is recruited.  Each window is decided by Hall's condition on its consecutive
+sub-ranges, of which only those ending at the new window end are new, with a
+monotone deque over their starts and one forward pointer into the ascending
+defenders.  A run costs O(n + |D|) Python steps for every k, plus at most
+one bisect per recruit.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from typing import Callable, Optional
 
 from .pig import ProperIntervalGraph
-
-
-class SkipDown:
-    """Largest free position at or below a query point.
-
-    Positions start free; ``occupy`` removes one.  Path-compressed pointers
-    keep queries near constant amortized.
-    """
-
-    __slots__ = ("parent",)
-
-    def __init__(self, n):
-        self.parent = list(range(n + 1))
-
-    def find(self, x):
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def occupy(self, x):
-        self.parent[x] = x - 1
 
 
 def solve_greedy(
@@ -69,7 +45,9 @@ def solve_greedy(
     One recruit repairs a failing window.  Each [a..j-1] held, and
     max_nbr(j) >= max_nbr(j-1), so [a..j] lacks at most one defender, and
     [j..j] lacks at most one too.  The recruit is the rightmost spare at or
-    below max_nbr(j) and, as asserted, at or above min_nbr(i), so it lies in
+    below max_nbr(j), which no defender exceeds: max_nbr(j) itself, or the
+    vertex just below the top run of consecutive defenders, whose starts a
+    stack keeps.  As asserted, it is at or above min_nbr(i), so it lies in
     [min_nbr(a)..max_nbr(j)] for every a of the window.  It raises the
     right-hand side by one; when it lies below min_nbr(j) it also raises
     v(a) by one exactly on the deque suffix a > max_nbr(recruit), the a with
@@ -80,12 +58,12 @@ def solve_greedy(
     check after each recruit asserts that it holds.
 
     Work: each window pushes one entry and each entry leaves once, and the
-    pointer passes each defender once.  A recruit costs one ``find``, one
-    ``insort``, whose C-level shift moves only defenders between the recruit
-    and max_nbr(j), and, when it lies below min_nbr(j), one bisect and one
-    suffix add.  The deque's dead front is dropped once it outgrows the live
-    part, so its list stays near 2*min(k, n) entries and nothing of length n
-    is allocated beyond the answer and ``SkipDown``.  ``stats`` receives
+    pointer passes each defender once.  A recruit costs one ``insert``,
+    whose C-level shift moves only the top run, a stack pop and push at
+    most, and, below min_nbr(j), one bisect and one suffix add.  The deque's
+    dead front is dropped once it outgrows the live part, so its list stays
+    near 2*min(k, n) entries; the stack holds at most |D|, so nothing of
+    length n is allocated beyond the answer.  ``stats`` receives
     ``defense_steps``: pointer moves plus suffix adds, pushes and removals,
     read off the final sizes, so the loop pays nothing for it.  It is at most
     2n + |D| whatever k is.
@@ -103,11 +81,9 @@ def solve_greedy(
     if k < 1:
         raise ValueError("k must be at least 1")
     n, maxn, minn = g.n, g.maxn, g.minn
-    spare = SkipDown(n)
-    find, occupy = spare.find, spare.occupy
     ds: list[int] = []
-    # p counts the defenders below min_nbr(j), nxt is the next one (or n + 1
-    # past the last).
+    starts: list[int] = []  # the first vertex of each run of consecutive defenders
+    # p counts the defenders below min_nbr(j); nxt is the next, or n + 1.
     p = nd = 0
     nxt = n + 1
     # Deque of window positions a, live from index h: the strict suffix
@@ -138,10 +114,17 @@ def solve_greedy(
                 del q[:h]
                 h = 0
         if front >= nd - j:
-            jp = find(maxn[j])
-            assert jp >= minn[max(1, j - k + 1)], "no recruit available inside the window neighborhood"
-            occupy(jp)
-            insort(ds, jp)
+            jp = maxn[j]
+            r = nd
+            if nd and ds[-1] >= jp:  # maxn(j) ends the top run: take the spare below it
+                jp = starts[-1] - 1
+                r = nd - ds[-1] + jp
+            assert jp >= minn[j - k + 1 if j > k else 1], "no recruit available inside the window neighborhood"
+            ds.insert(r, jp)
+            if r < nd:  # the top run grows down to jp
+                starts.pop()
+            if not r or ds[r - 1] < jp - 1:  # jp starts a run
+                starts.append(jp)
             nd += 1
             if jp < t:
                 p += 1

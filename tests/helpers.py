@@ -16,7 +16,7 @@ from defdom import (
     defends_consecutive,
     gen_random_unit_intervals,
 )
-from defdom.greedy import SkipDown
+from defdom.bubble_solver import SkipDown
 from defdom.io import _Reader
 
 

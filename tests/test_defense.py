@@ -13,6 +13,7 @@ from defdom import (
     first_undefended_attack,
     gen_family,
     gen_random_bubbles,
+    gen_random_unit_intervals,
     is_k_defensive,
     linear_from_compact,
     pig_from_bubbles,
@@ -201,6 +202,33 @@ def test_hall_verifier_matches_scan_near_threshold():
             assert first_undefended_attack(g, sets[1], k) is not None
             shapes += 1
     assert shapes == 480
+
+
+def test_hall_verifier_exact_steps():
+    """The Attack and the exact step count of a few fixed graph runs, so a
+    refactor that moves a step shows.  The last three run at n = 2,000,
+    where the deque drops its dead prefix."""
+    chain = gen_family("clique_chain", sizes=[2, 2, 3, 4])
+    scattered = random_components(SplitMix64(13), 10, 3)
+    wide = gen_random_unit_intervals(2000, spread="1/16", seed=5, connected=True)
+    answer = solve_greedy(wide, 64)
+    runs = (
+        (p5(), [2, 3], 2, Attack(4, 5), 13),
+        (p5(), [2, 3, 5], 2, None, 14),
+        (diamond(), [3, 4], 2, None, 8),
+        (chain, [2, 3, 7, 8], 2, None, 20),
+        (chain, [2, 3, 8], 2, Attack(6, 7), 17),
+        (scattered, [2, 4, 6, 8, 13, 16, 20, 28, 29, 30, 35, 36, 37], 3, None, 100),
+        (scattered, [2, 4, 6, 8, 13, 16, 20, 28, 29, 35, 36, 37], 3, Attack(27, 29), 71),
+        (scattered, [*range(1, 9), 13, 16, *range(19, 27), 28, 29, 30, 31, *range(33, 40)], 10, None, 128),
+        (wide, answer, 64, None, 6906),
+        (wide, answer[:500] + answer[501:], 64, Attack(622, 685), 2331),
+        (wide, answer, 8, None, 6914),
+    )
+    for g, ds, k, want, want_steps in runs:
+        stats = {}
+        assert first_undefended_attack(g, ds, k, stats=stats) == want, (g.maxn, ds, k)
+        assert stats == dict(steps=want_steps), (g.maxn, ds, k, stats)
 
 
 def test_hall_verifier_input_forms():

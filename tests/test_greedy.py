@@ -1,4 +1,6 @@
+import tracemalloc
 from bisect import bisect_right
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +14,6 @@ from defdom import (
     min_defensive_bruteforce,
     solve_greedy,
 )
-from defdom.greedy import SkipDown
 from helpers import all_maxn, connected_graphs, diamond, p3, p5, k4, random_components, random_graph, scan_greedy
 
 
@@ -174,23 +175,21 @@ def test_matches_scan_reference_large():
             _agrees_with_scan(g, kk)
 
 
-def test_post_recruit_assert_catches_a_bad_recruit(monkeypatch):
-    """A recruit two spares below the rightmost one still lies in the window
-    neighborhood here, but misses the failing sub-range [5..5]; the Hall
-    check after the recruit must notice."""
-    real_find = SkipDown.find
-
-    def two_spares_lower(self, x):
-        r = real_find(self, x)
-        for _ in range(2):
-            if r > 1:
-                r = real_find(self, r - 1)
-        return r
-
-    g = ProperIntervalGraph([3, 4, 4, 5, 5])
-    assert solve_greedy(g, 2) == [3, 4]
-    monkeypatch.setattr(SkipDown, "find", two_spares_lower)
+def test_post_recruit_assert_catches_a_bad_recruit():
+    """A duck-typed graph whose maxn (1, 2, 1, 3) breaks monotonicity and
+    whose vertex 4 has the empty neighborhood [4..3] (minn (1, 1, 1, 4)).
+    Its recruit 3 lies in the window neighborhood but cannot defend vertex 4;
+    the Hall check after the recruit must notice."""
+    g = SimpleNamespace(n=4, maxn=(0, 1, 2, 1, 3), minn=(0, 1, 1, 1, 4))
     with pytest.raises(AssertionError, match="did not repair the window"):
+        solve_greedy(g, 2)
+
+
+def test_recruit_assert_catches_a_missing_spare():
+    """With maxn (1, 2, 1) and minn (1, 1, 3), vertices 1 and 2 are already
+    defenders when vertex 3 fails, so no spare lies at or below maxn(3)."""
+    g = SimpleNamespace(n=3, maxn=(0, 1, 2, 1), minn=(0, 1, 1, 3))
+    with pytest.raises(AssertionError, match="no recruit available"):
         solve_greedy(g, 2)
 
 
@@ -253,6 +252,19 @@ def test_exact_counters():
 def test_scan_reference_exact_counters():
     """The reference scan's own counters on the same runs, so the reference stays pinned."""
     _check_fixed_runs(scan_greedy, (8, 7, 15, 105, 218))
+
+
+def test_peak_memory_is_the_answer():
+    """Nothing of length n besides the answer: a chain of 1,000 100-cliques
+    (n = 99,001, 7,001 defenders at k = 8) peaks under 1 MB."""
+    g = gen_family("clique_chain", sizes=[100] * 1000)
+    tracemalloc.start()
+    try:
+        solve_greedy(g, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_steps_linear_in_n_plus_defenders():
