@@ -14,10 +14,17 @@ Each step of the loop either grows the window or slides it.  Growing by m
 attackers (min(k, n) at the start, and after each zero-slack step)
 recruits m defenders in chunks, one per bubble holding the new right end:
 the new attackers of a chunk are twins and take the rightmost spare vertices
-of their neighborhood.  The recruits are then merged in descending bubble
-order: the live bubbles above the lowest receiver are popped off the back of
-the deque, re-keyed from the running suffix of segment counts, and pushed
-back with the new segments.  At positive slack the window slides by the
+of their neighborhood.  A chunk takes its recruits at or below R, the reach
+of the bubble holding the new right end, and R never decreases, so every
+full bubble lies at or below R: the top bubble with a spare vertex at or
+below R is R itself, or, when R is full, the bubble just below the top run
+of full bubbles.  A stack ``starts`` holds the first bubble of each run,
+ascending, with the empty bubble 0 as a full run at the bottom; a bubble
+that fills up starts a run, extends one, or joins two.  Each recruit goes
+straight into its bubble's segment.  The live bubbles at or above the lowest
+receiver then come off the back of the deque, are sorted together with the
+receivers that had no segment, re-keyed from the running suffix of segment
+counts, and pushed back.  At positive slack the window slides by the
 slack; at zero slack the bubble of least slack ends its defenders at its last
 neighbor, so the attackers up to there leave, popping whole segments off the
 front, and as many new ones grow the window.
@@ -29,14 +36,14 @@ touches: ``offset - last`` falls by m, and the bubble's suffix grows by less,
 as the receiver at or below it takes at least one.  Slides change no key,
 and a zero-slack step only pops from the front.  So a bubble that a later
 one undercuts or ties stays undercut until it leaves, and the merge need
-only pop ``mins`` from the back before pushing each bubble back.  Each push
-is an insert or a merge touch and each pop undoes a push, so the deque costs
-O(1) amortized per insert or touch.  The only step above linear is sorting
-each grow's receivers.
+only pop ``mins`` down to the lowest receiver before pushing each bubble
+back.  Each push is an insert or a merge touch and each pop undoes a push,
+so the deque costs O(1) amortized per insert or touch.  The only step above
+linear is sorting each merge's new segments in among the popped ones.
 
 ``stats`` keeps its historical counter names: ``heap_inserts`` and
 ``heap_deletes`` count segments joining and leaving the defense, and
-``merge_touches`` counts re-keys.
+``merge_touches`` counts the live bubbles a merge pops and re-keys.
 """
 
 from __future__ import annotations
@@ -47,28 +54,6 @@ from typing import Optional
 
 from .bubbles import LinearBubbles, check_expansion
 from .defense import Attack, defends_consecutive
-
-
-class SkipDown:
-    """Largest free position at or below a query point, by path-compressed
-    pointers; positions start free and ``occupy`` removes one."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, n):
-        self.parent = list(range(n + 1))
-
-    def find(self, x):
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def occupy(self, x):
-        self.parent[x] = x - 1
 
 
 def solve_bubble(
@@ -105,7 +90,7 @@ def solve_bubble(
     key = [0] * width
     live: deque[int] = deque()  # the bubbles with a segment, ascending
     mins: deque[int] = deque()  # the strict suffix minima of key over live
-    spare = SkipDown(count)
+    starts = [0]  # the first bubble of each run of full bubbles; bubble 0 is full
     first, last, offset = 1, 0, 0
     # Bubbles holding ``first`` and ``last + 1``; moved only by chunks, as both end past n.
     first_bubble = next_bubble = 1
@@ -114,7 +99,8 @@ def solve_bubble(
     grow = min(k, n)
     while True:
         if grow:
-            received: dict[int, int] = {}
+            fresh = []  # receivers that had no segment
+            low = count  # the lowest receiver
             while grow > 0:
                 chunks += 1
                 while max_v[first_bubble] < first:
@@ -125,46 +111,57 @@ def solve_bubble(
                 last += step
                 grow -= step
                 # The rightmost `step` spare vertices of the window neighborhood.
-                b = spare.find(reach[next_bubble])
-                while step > 0:
+                b = reach[next_bubble]
+                if d[b] == size[b]:
+                    b = starts[-1] - 1
+                while True:
                     assert b >= 1 and max_v[b] >= min_nbr[first_bubble], (
                         "recruit search left the window neighborhood"
                     )
-                    take = min(size[b] - d[b], step)
-                    d[b] += take
-                    step -= take
-                    received[b] = received.get(b, 0) + take
-                    if d[b] == size[b]:
-                        spare.occupy(b)
-                    if step:
-                        b = spare.find(b)
+                    if not seg[b]:
+                        fresh.append(b)
+                    room = size[b] - d[b]
+                    if step < room:
+                        d[b] += step
+                        seg[b] += step
+                        break
+                    d[b] = size[b]
+                    seg[b] += room
+                    step -= room
+                    if d[b - 1] == size[b - 1]:  # b joins the run below
+                        if starts[-1] == b + 1:  # which joins the run above
+                            starts.pop()
+                    elif starts[-1] == b + 1:
+                        starts[-1] = b
+                    else:
+                        starts.append(b)
+                    if not step:
+                        break
+                    b = starts[-1] - 1
+                if b < low:
+                    low = b
             # Live bubbles at or above the lowest receiver change their
-            # assigned attackers, so they come off the back and are re-keyed.
-            back = []
-            suffix = 0
-            base = offset - last  # a bubble's key is max_nbr + suffix + base
-            for b, take in sorted(received.items(), reverse=True):
-                fresh = not seg[b]
-                seg[b] += take
-                while live and live[-1] >= b:
-                    t = live.pop()
-                    if mins and mins[-1] == t:
-                        mins.pop()
-                    key[t] = max_nbr[t] + suffix + base
-                    suffix += seg[t]
-                    back.append(t)
-                    touches += 1
-                if fresh:
-                    key[b] = max_nbr[b] + suffix + base
-                    inserts += 1
-                    suffix += take
-                    back.append(b)
+            # assigned attackers, so they come off the back and are re-keyed
+            # with the receivers, from the running suffix of segment counts.
+            inserts += len(fresh)
+            back = fresh
+            while live and live[-1] >= low:
+                back.append(live.pop())
+                touches += 1
+            while mins and mins[-1] >= low:
+                mins.pop()
+            back.sort()
+            # A bubble's key is max_nbr + the segments above it + offset - last.
+            suffix = offset - last
             for b in reversed(back):
+                key[b] = max_nbr[b] + suffix
+                suffix += seg[b]
+            for b in back:
                 kt = key[b]
                 while mins and key[mins[-1]] >= kt:
                     mins.pop()
                 mins.append(b)
-            live.extend(reversed(back))
+            live.extend(back)
         if graph is not None:
             _check(graph, first, last, d, max_v, live, seg, key, mins)
         if last >= n:

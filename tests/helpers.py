@@ -16,7 +16,6 @@ from defdom import (
     defends_consecutive,
     gen_random_unit_intervals,
 )
-from defdom.bubble_solver import SkipDown
 from defdom.io import _Reader
 
 
@@ -85,6 +84,28 @@ def scan_first_undefended(g: ProperIntervalGraph, defenders, k: int):
         if defends_consecutive(g, ds, a) is None:
             return a
     return None
+
+
+class SkipDown:
+    """Largest free position at or below a query point, by path-compressed
+    pointers; positions start free and ``occupy`` removes one."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, n):
+        self.parent = list(range(n + 1))
+
+    def find(self, x):
+        p = self.parent
+        root = x
+        while p[root] != root:
+            root = p[root]
+        while p[x] != root:
+            p[x], x = root, p[x]
+        return root
+
+    def occupy(self, x):
+        self.parent[x] = x - 1
 
 
 def scan_greedy(

@@ -1,4 +1,5 @@
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -225,6 +226,27 @@ def test_exact_counters():
         stats = {}
         assert solve_bubble(lbm, k, stats=stats) == want, (lbm.count, k)
         assert stats == want_stats, (lbm.count, k, stats)
+
+
+@pytest.mark.parametrize(
+    "min_nbr, max_nbr, reach, k",
+    [
+        # bubbles 1 and 2 are full when vertex 3 joins the window, and its
+        # reach is bubble 1, so the search falls to bubble 0
+        ((1, 1, 3), (1, 2, 1), (1, 2, 1), 2),
+        # vertex 3's reach is the full bubble 2, and the spare bubble 1 lies
+        # below its neighborhood, which starts at vertex 2
+        ((1, 1, 2), (2, 2, 3), (2, 2, 2), 1),
+    ],
+)
+def test_recruit_assert_catches_a_missing_spare(min_nbr, max_nbr, reach, k):
+    """Duck-typed models of three one-vertex bubbles whose neighborhoods and
+    reach disagree, so the recruit search leaves the window neighborhood."""
+    lbm = SimpleNamespace(
+        n=3, count=3, sizes=(1, 1, 1), max_v=(1, 2, 3), min_nbr=min_nbr, max_nbr=max_nbr, reach=reach
+    )
+    with pytest.raises(AssertionError, match="recruit search left the window neighborhood"):
+        solve_bubble(lbm, k)
 
 
 def test_solver_accepts_finer_than_twin_models():
