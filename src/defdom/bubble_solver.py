@@ -20,7 +20,9 @@ full bubble lies at or below R: the top bubble with a spare vertex at or
 below R is R itself, or, when R is full, the bubble just below the top run
 of full bubbles.  A stack ``starts`` holds the first bubble of each run,
 ascending, with the empty bubble 0 as a full run at the bottom; a bubble
-that fills up starts a run, extends one, or joins two.  Each recruit goes
+that fills up starts a run, extends one, or joins two, and is then checked
+to lie in the top run, so a stack defect fails rather than offering a full
+bubble again and again.  Each recruit goes
 straight into its bubble's segment.  The live bubbles at or above the lowest
 receiver then come off the back of the deque, are sorted together with the
 receivers that had no segment, re-keyed from the running suffix of segment
@@ -135,6 +137,7 @@ def solve_bubble(
                         starts[-1] = b
                     else:
                         starts.append(b)
+                    assert starts[-1] <= b, "run stack does not hold the bubble just filled"
                     if not step:
                         break
                     b = starts[-1] - 1

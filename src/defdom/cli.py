@@ -37,7 +37,7 @@ from .bench import bench_rows, rows_to_csv
 from .pig import ProperIntervalGraph
 
 
-#: Answer lines joined into one string per write: few writes, a bounded buffer.
+#: Answer lines formatted into one string per write: few writes, a bounded buffer.
 _ANSWER_CHUNK = 1024
 
 
@@ -113,7 +113,8 @@ def _cmd_solve(args, out) -> int:
         result = solve_greedy(g, args.k)
     out.write(f"size={len(result)}\n")
     for i in range(0, len(result), _ANSWER_CHUNK):
-        out.write("\n".join(map(str, result[i : i + _ANSWER_CHUNK])) + "\n")
+        chunk = tuple(result[i : i + _ANSWER_CHUNK])
+        out.write("%d\n" * len(chunk) % chunk)
     if args.emit_defense:
         ds = tuple(result)
         m = min(args.k, g.n)

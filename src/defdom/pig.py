@@ -7,6 +7,11 @@ is the largest vertex whose interval meets interval j, so ``u ~ v`` for
 derived.  ``ProperIntervalGraph(maxn)`` and ``from_runs`` check their input;
 ``from_intervals`` stores its sweep's ``maxn``, valid by construction, unchecked.
 
+``from_intervals`` works on flat endpoint lists: a stable sort of the
+positions by left end, two whole-list checks that the family is proper, and
+one sweep of the sorted ends for ``maxn``.  The sort of (left, right,
+position) tuples and the pairwise loop run only to name a violating pair.
+
 All endpoint arithmetic is exact, never floating point.  Endpoints are
 compared as plain integers on one common scale: every endpoint p/q is
 multiplied by L = lcm of all the denominators q, which maps each to the
@@ -23,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, repeat
 from math import lcm
+from operator import lt
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidRanges, ProperViolation
@@ -46,6 +52,20 @@ def common_scale(dens: Iterable[int]) -> Optional[int]:
             if scale.bit_length() > SCALE_BITS:
                 return None
     return scale
+
+
+def _name_violation(ends: list) -> None:
+    """Raise ProperViolation for the first nested pair of the sorted family.
+
+    The tuple sort and pairwise loop of a proper-family check, kept to name
+    the pair when ``from_intervals``' whole-list checks have failed.
+    """
+    pairs = iter(ends)
+    items = sorted(zip(pairs, pairs, range(len(ends) // 2)))
+    for (l1, r1, i1), (l2, r2, i2) in zip(items, items[1:]):
+        if (l1, r1) != (l2, r2) and not (l1 < l2 and r1 < r2):
+            raise ProperViolation(sorted((i1 + 1, i2 + 1)))
+    raise AssertionError("whole-list proper checks failed on a proper family")
 
 
 def _scaled_ends(entries) -> list:
@@ -164,28 +184,33 @@ class ProperIntervalGraph:
         Endpoints are compared on the common scale of ``common_scale``;
         when they are all ints already (L = 1) they are used as they are,
         with no conversion and no fold.
+
+        The positions are sorted stably by left end alone.  In a proper
+        family equal lefts have equal rights, so that is the (left, right,
+        position) order, and two whole-list checks decide properness: the
+        rights never decrease, and in each consecutive pair the left rises
+        exactly when the right does.  Only when a check fails does the
+        tuple sort and pairwise loop of ``_name_violation`` run, to name
+        the first nested pair in that order.
         """
         ends = _scaled_ends(entries)
         if not ends:
             raise ValueError("need at least one interval")
-        pairs = iter(ends)
-        items = sorted(zip(pairs, pairs, range(len(ends) // 2)))
+        lefts, rights = ends[0::2], ends[1::2]
+        n = len(lefts)
+        order = sorted(range(n), key=lefts.__getitem__)
+        lo = list(map(lefts.__getitem__, order))
+        hi = list(map(rights.__getitem__, order))
+        del lefts, rights, order
+        if hi != sorted(hi) or list(map(lt, lo, lo[1:])) != list(map(lt, hi, hi[1:])):
+            _name_violation(ends)
         del ends
-        for (l1, r1, i1), (l2, r2, i2) in zip(items, items[1:]):
-            # Proper family: sorted-consecutive entries are equal or strictly
-            # increase in both endpoints; anything else nests one in the other.
-            if (l1, r1) != (l2, r2) and not (l1 < l2 and r1 < r2):
-                raise ProperViolation(sorted((i1 + 1, i2 + 1)))
-        n = len(items)
-        maxn = [0] * n
-        m = 0  # highest index known to intersect (0-based)
-        for j in range(n):
-            if m < j:
-                m = j
-            rj = items[j][1]
-            while m + 1 < n and items[m + 1][0] <= rj:
+        maxn = []
+        m = 0  # the vertices whose left end is at most the current right end
+        for r in hi:
+            while m < n and lo[m] <= r:
                 m += 1
-            maxn[j] = m + 1
+            maxn.append(m)
         g = cls.__new__(cls)  # j < maxn[j] <= n, never decreasing: valid as built
         g._store(maxn)
         return g

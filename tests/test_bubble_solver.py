@@ -249,6 +249,17 @@ def test_recruit_assert_catches_a_missing_spare(min_nbr, max_nbr, reach, k):
         solve_bubble(lbm, k)
 
 
+def test_progress_guard_catches_a_falling_reach():
+    """A duck-typed model of three one-vertex bubbles whose reach falls from
+    bubble 3 to bubble 1: bubble 1 fills below the top run, which starts at
+    bubble 3, so the run stack no longer holds the bubble just filled."""
+    lbm = SimpleNamespace(
+        n=3, count=3, sizes=(1, 1, 1), max_v=(1, 2, 3), min_nbr=(1, 1, 1), max_nbr=(3, 3, 3), reach=(3, 1, 3)
+    )
+    with pytest.raises(AssertionError, match="run stack does not hold the bubble just filled"):
+        solve_bubble(lbm, 2)
+
+
 def test_solver_accepts_finer_than_twin_models():
     """Bubbles may be split finer than twin classes; the answer is unchanged."""
     from defdom import LinearBubbles

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -286,3 +287,19 @@ def test_int_entries_match_fraction_reference(entries):
     """Plain int pairs, kept as they are, give the reference's graph, error class and message."""
     assert outcome(ProperIntervalGraph.from_intervals, entries) == outcome(reference_from_intervals, entries)
     assert outcome(ProperIntervalGraph.from_intervals, iter(entries)) == outcome(reference_from_intervals, entries)
+
+
+def test_from_intervals_exhaustive_against_fraction_reference():
+    """Every family of up to 4 intervals with integer endpoints in 0..3,
+    reversed ones included, in every input order (the product lists each
+    order of each family), as a list and as an iterator: the same graph, or
+    the same error class and message, as the reference.  This pins the
+    whole-list proper checks and the tuple loop that names a violation to
+    the same ProperViolation pair."""
+    pairs = list(product(range(4), repeat=2))
+    for size in range(5):
+        for entries in product(pairs, repeat=size):
+            entries = list(entries)
+            want = outcome(reference_from_intervals, entries)
+            assert outcome(ProperIntervalGraph.from_intervals, entries) == want, entries
+            assert outcome(ProperIntervalGraph.from_intervals, iter(entries)) == want, entries
