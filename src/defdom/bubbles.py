@@ -52,19 +52,21 @@ class CompactBubbles:
         if not columns:
             raise InvalidBubbles("need at least one column")
         for j, col in enumerate(columns, start=1):
-            entries = [(int(r), int(s)) for r, s in col]
-            if not entries:
-                raise InvalidBubbles(f"column {j} is empty")
-            prev_row = None
-            for row, size in entries:
+            entries = []
+            prev_row = 0  # below every row, so the first is checked against 1 alone
+            for r, s in col:
+                row, size = int(r), int(s)
                 if size <= 0:
                     raise InvalidBubbles(f"column {j} stores an empty bubble at row {row}")
-                if row < 1:
-                    raise InvalidBubbles(f"column {j} has row {row} below 1")
-                if prev_row is not None and row <= prev_row:
+                if row <= prev_row:
+                    if row < 1:
+                        raise InvalidBubbles(f"column {j} has row {row} below 1")
                     raise InvalidBubbles(f"column {j} rows must strictly increase (row {row})")
                 prev_row = row
                 total += size
+                entries.append((row, size))
+            if not entries:
+                raise InvalidBubbles(f"column {j} is empty")
             cols.append(tuple(entries))
         self.columns = tuple(cols)
         self.n = total
@@ -76,26 +78,29 @@ class CompactBubbles:
         return f"CompactBubbles({[list(c) for c in self.columns]!r})"
 
 
+def _ranges(sizes: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The first and the last vertex of each bubble, for positive sizes."""
+    return tuple(accumulate(islice(sizes, len(sizes) - 1), initial=1)), tuple(accumulate(sizes))
+
+
 class LinearBubbles:
     """Ordered bubbles with sizes, vertex ranges, and neighborhood extremes."""
 
     __slots__ = ("sizes", "min_v", "max_v", "min_nbr", "max_nbr", "reach", "count", "n")
 
     def __init__(self, sizes, min_nbr, max_nbr):
-        sizes = tuple(int(s) for s in sizes)
-        min_nbr = tuple(int(x) for x in min_nbr)
-        max_nbr = tuple(int(x) for x in max_nbr)
+        sizes, min_nbr, max_nbr = tuple(map(int, sizes)), tuple(map(int, min_nbr)), tuple(map(int, max_nbr))
         if not sizes:
             raise InvalidBubbles("need at least one bubble")
         if not (len(sizes) == len(min_nbr) == len(max_nbr)):
             raise InvalidBubbles("bubble field lengths differ")
         if min(sizes) <= 0:
             raise InvalidBubbles("bubble sizes must be positive")
-        max_v = tuple(accumulate(sizes))
-        n, ends, starts = max_v[-1], set(max_v), {m - s + 1 for m, s in zip(max_v, sizes)}
+        min_v, max_v = _ranges(sizes)
+        n, ends, starts = max_v[-1], set(max_v), set(min_v)
         prev_lo, prev_hi = 0, 0
-        for i, lo, hi, s, m in zip(range(1, len(sizes) + 1), min_nbr, max_nbr, sizes, max_v):
-            if not (lo <= m - s + 1 and hi >= m):
+        for i, lo, hi, a, b in zip(range(1, len(sizes) + 1), min_nbr, max_nbr, min_v, max_v):
+            if not (lo <= a and hi >= b):
                 raise InvalidBubbles(f"bubble {i} neighborhood excludes its own vertices")
             if lo < prev_lo or hi < prev_hi:
                 raise InvalidBubbles(f"neighborhood extremes decrease at bubble {i}")
@@ -105,15 +110,16 @@ class LinearBubbles:
             if hi not in ends or lo not in starts:
                 raise InvalidBubbles(f"bubble {i} neighborhood splits a bubble")
             prev_lo, prev_hi = lo, hi
-        self._derive(sizes, min_nbr, max_nbr)
+        self._derive(sizes, min_nbr, max_nbr, min_v, max_v)
 
-    def _derive(self, sizes, min_nbr, max_nbr) -> None:
-        """Keep the three fields of a valid model and derive the rest; no checks."""
-        sizes = self.sizes = tuple(sizes)
-        self.min_nbr, self.max_nbr, self.count = tuple(min_nbr), tuple(max_nbr), len(sizes)
-        max_v = self.max_v = tuple(accumulate(sizes))
-        self.min_v = tuple(accumulate(islice(sizes, self.count - 1), initial=1))
-        self.n = max_v[-1]
+    def _derive(self, sizes, min_nbr, max_nbr, min_v, max_v) -> None:
+        """Keep the fields of a valid model and derive ``reach``; no checks.
+
+        ``reach`` is built only here, after any checks: one forward pointer
+        over ``max_v`` would run past its end on a ``max_nbr`` above n.
+        """
+        self.sizes, self.min_nbr, self.max_nbr = tuple(sizes), tuple(min_nbr), tuple(max_nbr)
+        self.min_v, self.max_v, self.count, self.n = min_v, max_v, len(max_v), max_v[-1]
         reach, r = [], 0  # 1-based bubble ending at each max_nbr, by one forward pointer
         for hi in self.max_nbr:
             while max_v[r] < hi:
@@ -156,7 +162,7 @@ def bubbles_from_pig(g: ProperIntervalGraph) -> LinearBubbles:
     min_nbr.append(minn[run_start])
     max_nbr.append(maxn[run_start])
     lb = LinearBubbles.__new__(LinearBubbles)  # twin runs of a valid graph: a valid model
-    lb._derive(sizes, min_nbr, max_nbr)
+    lb._derive(sizes, min_nbr, max_nbr, *_ranges(sizes))
     return lb
 
 
@@ -178,11 +184,12 @@ def linear_from_compact(cb: CompactBubbles) -> LinearBubbles:
         nxt = cols[j + 1] if j + 1 < len(cols) else ()
         prv = cols[j - 1] if j else ()
         nb, pb = base[j + 1], base[j - 1] if j else 0
+        p_end, q_end = len(nxt), len(prv)
         p = q = 0  # next-column rows below the bubble's, previous-column rows at or below
         for row, _ in col:
-            while p < len(nxt) and nxt[p][0] < row:
+            while p < p_end and nxt[p][0] < row:
                 p += 1
-            while q < len(prv) and prv[q][0] <= row:
+            while q < q_end and prv[q][0] <= row:
                 q += 1
             max_nbr.append(tops[nb + p])
             min_nbr.append(tops[pb + q] + 1)

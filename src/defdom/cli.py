@@ -66,7 +66,8 @@ def _defender_tokens(args) -> list[str]:
     optionally after ``solve``'s ``size=N`` line, whose N must match the count.
     """
     if args.defenders_file is None:
-        return args.defenders.split(",") if args.defenders.strip() else []
+        text = args.defenders
+        return text.split(",") if text and not text.isspace() else []
     if args.defenders_file == "-":
         text = sys.stdin.read()
     else:
@@ -80,27 +81,35 @@ def _defender_tokens(args) -> list[str]:
     return tokens
 
 
-def _defenders(args, n: int) -> set[int]:
-    """The defender set, converted in one bulk ``map(int, ...)`` and range-checked
-    by its min and max; on any failure the per-token loop reports the first
-    bad token in order."""
+def _defenders(args, n: int) -> list[int]:
+    """The defenders in ascending order, duplicates kept, from one bulk
+    ``sorted(map(int, ...))`` range-checked at its two ends; the verifier's
+    own dedupe is the only one.  On any failure the per-token loop names the
+    first bad token in order."""
     tokens = _defender_tokens(args)
     try:
-        out = set(map(int, tokens))
+        out = sorted(map(int, tokens))
     except ValueError:
-        out = None
-    if out is not None and (not out or (1 <= min(out) and max(out) <= n)):
-        return out
-    out = set()
-    for part in tokens:
+        pass
+    else:
+        if not out or (1 <= out[0] and out[-1] <= n):
+            return out
+    for part in tokens:  # some token is refused: name the first one
         try:
             v = int(part)
         except ValueError:
             raise BadParameters(f"defender {part.strip()!r} is not a vertex number") from None
         if not 1 <= v <= n:
             raise BadParameters(f"defender {v} outside 1..{n}")
-        out.add(v)
-    return out
+    raise AssertionError("the bulk pass refused no defender")
+
+
+def _sizes(text: str) -> list[int]:
+    """``--sizes`` as ints; a bad token is reported against the option."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise BadParameters(f"--sizes needs comma-separated integers, got {text!r}") from None
 
 
 def _cmd_solve(args, out) -> int:
@@ -174,7 +183,7 @@ def _cmd_bubbles(args, out) -> int:
 
 
 def _cmd_gen(args, out) -> int:
-    sizes = [int(x) for x in args.sizes.split(",")] if args.sizes else None
+    sizes = _sizes(args.sizes) if args.sizes else None
     if args.family == "random" and (args.n is None or args.n < 1):
         raise BadParameters("random instances need --n >= 1")
     # Only a compact complete graph or clique chain is written without a per-vertex loop.
@@ -209,7 +218,7 @@ def _cmd_gen(args, out) -> int:
 
 
 def _cmd_bench(args, out) -> int:
-    sizes = [int(x) for x in args.sizes.split(",")]
+    sizes = _sizes(args.sizes)
     if args.repeats < 1:
         raise BadParameters("bench needs --repeats >= 1")
     if min(sizes) < 1:

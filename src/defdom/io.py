@@ -152,13 +152,14 @@ class _Reader:
     def columns(self, count):
         """The next ``count`` bubble columns, ``col j cnt`` then cnt (row, size) pairs.
 
-        Each column's pairs are one bulk ``map(int, ...)`` over a slice of the
-        tokens, with no method call per token.  A wrong ``col j`` header, a
-        token ``int`` refuses, a negative count or a file that ends first
-        sends the read back to the per-token loop, which names the first bad
-        token.
+        The ``col j cnt`` headers are walked first; then every (row, size)
+        token is converted in one bulk ``map(int, ...)``, with no method call
+        per token, and the ints are cut into columns by ``islice``.  A wrong
+        ``col j`` header, a token ``int`` refuses, a negative count or a file
+        that ends first sends the read back to the per-token loop, which
+        names the first bad token.
         """
-        tokens, i, out = self.tokens, self.i, []
+        tokens, i, spans = self.tokens, self.i, []
         try:
             for j in range(1, count + 1):
                 if tokens[i] != "col" or int(tokens[i + 1]) != j:
@@ -166,13 +167,17 @@ class _Reader:
                 stop = i + 3 + 2 * int(tokens[i + 2])
                 if not i + 3 <= stop <= len(tokens):
                     raise ValueError
-                pairs = list(map(int, tokens[i + 3 : stop]))
-                out.append(list(zip(pairs[::2], pairs[1::2])))
+                spans.append(slice(i + 3, stop))
                 i = stop
+            values = iter(list(map(int, itertools.chain.from_iterable(map(tokens.__getitem__, spans)))))
         except (ValueError, IndexError):
             pass
         else:
             self.i = i
+            out = []
+            for span in spans:
+                pairs = itertools.islice(values, span.stop - span.start)
+                out.append(list(zip(pairs, pairs)))
             return out
         out = []
         for j in range(1, count + 1):

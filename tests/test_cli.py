@@ -100,6 +100,49 @@ def test_verify_defenders_failure_order(tmp_path):
         assert cli("verify", "--input", path, "--k", "2", "--defenders-file", str(f)) == (0, "OK\n", "")
 
 
+def test_verify_duplicate_and_unordered_defenders_get_the_verdict_of_their_set(tmp_path):
+    """Repeats and any order are the set they list, as the verifier's one dedupe sees it."""
+    for fmt in ("pig", "intervals", "bubbles"):
+        path = str(tmp_path / f"p5.{fmt}")
+        assert cli("gen", "--family", "path", "--n", "5", "--format", fmt, "--output", path)[0] == 0
+        f = tmp_path / f"defenders-{fmt}.txt"
+        for listed, as_set, want in (
+            ("5,3,3,2,5", "2,3,5", (0, "OK\n", "")),
+            ("4,2,4,4,2", "2,4", (1, "FAIL [1..2]\n", "")),  # repeats counted twice would pass
+        ):
+            assert cli("verify", "--input", path, "--k", "2", "--defenders", as_set) == want, (fmt, as_set)
+            assert cli("verify", "--input", path, "--k", "2", "--defenders", listed) == want, (fmt, listed)
+            f.write_text(listed.replace(",", "\n") + "\n")
+            assert cli("verify", "--input", path, "--k", "2", "--defenders-file", str(f)) == want, (fmt, listed)
+
+
+def test_verify_peak_memory_per_defender(tmp_path):
+    """Verifying a 31,001-defender answer peaks at 165 bytes per defender or less.
+
+    The answer is converted to ints once; the verifier's sorted set is the
+    only other copy.  A second set of the defenders (as a set-building
+    intake makes) reads about 185 bytes per defender.
+    """
+    path = str(tmp_path / "chain.bubbles")
+    sizes = ",".join(["100"] * 1000)
+    assert cli("gen", "--family", "clique_chain", "--sizes", sizes, "--format", "bubbles", "--output", path)[0] == 0
+    code, answer, err = cli("solve", "--input", path, "--k", "32", "--algo", "bubble")
+    assert code == 0, err
+    count = int(answer.split("\n", 1)[0][5:])
+    assert count == 31_001
+    answer_file = tmp_path / "answer.txt"
+    answer_file.write_text(answer)
+    del answer
+    tracemalloc.start()
+    try:
+        result = cli("verify", "--input", path, "--k", "32", "--defenders-file", str(answer_file))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (0, "OK\n", "")
+    assert peak <= 165 * count, peak / count
+
+
 def test_verify_rejects_invalid_compact_files_as_solve_does(tmp_path):
     """A bad bubbles file ends verify with exit 2 and the bubble solver's one-line error."""
     cases = {
@@ -340,6 +383,18 @@ def test_gen_refuses_per_vertex_output_above_the_cap():
     assert (code, out, err) == (0, f"bubbles 1\ncol 1 1\n1 {huge}\n", "")
     code, out, err = cli("gen", "--family", "clique_chain", "--sizes", "1000000,1000002", "--format", "bubbles")
     assert code == 0 and out.startswith("bubbles 2\n"), err
+
+
+def test_gen_and_bench_name_the_option_on_non_integer_sizes():
+    for argv in (
+        ("gen", "--family", "clique_chain", "--sizes", "x"),
+        ("gen", "--family", "clique_chain", "--sizes", "3,x", "--format", "bubbles"),
+        ("bench", "--family", "path", "--sizes", "x", "--k", "1"),
+        ("bench", "--family", "path", "--sizes", "10,,20", "--k", "1"),
+    ):
+        code, out, err = cli(*argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: --sizes needs comma-separated integers, got {argv[4]!r}\n", (argv, err)
 
 
 def test_gen_rejects_bad_spread():
