@@ -174,6 +174,19 @@ def linear_from_compact(cb: CompactBubbles) -> LinearBubbles:
     in a strictly higher row; with none, its own column bounds it.  Both are
     found by lagging pointers, one per adjacent column, that walk up the
     rows with the bubble.
+
+    Every structure that ``CompactBubbles`` accepts defines a valid model,
+    so the checks of ``LinearBubbles(...)`` never fail here.  Rows strictly
+    increase within a column, so a bubble's neighbors in the next column
+    are a prefix of it and those in the previous column a suffix.  So
+    ``max_nbr`` is the last vertex of a bubble and ``min_nbr`` the first
+    vertex of one, inside 1..n, and both cover the bubble's own column, and
+    so its own vertices.  Up a column the prefix grows and the suffix
+    shrinks, so neither extreme decreases.  Nor does either decrease into
+    the next column: the last bubble of column j reaches at most to the end
+    of column j+1, where every bubble of column j+1 reaches at least, and
+    starts at most at the start of column j, where every bubble of column
+    j+1 starts at least.
     """
     cols = cb.columns
     sizes = [size for col in cols for _, size in col]
@@ -193,10 +206,7 @@ def linear_from_compact(cb: CompactBubbles) -> LinearBubbles:
                 q += 1
             max_nbr.append(tops[nb + p])
             min_nbr.append(tops[pb + q] + 1)
-    try:
-        return LinearBubbles(sizes, min_nbr, max_nbr)
-    except InvalidBubbles as exc:
-        raise InvalidBubbles(f"compact structure does not define a valid graph: {exc}") from exc
+    return LinearBubbles(sizes, min_nbr, max_nbr)
 
 
 def pig_from_bubbles(cb: CompactBubbles) -> ProperIntervalGraph:

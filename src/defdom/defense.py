@@ -6,12 +6,12 @@ interval graph every closed neighborhood is a range [min_nbr(x)..max_nbr(x)]
 whose ends never decrease with x.  So ``first_undefended_attack`` decides
 every window at once by Hall's condition on consecutive sub-ranges, in
 O(n + |D|) for any k on a graph.  On a ``LinearBubbles`` it decides the same
-windows in one pass over the bubbles, in O(|B|) counted steps plus two
-bisects per bubble, so a compact file is verified without expanding it
-to n vertices.  ``defends_consecutive`` builds an actual defense of
-one attack, the rightmost monotone one, as its list of (defender, attacker)
-pairs, found by scanning attackers right to left and giving each the
-rightmost unused defender adjacent to it.
+windows in one forward pass over the bubbles, in at most 4|B| counted steps
+plus two bisects per bubble, so a compact file is verified without
+expanding it to n vertices.  ``defends_consecutive`` builds an actual
+defense of one attack, the rightmost monotone one, as its list of
+(defender, attacker) pairs, found by scanning attackers right to left and
+giving each the rightmost unused defender adjacent to it.
 ``defends_matching`` is the structure-free counterpart: a maximum bipartite
 matching on an arbitrary graph, used as an independent oracle.
 """
@@ -220,97 +220,69 @@ def _first_undefended_bubbles(
     """``first_undefended_attack`` on a bubble model, in one pass over the bubbles.
 
     Let bubble j hold vertices [s_j..e_j], with L_j = cnt(min_nbr_j - 1) and
-    R_j = cnt(max_nbr_j), one C-level bisect each.  With v(a) = L(a) - a,
-    window end b fails iff F(b) = b + max v over [c..b] >= R(b), where
-    c = max(1, b-m+1).  Since min_nbr never decreases, v(a+1) >= v(a) - 1,
-    so F never decreases.  R is fixed inside a bubble, so the failing ends
-    inside a bubble form a suffix of it, and only b = e_j needs a test.
-    Inside a bubble v falls by one per vertex, so each bubble's largest v in
-    range sits at its first vertex in range.  The bubble i holding c offers
-    L_i - c, so b + L_i - c = L_i + min(b-1, m-1); each later bubble up to j
-    offers P = L - s, so F(b) = max(L_i + min(b-1, m-1), b + top_i) with
-    top_i the largest P over bubbles (i..j].  One forward pointer tracks i.
-    A stack keeps the strict suffix maxima of P over bubbles 0..j, and its
-    head index skips the entries at or below i, so the head is top_i.
-
-    The stack never drops its dead front, so top_i for any earlier i is one
-    C-level bisect.  Inside the first failing bubble j, the ends whose c
-    lies in bubble i form a stretch that ends at e_i + m - 1, and F is
-    monotone, so the stretch holding the first failing end is found by
-    bisecting over i.  Inside that stretch F is the larger of a term that
-    grows with b until b = m and then stays fixed, and b + top_i.  So the
-    first failing end is the smaller of the first ends at which either term
-    reaches R_j, and no vertex is ever visited.
+    R_j = cnt(max_nbr_j), one C-level bisect each.  A start a in bubble i
+    and an end b >= a in bubble j fail together iff b - a < m and
+    b >= R_j - L_i + a.  So bubble i can act only if e_i >= c = s_j - m + 1
+    and L_i >= need = R_j - m + 1.  L and e never decrease, so the bubbles
+    that act form a suffix t..j, and c and need never decrease, so one
+    forward pointer tracks t.  None of them starts before c while no
+    earlier end fails: were c past s_t, the pair (c-1, s_j-1) would fail,
+    as s_j-1 + L_t - (c-1) = m-1 + L_t >= R_j.  So each bubble i of t..j
+    acts through its first vertex, at the end R_j - P_i with P = L - s,
+    and always with b - a < m, as L_i >= need and s_i >= c.  A stack keeps
+    the strict suffix maxima of P over bubbles 0..j, and its head skips
+    the entries below t, so it holds the largest P over t..j.  Bubble j
+    fails iff b = max(s_j, R_j - P_head) <= e_j, and its first failing end
+    b names the leftmost failing window.
 
     ``stats`` receives ``steps``: pointer moves, stack pushes, pops and head
-    moves, and bisection probes.  The pointer moves at most |B| - 1 times.
-    Each bubble is pushed once, popped at most once, and passed by the head
-    at most once, since the head only falls back to the stack's new end.
-    The bisection makes at most bit_length(|B|) probes.  So steps are at
-    most 4|B| + bit_length(|B|), whatever n and k are.
+    moves.  The pointer moves at most |B| times.  Each bubble is pushed
+    once, popped at most once, and passed by the head at most once, since
+    the head only falls back to the stack's new end.  So steps are at most
+    4|B|, whatever n and k are.
     """
-    n = lb.n
-    m = min(k, n)
+    m = min(k, lb.n)
     ds = sorted(set(defenders))
     starts, ends = lb.min_v, lb.max_v
     left = list(map(bisect_left, repeat(ds), lb.min_nbr))
-    right = list(map(bisect_right, repeat(ds), lb.max_nbr))
     peak = list(map(sub, left, starts))
-    floor = -n - 1  # below every P: the top of an empty range
     q: list[int] = []  # bubble indices, peak strictly decreasing
-    h = i = 0  # q's first entry above i, and the bubble holding c
-    steps = 0
+    h = t = heads = 0  # q's first entry at or above t, the first bubble that acts
     bad = None
-    for j, (p, e, r) in enumerate(zip(peak, ends, right)):
+    for j, (p, s, e, r) in enumerate(zip(peak, starts, ends, map(bisect_right, repeat(ds), lb.max_nbr))):
         while q and peak[q[-1]] <= p:
             q.pop()
         if h > len(q):
             h = len(q)
         q.append(j)
-        c = e - m + 1
-        while ends[i] < c:
-            i += 1
-        while h < len(q) and q[h] <= i:
-            h += 1
-            steps += 1
-        if left[i] + (m - 1 if c > 0 else e - 1) < r and e + (peak[q[h]] if h < len(q) else floor) < r:
+        c, need = s - m + 1, r - m + 1
+        while t <= j and (ends[t] < c or left[t] < need):
+            t += 1
+        if t > j:
             continue
-        # The first failing end lies in bubble j.  Bisect the bubbles holding
-        # its c: a bubble mid below i holds c for the ends up to e_mid + m - 1.
-        lo, hi = bisect_left(ends, starts[j] - m + 1), i
-        while lo < hi:
-            mid = (lo + hi) // 2
-            t = bisect_right(q, mid)
-            b = ends[mid] + m - 1
-            if left[mid] + m - 1 >= r or b + (peak[q[t]] if t < len(q) else floor) >= r:
-                hi = mid
-            else:
-                lo = mid + 1
-            steps += 1
-        # In bubble lo's stretch, the first end with b + top_lo >= r, or with
-        # L_lo + min(b-1, m-1) >= r where that term can reach r at all.
-        t = bisect_right(q, lo)
-        b = r - (peak[q[t]] if t < len(q) else floor)
-        if r - left[lo] < m:
-            b = min(b, r - left[lo] + 1)
-        b = max(b, starts[j], ends[lo - 1] + m if lo else 1)
-        s = max(1, b - m + 1)
-        bad = Attack(s, s + m - 1)
-        break
+        while q[h] < t:  # stops at j, the last entry
+            h += 1
+            heads += 1
+        b = r - peak[q[h]]
+        if b <= e:
+            s = max(1, max(b, s) - m + 1)
+            bad = Attack(s, s + m - 1)
+            break
     if stats is not None:
-        # The pointer advanced i times from 0, and of the j+1 pushed bubbles
+        # The pointer advanced t times from 0, and of the j+1 pushed bubbles
         # those not on the stack were popped once each.
-        stats.update(steps=steps + i + 2 * (j + 1) - len(q))
+        stats.update(steps=heads + t + 2 * (j + 1) - len(q))
     return bad
 
 
-def is_k_defensive(g: ProperIntervalGraph, defenders: Iterable[int], k: int) -> bool:
+def is_k_defensive(g: ProperIntervalGraph | LinearBubbles, defenders: Iterable[int], k: int) -> bool:
     """True when the defenders handle every attack of at most k vertices.
 
     Only full-width consecutive windows are checked: defending an attack
     also defends each of its subsets, and every smaller consecutive attack
     sits inside some window.  Each window is decided by Hall's condition on
     its consecutive sub-ranges (see ``first_undefended_attack``), in
-    O(n + |D|) for any k.
+    O(n + |D|) for any k on a graph and in O(|B|) counted steps plus two
+    bisects per bubble on a bubble model.
     """
     return first_undefended_attack(g, defenders, k) is None

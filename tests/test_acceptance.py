@@ -208,8 +208,8 @@ def test_criterion_4_complexity_instrumentation():
     most 2n in all; the pointer passes each defender once and each recruit
     makes at most one suffix add, at most |D| in all.  So the steps are at
     most 2n + |D|, and c = 2.  Part (e) bounds the bubble-model verifier's
-    steps by 4|B| + bit_length(|B|), as derived in
-    ``defense._first_undefended_bubbles``: no term grows with n.
+    steps by 4|B|, as derived in ``defense._first_undefended_bubbles``:
+    no term grows with n.
     """
     import math
 
@@ -278,10 +278,10 @@ def test_criterion_4_complexity_instrumentation():
             ratio = stats["steps"] / (g.n + len(ds))
             assert ratio <= 2.0, (fam, kk, stats)
             verify_ratio = max(verify_ratio, ratio)
-            # (e) the bubble-model verifier's work is 4|B| + bit_length(|B|)
-            # at most, on the pass that runs to the end and on one that stops
+            # (e) the bubble-model verifier's work is 4|B| at most, on the
+            # pass that runs to the end and on one that stops
             lb = bubbles_from_pig(g)
-            bound = 4 * lb.count + lb.count.bit_length()
+            bound = 4 * lb.count
             for defenders, want_ok in ((ds, True), (ds[1:], False)):
                 stats = {}
                 assert (first_undefended_attack(lb, defenders, kk, stats=stats) is None) == want_ok, (fam, kk)
@@ -295,7 +295,7 @@ def test_criterion_4_complexity_instrumentation():
             stats = {}
             assert (first_undefended_attack(lb, [1], kk, stats=stats) is None) == (kk == 1)
             twin_steps.add(stats["steps"])
-    assert max(twin_steps) <= 4 * 1 + (1).bit_length(), twin_steps
+    assert max(twin_steps) <= 4 * 1, twin_steps
 
     # CPU time within 2x of a through-origin linear fit, per algorithm and
     # family: the fit checks growth across the three decades of n, leaving

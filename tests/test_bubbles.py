@@ -1,6 +1,7 @@
 import re
 import time
 import tracemalloc
+from itertools import combinations, product
 
 import pytest
 
@@ -231,6 +232,25 @@ def test_bubbles_from_pig_matches_validating_constructor():
     for g in graphs:
         lb = bubbles_from_pig(g)
         assert _fields(lb) == _fields(LinearBubbles(lb.sizes, lb.min_nbr, lb.max_nbr)), g
+
+
+def test_linear_from_compact_accepts_every_structure():
+    """Every structure of at most 3 columns, rows in 1..3 and bubble sizes 1-2
+    passes the model's checks, and the model expands to the graph of the
+    adjacency rule."""
+    column = [
+        tuple(zip(rows, sizes))
+        for r in range(1, 4)
+        for rows in combinations(range(1, 4), r)
+        for sizes in product((1, 2), repeat=r)
+    ]
+    checked = 0
+    for width in (1, 2, 3):
+        for columns in product(column, repeat=width):
+            cb = CompactBubbles(columns)
+            assert linear_from_compact(cb).to_graph() == pig_from_bubbles(cb), cb
+            checked += 1
+    assert checked == 18_278
 
 
 def test_roundtrip_twin_aligned():

@@ -4,6 +4,8 @@ import pytest
 
 from defdom import (
     Attack,
+    CompactBubbles,
+    LinearBubbles,
     ProperIntervalGraph,
     SplitMix64,
     bubbles_from_pig,
@@ -125,7 +127,7 @@ def test_hall_verifier_matches_scan_exhaustive():
                     assert first_undefended_attack(g, ds, k) == want, (maxn, ds, k)
                     stats = {}
                     assert first_undefended_attack(lb, ds, k, stats=stats) == want, (maxn, ds, k)
-                    assert stats["steps"] <= 4 * lb.count + lb.count.bit_length(), (maxn, ds, k, stats)
+                    assert stats["steps"] <= 4 * lb.count, (maxn, ds, k, stats)
                     checked += 1
     assert checked == 68_508
 
@@ -163,7 +165,7 @@ def test_bubble_verifier_matches_vertex_pass_on_compact_models():
             for ds in sets:
                 stats = {}
                 assert first_undefended_attack(lb, ds, k, stats=stats) == first_undefended_attack(g, ds, k), (cb, ds, k)
-                assert stats["steps"] <= 4 * lb.count + lb.count.bit_length(), (cb, ds, k, stats)
+                assert stats["steps"] <= 4 * lb.count, (cb, ds, k, stats)
             assert first_undefended_attack(lb, answer, k) is None
             assert first_undefended_attack(lb, sets[2], k) is not None
         models += 1
@@ -231,20 +233,50 @@ def test_hall_verifier_exact_steps():
         assert stats == dict(steps=want_steps), (g.maxn, ds, k, stats)
 
 
+def test_bubble_verifier_exact_steps():
+    """The Attack and the exact step count of a few fixed bubble-model runs.
+
+    In ``model`` with k = 4 and defenders 2..5, the pointer stops at bubble
+    2 for the last bubble, and bubble 3 decides from the stack's head, its
+    P = -4 above bubble 2's -5.  In ``edge`` the pointer's own bubble 0
+    decides for bubble 1.  The 10^15 twins take the same steps as 10 would.
+    """
+    model = LinearBubbles([2, 3, 2, 2], [1, 1, 3, 6], [5, 7, 9, 9])
+    edge = LinearBubbles([1, 1, 1], [1, 1, 3], [2, 2, 3])  # an edge split in two, then a lone vertex
+    twins = linear_from_compact(CompactBubbles([[(1, 10**15)]]))
+    runs = (
+        (model, [4, 5, 6, 7], 4, None, 10),
+        (model, [2, 3, 4, 5], 4, Attack(5, 8), 9),
+        (edge, [2], 3, Attack(1, 3), 2),
+        (twins, [1], 1, None, 2),
+        (twins, [1], 2, Attack(1, 2), 1),
+        (twins, [1], 10**15, Attack(1, 10**15), 1),
+    )
+    for lb, ds, k, want, want_steps in runs:
+        stats = {}
+        assert first_undefended_attack(lb, ds, k, stats=stats) == want, (lb, ds, k)
+        assert stats == dict(steps=want_steps), (lb, ds, k, stats)
+        if lb.n < 100:
+            assert scan_first_undefended(lb.to_graph(), ds, k) == want, (lb, ds, k)
+
+
 def test_hall_verifier_input_forms():
-    """Duplicates, out-of-range vertices and one-shot iterators read as the scan reads them."""
+    """Duplicates, out-of-range vertices and one-shot iterators read as the scan
+    reads them, on the graph and on its bubble model."""
     rng = SplitMix64(707)
     for _ in range(300):
         n = 1 + rng.below(30)
         g = random_graph(rng, n, seed_tag=7)
         n = g.n
+        lb = bubbles_from_pig(g)
         ds = random_subset(rng, n)
         noisy = ds + ds[: rng.below(len(ds) + 1)] + [0, -3, n + 1, n + 7][: rng.below(5)]
         for k in (1 + rng.below(n), n + 2):
             want = scan_first_undefended(g, noisy, k)
             assert want == scan_first_undefended(g, ds, k)
-            assert first_undefended_attack(g, noisy, k) == want, (g.maxn, noisy, k)
-            assert first_undefended_attack(g, iter(noisy), k) == want, (g.maxn, noisy, k)
+            for model in (g, lb):
+                assert first_undefended_attack(model, noisy, k) == want, (g.maxn, noisy, k)
+                assert first_undefended_attack(model, iter(noisy), k) == want, (g.maxn, noisy, k)
     with pytest.raises(ValueError):
         first_undefended_attack(p3(), [1, 2, 3], 0)
 
