@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, islice
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Sequence
 
 from .errors import InvalidBubbles, InvalidRanges, TooLarge
@@ -55,7 +55,7 @@ class CompactBubbles:
             entries = []
             prev_row = 0  # below every row, so the first is checked against 1 alone
             for r, s in col:
-                row, size = int(r), int(s)
+                row, size = index(r), index(s)
                 if size <= 0:
                     raise InvalidBubbles(f"column {j} stores an empty bubble at row {row}")
                 if row <= prev_row:
@@ -89,7 +89,7 @@ class LinearBubbles:
     __slots__ = ("sizes", "min_v", "max_v", "min_nbr", "max_nbr", "reach", "count", "n")
 
     def __init__(self, sizes, min_nbr, max_nbr):
-        sizes, min_nbr, max_nbr = tuple(map(int, sizes)), tuple(map(int, min_nbr)), tuple(map(int, max_nbr))
+        sizes, min_nbr, max_nbr = tuple(map(index, sizes)), tuple(map(index, min_nbr)), tuple(map(index, max_nbr))
         if not sizes:
             raise InvalidBubbles("need at least one bubble")
         if not (len(sizes) == len(min_nbr) == len(max_nbr)):

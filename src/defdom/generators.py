@@ -7,6 +7,7 @@ All randomness comes from an embedded splitmix64 generator so that identical
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 
 from .bubbles import CompactBubbles
 from .errors import BadParameters
@@ -43,7 +44,7 @@ class SplitMix64:
 
 
 def _clique_chain_maxn(sizes):
-    sizes = [int(c) for c in sizes]
+    sizes = list(map(index, sizes))
     if not sizes:
         raise BadParameters("clique chain needs at least one clique")
     if any(c < 1 for c in sizes):
@@ -161,7 +162,7 @@ def compact_for_family(family: str, n: int | None = None, sizes=None) -> Compact
     if family == "clique_chain":
         if not sizes:
             raise BadParameters("clique_chain needs a list of clique sizes")
-        sizes = [int(c) for c in sizes]
+        sizes = list(map(index, sizes))
         if len(sizes) == 1:
             return CompactBubbles([[(1, sizes[0])]])
         if any(c < 2 for c in sizes):

@@ -20,18 +20,19 @@ on just those six, and by the ``_TOKEN`` regex on any other file.
 
 Interval endpoints are read as integer pairs (num, den), with no Fraction
 per token, and put on one common scale: each becomes num * (L / den) for
-L = lcm of all the denominators (``defdom.pig.common_scale``).  Scaling by
-one positive integer keeps every comparison between endpoints, so the graph
-is exactly the one the rationals define.  Should L pass ``SCALE_BITS`` bits,
-the endpoints are made Fractions instead, equally exact.
+L = lcm of all the denominators (``defdom.pig.on_common_scale``).  Scaling
+by one positive integer keeps every comparison between endpoints, so the
+graph is exactly the one the rationals define.  Should L pass ``SCALE_BITS``
+bits, the endpoints are made Fractions instead, equally exact.
 
-The tokens of a ``pig`` or ``intervals`` payload are converted in bulk: all
-n (or 2n) of them in one pass, with no ``_Reader`` method call and no message
-built per token.  Should any token be refused, or the file end first, the
-per-token loop runs instead and names the first bad token; it is the only
-code that builds a diagnostic, so every accepted form (``+1``, ``1_0``,
-non-ASCII digits, ``1/``, ``1/-2``), every message and every byte offset is
-the same either way.
+The payload tokens of every format are converted in bulk: all of them in one
+pass, with no ``_Reader`` method call and no message built per token, and
+the bulk pass accepts every form the grammar does (``+1``, ``1_0``,
+non-ASCII digits, ``1/``, ``1/-2``, a negative bubble count as none).
+Should any token be refused, or the file end first, the per-token loop runs
+instead only to name the first bad token; it is the only code that builds a
+diagnostic, so every message and every byte offset is the one the grammar
+read token by token gives.
 
 Parse failures raise FormatError carrying the byte offset of the offending
 token.
@@ -42,11 +43,11 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from operator import floordiv, gt, mul
+from operator import gt
 
 from .bubbles import CompactBubbles
 from .errors import FormatError
-from .pig import ProperIntervalGraph, common_scale
+from .pig import ProperIntervalGraph, on_common_scale
 
 #: Tokens split on exactly ASCII whitespace, as a bytes ``\S+`` would;
 #: ``str.split()`` would also split on NBSP, ``\x1c``-``\x1f``, U+2028 and more.
@@ -117,16 +118,19 @@ class _Reader:
             else:
                 self.i = stop
                 return out
-        return [self.integer(what(t)) for t in range(count)]
+        for t in range(count):
+            self.integer(what(t))
+        raise AssertionError("the bulk pass refused no integer")
 
     def rationals(self, count, what):
-        """The next ``count`` tokens as two lists, numerators and denominators > 0, not reduced.
+        """The next ``count`` tokens as two lists, numerators and nonzero denominators, not reduced.
 
         One pass splits the tokens at their first ``/``, with no method call
         or message per token; each distinct denominator text is converted
-        once, so equal denominators share one int.  A refused token, a zero
-        or negative denominator, or a file that ends first sends the read
-        back to the per-token ``rational`` loop, as ``integers`` does.
+        once, so equal denominators share one int, and a negative one keeps
+        its sign (``on_common_scale`` takes either).  A refused token, a zero
+        denominator, or a file that ends first sends the read back to the
+        per-token ``rational`` loop, as ``integers`` does.
         """
         stop = self.i + count
         if stop <= len(self.tokens):
@@ -139,33 +143,31 @@ class _Reader:
             except ValueError:
                 pass
             else:
-                if min(den_of.values(), default=1) > 0:
+                if 0 not in den_of.values():
                     self.i = stop
                     return nums, dens
-        nums, dens = [], []
         for t in range(count):
-            num, den = self.rational(what(t))
-            nums.append(num)
-            dens.append(den)
-        return nums, dens
+            self.rational(what(t))
+        raise AssertionError("the bulk pass refused no rational")
 
     def columns(self, count):
         """The next ``count`` bubble columns, ``col j cnt`` then cnt (row, size) pairs.
 
         The ``col j cnt`` headers are walked first; then every (row, size)
         token is converted in one bulk ``map(int, ...)``, with no method call
-        per token, and the ints are cut into columns by ``islice``.  A wrong
-        ``col j`` header, a token ``int`` refuses, a negative count or a file
-        that ends first sends the read back to the per-token loop, which
-        names the first bad token.
+        per token, and the ints are cut into columns by ``islice``.  A
+        negative count is read as no bubbles, as the grammar reads it, and
+        ``CompactBubbles`` names the empty column.  A wrong ``col j`` header,
+        a token ``int`` refuses or a file that ends first sends the read back
+        to the per-token loop, which names the first bad token.
         """
         tokens, i, spans = self.tokens, self.i, []
         try:
             for j in range(1, count + 1):
                 if tokens[i] != "col" or int(tokens[i + 1]) != j:
                     raise ValueError
-                stop = i + 3 + 2 * int(tokens[i + 2])
-                if not i + 3 <= stop <= len(tokens):
+                stop = i + 3 + 2 * max(0, int(tokens[i + 2]))
+                if stop > len(tokens):
                     raise ValueError
                 spans.append(slice(i + 3, stop))
                 i = stop
@@ -179,28 +181,26 @@ class _Reader:
                 pairs = itertools.islice(values, span.stop - span.start)
                 out.append(list(zip(pairs, pairs)))
             return out
-        out = []
         for j in range(1, count + 1):
             self.word("col")
             got = self.integer("column index")
             if got != j:
                 raise self.error(self.i - 1, f"expected column {j}, got {got}")
-            cnt = self.integer("bubble count")
-            out.append([(self.integer("row"), self.integer("size")) for _ in range(cnt)])
-        return out
+            for _ in range(self.integer("bubble count")):
+                self.integer("row")
+                self.integer("size")
+        raise AssertionError("the bulk pass refused no column")
 
     def rational(self, what):
-        """The next token as an integer pair (num, den) with den > 0, not reduced."""
+        """Check the next token is a rational ``num``, ``num/`` or ``num/den`` with den != 0."""
         text = self.next(what)
         num, _, den = text.partition("/")
         try:
-            num, den = int(num), int(den or 1)
+            int(num)
+            if int(den or 1):
+                return
         except ValueError:
-            den = 0  # reported just as a zero denominator is
-        if den > 0:
-            return num, den
-        if den < 0:
-            return -num, -den
+            pass  # reported just as a zero denominator is
         raise self.error(self.i - 1, f"expected rational {what}, got '{text}'")
 
     def done(self):
@@ -235,11 +235,7 @@ def parse_instance(data: bytes):
         # token 2j - 2 of the payload is interval j's left endpoint, 2j - 1 its right one
         nums, dens = rd.rationals(2 * n, lambda t: f"{('left', 'right')[t % 2]} endpoint {t // 2 + 1}")
         rd.done()
-        scale = common_scale(set(dens))
-        if scale is None:
-            ends = list(map(Fraction, nums, dens))
-        else:
-            ends = list(map(mul, nums, map(floordiv, itertools.repeat(scale), dens)))
+        ends = on_common_scale(nums, dens)
         del nums, dens
         above = map(gt, itertools.islice(ends, 0, None, 2), itertools.islice(ends, 1, None, 2))
         for j in itertools.compress(itertools.count(1), above):

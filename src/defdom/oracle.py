@@ -17,19 +17,19 @@ MINIMUM_CAP = 12
 
 
 def is_k_defensive_bruteforce(n, adjacency, defenders, k):
-    """Check every attack of at most k vertices by maximum matching."""
+    """Check every attack of exactly min(k, n) vertices by maximum matching.
+
+    That covers the attacks of at most k vertices on any graph: a defense
+    of an attack, restricted to a subset of it, defends the subset, and
+    every smaller attack lies inside one of exactly min(k, n) vertices.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     if n > DEFENSIVE_CAP:
         raise TooLarge(n, DEFENSIVE_CAP)
     nbr = _neighbor_map(adjacency)
     dset = set(defenders)
-    vertices = range(1, n + 1)
-    for a_size in range(1, min(k, n) + 1):
-        for attack in combinations(vertices, a_size):
-            if not defends_matching(nbr, dset, attack):
-                return False
-    return True
+    return all(defends_matching(nbr, dset, attack) for attack in combinations(range(1, n + 1), min(k, n)))
 
 
 def min_defensive_bruteforce(n, adjacency, k):

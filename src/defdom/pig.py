@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, repeat
 from math import lcm
-from operator import lt
+from operator import floordiv, index, lt, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidRanges, ProperViolation
@@ -38,7 +38,7 @@ SCALE_BITS = 256
 
 
 def common_scale(dens: Iterable[int]) -> Optional[int]:
-    """The lcm of positive denominators, or None once it passes SCALE_BITS bits.
+    """The positive lcm of nonzero denominators, or None once it passes SCALE_BITS bits.
 
     The lcm is folded in lazily, only for a denominator that does not
     already divide it, and the fold stops at the first step over budget:
@@ -52,6 +52,16 @@ def common_scale(dens: Iterable[int]) -> Optional[int]:
             if scale.bit_length() > SCALE_BITS:
                 return None
     return scale
+
+
+def on_common_scale(nums: Sequence[int], dens: Sequence[int]) -> list:
+    """The rationals ``nums[i] / dens[i]`` (nonzero denominators of either
+    sign, not reduced) as ints on the common scale of ``common_scale``, each
+    num * (L / den), or as Fractions past its budget."""
+    scale = common_scale(set(dens))
+    if scale is None:
+        return list(map(Fraction, nums, dens))
+    return list(map(mul, nums, map(floordiv, repeat(scale), dens)))
 
 
 def _name_violation(ends: list) -> None:
@@ -70,36 +80,24 @@ def _name_violation(ends: list) -> None:
 
 def _scaled_ends(entries) -> list:
     """The endpoints as one flat list, left, right, left, ..., as ints on the
-    common scale of ``common_scale``, or as Fractions past its budget.
+    common scale of ``on_common_scale``, or as Fractions past its budget.
 
-    Entries of two plain ints in order, as ``defdom.io`` builds them, are
-    kept as they are (scale 1).  From the first other entry on, each endpoint
-    goes through the per-endpoint loop, which converts floats exactly and
-    names the first reversed interval.
+    Plain ints, as ``defdom.io`` builds them, are kept as they are (scale 1);
+    an entry holding anything else is converted exactly, floats included, and
+    then the whole list goes through ``on_common_scale``.
     """
     ends = []
-    entries = iter(entries)
+    exact = True  # every endpoint so far a plain int
     for left, right in entries:
-        if type(left) is not int or type(right) is not int or left > right:
-            entries = chain([(left, right)], entries)
-            break
-        ends.append(left)
-        ends.append(right)
-    else:
-        return ends
-    for idx, (left, right) in enumerate(entries, start=len(ends) // 2):
-        if not isinstance(left, (int, Fraction)):
-            left = Fraction(left)
-        if not isinstance(right, (int, Fraction)):
-            right = Fraction(right)
+        if type(left) is not int or type(right) is not int:
+            left, right, exact = Fraction(left), Fraction(right), False
         if left > right:
-            raise ValueError(f"interval {idx + 1} has left endpoint above right endpoint")
+            raise ValueError(f"interval {len(ends) // 2 + 1} has left endpoint above right endpoint")
         ends.append(left)
         ends.append(right)
-    scale = common_scale(x.denominator for x in ends)
-    if scale is not None and scale != 1:
-        ends = [x.numerator * (scale // x.denominator) for x in ends]
-    return ends
+    if exact:
+        return ends
+    return on_common_scale([x.numerator for x in ends], [x.denominator for x in ends])
 
 
 class ProperIntervalGraph:
@@ -108,7 +106,7 @@ class ProperIntervalGraph:
     __slots__ = ("n", "_maxn", "_minn")
 
     def __init__(self, maxn: Sequence[int]):
-        maxn = tuple(map(int, maxn))
+        maxn = tuple(map(index, maxn))
         n = len(maxn)
         if n == 0:
             raise InvalidRanges("graph needs at least one vertex")
@@ -143,19 +141,22 @@ class ProperIntervalGraph:
         """The graph whose ``maxn`` holds ``values[r]`` for ``sizes[r]``
         consecutive vertices, built with Python work per run only.
 
-        ``__init__``'s three checks are made once per run: the value is at
-        least the run's last vertex, at most n, and not below the previous
-        value.  ``min_nbr`` takes one pointer over the runs: the vertices in
+        A run of no or negative length holds no vertex and is skipped, so n
+        is the sum of the other sizes.  ``__init__``'s three checks are made
+        once per other run: the value is at least the run's last vertex and
+        not below the previous value, and the last value, the largest, is at
+        most n.  ``min_nbr`` takes one pointer over the runs: the vertices in
         (previous top, m] get the first vertex of the run whose value m first
-        reaches them.  The two sequences have one entry per run.  Empty
-        input, a run of no vertices, or any failed check goes to ``cls`` on
-        the expanded sequence, so every error is ``__init__``'s, word for word.
+        reaches them.  The two sequences hold one int per run.  On empty
+        input or a failed check, ``cls`` runs on the expanded sequence only
+        to raise its error, so every error is ``__init__``'s, word for word.
         """
-        n = sum(sizes)
         end = top = 0
         starts, widths = [], []  # min_nbr as runs
         for s, m in zip(sizes, values):
-            if s <= 0 or m < end + s or m > n or m < top:
+            if s <= 0:
+                continue
+            if m < end + s or m < top:
                 break
             if m > top:
                 starts.append(end + 1)
@@ -163,13 +164,14 @@ class ProperIntervalGraph:
                 top = m
             end += s
         else:
-            if n:
+            if 0 < end and top <= end:
                 g = cls.__new__(cls)
-                g.n = n
-                g._maxn = tuple(chain((0,), chain.from_iterable(map(repeat, values, sizes))))
+                g.n = end
+                g._maxn = tuple(chain((0,), chain.from_iterable(map(repeat, map(index, values), sizes))))
                 g._minn = tuple(chain((0,), chain.from_iterable(map(repeat, starts, widths))))
                 return g
-        return cls(list(chain.from_iterable(map(repeat, values, sizes))))
+        cls(list(chain.from_iterable(map(repeat, values, sizes))))
+        raise AssertionError("the per-run checks refused a valid maxn")
 
     @classmethod
     def from_intervals(cls, entries: Iterable) -> "ProperIntervalGraph":
@@ -181,7 +183,7 @@ class ProperIntervalGraph:
         endpoints count as adjacent.  Raises ProperViolation, reporting the
         1-based input positions, if one interval properly contains another.
 
-        Endpoints are compared on the common scale of ``common_scale``;
+        Endpoints are compared on the common scale of ``on_common_scale``;
         when they are all ints already (L = 1) they are used as they are,
         with no conversion and no fold.
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Optional
 
 from defdom import (
@@ -14,6 +15,7 @@ from defdom import (
     ProperViolation,
     SplitMix64,
     defends_consecutive,
+    defends_matching,
     gen_random_unit_intervals,
 )
 from defdom.io import _Reader
@@ -168,6 +170,15 @@ def scan_greedy(
         stats.update(defense_steps=steps, additions=len(result))
     result.sort()
     return result
+
+
+def reference_is_k_defensive(n, adjacency, defenders, k) -> bool:
+    """Reference k-defense check: every attack of each size 1..min(k, n), by maximum matching."""
+    return all(
+        defends_matching(adjacency, defenders, attack)
+        for size in range(1, min(k, n) + 1)
+        for attack in combinations(range(1, n + 1), size)
+    )
 
 
 def all_maxn(n: int):

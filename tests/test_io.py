@@ -2,6 +2,7 @@ import io
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -255,22 +256,22 @@ def _parse_graph(data):
     return parse_instance(data)[1]
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "intervals 2\n0 1\n1 2\n",  # touching
-        "intervals 3\n0 1\n0/5 2/2\n1 2\n",  # equal, unreduced
-        "intervals 2\n0 3\n1 2\n",  # nested
-        "intervals 2\n1/-2 1\n-1/2 1/1\n",  # negative denominator, equal
-        "intervals 2\n1/ 2\n1_0 +12\n",  # '1/' is 1; digit separators and a plus sign
-        "intervals 1\n\u0661 \u0662\n",  # non-ASCII digits
-        "intervals 2\n0 1\n3/2 1\n",  # reversed, at interval 2's left endpoint
-        "intervals 2\n0 1/0\n1 2\n",  # zero denominator
-        "intervals 2\n0 1\n1 2 3\n",  # trailing token
-        "intervals 2\n0 1\n1\n",  # truncated
-        f"intervals 2\n0 1/{2**255}\n1/{2**256} 1\n",  # L above the budget
-    ],
-)
+INTERVALS_TEXTS = [
+    "intervals 2\n0 1\n1 2\n",  # touching
+    "intervals 3\n0 1\n0/5 2/2\n1 2\n",  # equal, unreduced
+    "intervals 2\n0 3\n1 2\n",  # nested
+    "intervals 2\n1/-2 1\n-1/2 1/1\n",  # negative denominator, equal
+    "intervals 2\n1/ 2\n1_0 +12\n",  # '1/' is 1; digit separators and a plus sign
+    "intervals 1\n\u0661 \u0662\n",  # non-ASCII digits
+    "intervals 2\n0 1\n3/2 1\n",  # reversed, at interval 2's left endpoint
+    "intervals 2\n0 1/0\n1 2\n",  # zero denominator
+    "intervals 2\n0 1\n1 2 3\n",  # trailing token
+    "intervals 2\n0 1\n1\n",  # truncated
+    f"intervals 2\n0 1/{2**255}\n1/{2**256} 1\n",  # L above the budget
+]
+
+
+@pytest.mark.parametrize("text", INTERVALS_TEXTS)
 def test_intervals_match_fraction_reference(text):
     data = text.encode()
     assert outcome(_parse_graph, data) == outcome(reference_parse_intervals, data)
@@ -313,19 +314,19 @@ def pig_file(draw) -> bytes:
     return f"pig {count}\nmaxn {sep.join(tokens)}\n".encode()
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "pig 10\nmaxn +2 3 4 5 6 7 8 9 1_0 10\n",  # a plus sign and a digit separator
-        "pig 2\nmaxn \u0662 \u0662\n",  # non-ASCII digits
-        "pig 3\nmaxn x 3 3\n",  # a bad token first,
-        "pig 3\nmaxn 2 x 3\n",  # in the middle
-        "pig 3\nmaxn 2 3 x\n",  # and last
-        "pig 3\nmaxn 9 x 3\n",  # a token the range check refuses, then one int refuses
-        "pig 4\nmaxn 2 3 3\n",  # the count above the number of tokens
-        "pig 3\nmaxn 2 3 1\n",  # a decreasing sequence
-    ],
-)
+PIG_TEXTS = [
+    "pig 10\nmaxn +2 3 4 5 6 7 8 9 1_0 10\n",  # a plus sign and a digit separator
+    "pig 2\nmaxn \u0662 \u0662\n",  # non-ASCII digits
+    "pig 3\nmaxn x 3 3\n",  # a bad token first,
+    "pig 3\nmaxn 2 x 3\n",  # in the middle
+    "pig 3\nmaxn 2 3 x\n",  # and last
+    "pig 3\nmaxn 9 x 3\n",  # a token the range check refuses, then one int refuses
+    "pig 4\nmaxn 2 3 3\n",  # the count above the number of tokens
+    "pig 3\nmaxn 2 3 1\n",  # a decreasing sequence
+]
+
+
+@pytest.mark.parametrize("text", PIG_TEXTS)
 def test_pig_match_per_token_reference(text):
     data = text.encode()
     assert outcome(_parse_graph, data) == outcome(reference_parse_pig, data)
@@ -370,23 +371,23 @@ def _parse_bubbles(data):
     return payload
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "bubbles 2\ncol 1 2\n1 3\n2 +4\ncol 2 1\n1 1_0\n",  # a plus sign and a digit separator
-        "bubbles 2\ncol 1 1\n1 x\ncol 2 1\n1 1\n",  # a bad size in the first column
-        "bubbles 2\ncol 1 1\n1 1\ncol 2 1\ny 1\n",  # a bad row in the last
-        "bubbles 2\ncol 1 1\n1 1\ncol 3 1\n1 1\n",  # a wrong column index
-        "bubbles 2\ncol 1 1\n1 1\nrow 2 1\n1 1\n",  # a wrong column header
-        "bubbles 2\ncol 1 -1\ncol 2 1\n1 1\n",  # a negative bubble count,
-        "bubbles 1\ncol 1 -1\n",  # in the last column
-        "bubbles 1\ncol 1 0\n",  # an empty column
-        "bubbles 1\ncol 1 3\n1 1\n",  # a bubble count above the tokens
-        "bubbles 3\ncol 1 1\n1 1\n",  # a column count above the columns
-        "bubbles 1\ncol 1 1\n1 1\ncol 2 1\n1 1\n",  # a column count below them
-        "bubbles 1\ncol 1 2\n2 1\n1 1\n",  # rows out of order
-    ],
-)
+BUBBLES_TEXTS = [
+    "bubbles 2\ncol 1 2\n1 3\n2 +4\ncol 2 1\n1 1_0\n",  # a plus sign and a digit separator
+    "bubbles 2\ncol 1 1\n1 x\ncol 2 1\n1 1\n",  # a bad size in the first column
+    "bubbles 2\ncol 1 1\n1 1\ncol 2 1\ny 1\n",  # a bad row in the last
+    "bubbles 2\ncol 1 1\n1 1\ncol 3 1\n1 1\n",  # a wrong column index
+    "bubbles 2\ncol 1 1\n1 1\nrow 2 1\n1 1\n",  # a wrong column header
+    "bubbles 2\ncol 1 -1\ncol 2 1\n1 1\n",  # a negative bubble count,
+    "bubbles 1\ncol 1 -1\n",  # in the last column
+    "bubbles 1\ncol 1 0\n",  # an empty column
+    "bubbles 1\ncol 1 3\n1 1\n",  # a bubble count above the tokens
+    "bubbles 3\ncol 1 1\n1 1\n",  # a column count above the columns
+    "bubbles 1\ncol 1 1\n1 1\ncol 2 1\n1 1\n",  # a column count below them
+    "bubbles 1\ncol 1 2\n2 1\n1 1\n",  # rows out of order
+]
+
+
+@pytest.mark.parametrize("text", BUBBLES_TEXTS)
 def test_bubbles_match_per_token_reference(text):
     data = text.encode()
     assert outcome(_parse_bubbles, data) == outcome(reference_parse_bubbles, data)
@@ -397,6 +398,46 @@ def test_bubbles_match_per_token_reference(text):
 def test_bubbles_differential_against_per_token_reference(data):
     """Same columns, or the same error class, message and byte offset, as one ``integer`` call per token."""
     assert outcome(_parse_bubbles, data) == outcome(reference_parse_bubbles, data)
+
+
+def _reader_calls(data):
+    """``parse_instance``'s outcome on ``data``, and the ``_Reader.integer``,
+    ``rational`` and ``done`` calls it made, in order."""
+    calls = []
+
+    def spy(name):
+        real = getattr(_Reader, name)
+
+        def call(self, *args):
+            calls.append(name)
+            return real(self, *args)
+
+        return patch.object(_Reader, name, call)
+
+    with spy("integer"), spy("rational"), spy("done"):
+        got = outcome(parse_instance, data)
+    return got, calls
+
+
+def _assert_one_accepting_path(data):
+    """A payload the reader takes is read by the bulk pass alone: the only
+    ``integer`` call is the header count's, and ``rational`` is never called."""
+    got, calls = _reader_calls(data)
+    if "done" in calls:
+        assert calls == ["integer", "done"], (data, got, calls)
+    else:  # the reader refused the payload, by the per-token loop's diagnostic
+        assert got[0] is FormatError, (data, got, calls)
+
+
+@pytest.mark.parametrize("text", PIG_TEXTS + INTERVALS_TEXTS + BUBBLES_TEXTS)
+def test_bulk_pass_reads_every_accepted_payload(text):
+    _assert_one_accepting_path(text.encode())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(st.one_of(pig_file(), intervals_file(), bubbles_file()))
+def test_bulk_pass_reads_every_accepted_payload_in_the_corpora(data):
+    _assert_one_accepting_path(data)
 
 
 def _shifted_family(dens, nest_at=None) -> bytes:

@@ -1,15 +1,17 @@
-from itertools import combinations
+from itertools import combinations, compress, product
 
 import pytest
 
 from defdom import (
+    ProperIntervalGraph,
     SplitMix64,
     TooLarge,
     is_k_defensive,
     is_k_defensive_bruteforce,
     min_defensive_bruteforce,
 )
-from helpers import p3, p5, k4, random_graph
+from defdom.defense import _neighbor_map
+from helpers import all_maxn, k4, p3, p5, random_graph, reference_is_k_defensive
 
 
 def test_examples():
@@ -73,3 +75,22 @@ def test_supersets_stay_defensive():
                 if extra in base:
                     continue
                 assert verdict[tuple(sorted(base + (extra,)))], (g.maxn, k, base, extra)
+
+
+def test_exact_size_attacks_agree_with_every_size():
+    """Attacks of exactly min(k, n) vertices decide what attacks of every size
+    up to k do: every proper interval graph with n <= 6 and every graph on 4
+    vertices, every defender subset, every k up to n."""
+    graphs = [(g.n, g.edges()) for n in range(1, 7) for g in map(ProperIntervalGraph, all_maxn(n))]
+    pairs = list(combinations(range(1, 5), 2))
+    graphs += [(4, list(compress(pairs, bits))) for bits in product((0, 1), repeat=len(pairs))]
+    cases = 0
+    for n, edges in graphs:
+        nbr = _neighbor_map(edges)
+        for size in range(n + 1):
+            for defenders in combinations(range(1, n + 1), size):
+                for k in range(1, n + 1):
+                    want = reference_is_k_defensive(n, nbr, defenders, k)
+                    assert is_k_defensive_bruteforce(n, nbr, defenders, k) == want, (n, edges, defenders, k)
+                    cases += 1
+    assert cases == 62_538, cases

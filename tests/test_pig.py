@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defdom import InvalidRanges, ProperIntervalGraph, ProperViolation, SplitMix64
+from defdom import (
+    CompactBubbles,
+    InvalidRanges,
+    LinearBubbles,
+    ProperIntervalGraph,
+    ProperViolation,
+    SplitMix64,
+    compact_for_family,
+    gen_family,
+)
 from defdom.generators import random_unit_intervals
 from defdom.pig import SCALE_BITS
 from helpers import all_maxn, are_twins, diamond, outcome, p5, random_maxn, reference_from_intervals
@@ -131,6 +140,47 @@ def test_from_runs_errors_match_expanded_constructor(sizes, values):
     assert outcome(ProperIntervalGraph.from_runs, sizes, values) == want
     if sizes and min(sizes) > 0:
         assert want[0] is InvalidRanges, want
+
+
+def test_from_runs_builds_every_graph_without_init(monkeypatch):
+    """from_runs never enters __init__ when it returns a graph, runs of no or
+    negative length included; those runs' values, 0 or above n here, would
+    fail a check, and are skipped with them.  A size with no value adds no
+    vertex, as in the expanded sequence."""
+    splits = [([2, 0, 1], [3, 0, 3]), ([2, -1, 2], [4, 5, 4]), ([1, 1], [1])]
+    for n in range(1, 7):
+        for maxn in all_maxn(n):
+            splits.append(([1, 0] * n, [v for m in maxn for v in (m, 0)]))
+            splits.append(([-1, *[1] * n, 0], [n + 1, *maxn, 0]))
+    want = [ProperIntervalGraph(_expand(sizes, values)) for sizes, values in splits]
+
+    def entered(self, maxn):
+        raise AssertionError("__init__ entered")
+
+    monkeypatch.setattr(ProperIntervalGraph, "__init__", entered)
+    for (sizes, values), g in zip(splits, want):
+        got = ProperIntervalGraph.from_runs(sizes, values)
+        assert (got.n, got.maxn, got.minn) == (g.n, g.maxn, g.minn), (sizes, values)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ProperIntervalGraph([2.9, 3, 3]),
+        lambda: ProperIntervalGraph(["2", "3", "3"]),
+        lambda: ProperIntervalGraph.from_runs([1, 1], [2, 2.0]),  # a float no check reaches
+        lambda: CompactBubbles([[(1, 2.7)]]),
+        lambda: CompactBubbles([[("1", 2)]]),
+        lambda: LinearBubbles([2.5], [1], [2]),
+        lambda: LinearBubbles([2], [1], ["2"]),
+        lambda: gen_family("clique_chain", sizes=[2, 3.5]),
+        lambda: compact_for_family("clique_chain", sizes=["3"]),
+    ],
+)
+def test_constructors_take_exact_integers(build):
+    """A float or a string is refused, not truncated or parsed."""
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_neighborhood_of_range_examples():
