@@ -18,35 +18,33 @@ SEED_BASE = 0x5EED
 CSV_HEADER = "instance,n,bubbles,k,algo,nanoseconds,defense_steps,heap_ops,list_ops"
 
 
-def chain_sizes_for(n: int, clique: int = 8) -> list[int]:
+#: Clique size of the benchmark's clique chains.
+CHAIN_CLIQUE = 8
+
+
+def chain_sizes_for(n: int) -> list[int]:
     """Clique sizes whose unit-overlap chain has exactly n vertices.
 
-    A chain of m cliques of size c covers m*(c-1) + 1 vertices; a shorter
-    final clique absorbs the remainder.
+    A chain of m cliques of size c = ``CHAIN_CLIQUE`` covers m*(c-1) + 1
+    vertices; a shorter final clique absorbs the remainder.
     """
     if n < 2:
         return [max(n, 1)]
-    m, r = divmod(n - 1, clique - 1)
-    sizes = [clique] * m
+    m, r = divmod(n - 1, CHAIN_CLIQUE - 1)
+    sizes = [CHAIN_CLIQUE] * m
     if r:
         sizes.append(r + 1)
     return sizes
 
 
 def build_instance(family: str, n: int, rep: int) -> ProperIntervalGraph:
-    if family == "path":
-        return gen_family("path", n)
-    if family == "complete":
-        return gen_family("complete", n)
-    if family == "clique_chain":
-        return gen_family("clique_chain", sizes=chain_sizes_for(n))
     if family == "random":
         # Spread 1/16: each vertex meets about 32 others, and the draw is
         # redrawn until connected, so the solvers do window work at any k.
         return gen_random_unit_intervals(
             n, spread=Fraction(1, 16), seed=SEED_BASE + 1000 * rep + n, connected=True
         )
-    raise BadParameters(f"unknown benchmark family {family!r}")
+    return gen_family(family, n, chain_sizes_for(n) if family == "clique_chain" else None)
 
 
 def run_once(g: ProperIntervalGraph, k: int, algo: str, bubbles: Optional[int] = None) -> dict:

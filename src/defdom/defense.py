@@ -19,9 +19,10 @@ matching on an arbitrary graph, used as an independent oracle.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import repeat
 from operator import sub
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .bubbles import LinearBubbles
 from .pig import ProperIntervalGraph
@@ -167,12 +168,12 @@ def first_undefended_attack(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if isinstance(g, LinearBubbles):
-        return _first_undefended_bubbles(g, defenders, k, stats)
     n = g.n
     m = min(k, n)
-    maxn, minn = g.maxn, g.minn
     ds = sorted(set(defenders))
+    if isinstance(g, LinearBubbles):
+        return _first_undefended_bubbles(g, ds, m, stats)
+    maxn, minn = g.maxn, g.minn
     ds.append(n + 1)  # sentinel: above every max_nbr
     below = upto = 0  # defenders below min_nbr(b), and at most max_nbr(b)
     # Positions a, live from index h, whose need(a) = cnt(min_nbr(a)-1) - a + 1
@@ -215,9 +216,10 @@ def first_undefended_attack(
 
 
 def _first_undefended_bubbles(
-    lb: LinearBubbles, defenders: Iterable[int], k: int, stats: Optional[dict]
+    lb: LinearBubbles, ds: list[int], m: int, stats: Optional[dict]
 ) -> Optional[Attack]:
-    """``first_undefended_attack`` on a bubble model, in one pass over the bubbles.
+    """``first_undefended_attack`` on a bubble model, in one pass over the bubbles,
+    for the sorted distinct defenders ``ds`` and the window size m = min(k, n).
 
     Let bubble j hold vertices [s_j..e_j], with L_j = cnt(min_nbr_j - 1) and
     R_j = cnt(max_nbr_j), one C-level bisect each.  A start a in bubble i
@@ -241,8 +243,6 @@ def _first_undefended_bubbles(
     the head only falls back to the stack's new end.  So steps are at most
     4|B|, whatever n and k are.
     """
-    m = min(k, lb.n)
-    ds = sorted(set(defenders))
     starts, ends = lb.min_v, lb.max_v
     left = list(map(bisect_left, repeat(ds), lb.min_nbr))
     peak = list(map(sub, left, starts))

@@ -1,12 +1,17 @@
 """Deterministic and seeded-random instance generation.
 
-All randomness comes from an embedded splitmix64 generator so that identical
-(parameters, seed) pairs reproduce identical instances on any platform.
+Each deterministic family is a chain of cliques, consecutive ones sharing a
+vertex, described by one list of clique sizes (``_family_sizes``), from
+which ``gen_family`` builds the graph and ``compact_for_family`` the compact
+bubbles.  All randomness comes from an embedded splitmix64 generator so
+that identical (parameters, seed) pairs reproduce identical instances on
+any platform.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from operator import index
 
 from .bubbles import CompactBubbles
@@ -43,45 +48,48 @@ class SplitMix64:
         return self.next() % m
 
 
-def _clique_chain_maxn(sizes):
-    sizes = list(map(index, sizes))
+def _family_sizes(family: str, n, sizes) -> list[int]:
+    """The clique sizes of a deterministic family, checked once for both builders.
+
+    A path on n vertices is the chain of n - 1 edges (one vertex at n = 1),
+    a complete graph is one clique of n, and a clique chain's sizes are
+    converted with ``operator.index`` and must be non-empty, positive, and
+    at least 2 each when there is more than one.
+    """
+    if family in ("path", "complete"):
+        if n is None or n < 1:
+            raise BadParameters(f"{family} needs n >= 1")
+        return [n] if family == "complete" else [2] * (n - 1) or [1]
+    if family != "clique_chain":
+        raise BadParameters(f"unknown family {family!r}")
+    sizes = list(map(index, sizes or ()))
     if not sizes:
-        raise BadParameters("clique chain needs at least one clique")
-    if any(c < 1 for c in sizes):
+        raise BadParameters("clique_chain needs a list of clique sizes")
+    if min(sizes) < 1:
         raise BadParameters("clique sizes must be positive")
-    if len(sizes) > 1 and any(c < 2 for c in sizes):
+    if len(sizes) > 1 and min(sizes) < 2:
         raise BadParameters("chained cliques must have at least 2 vertices")
-    ends = []
-    e = 0
-    for idx, c in enumerate(sizes):
-        e = c if idx == 0 else e + c - 1
-        ends.append(e)
-    n = ends[-1]
-    maxn = [0] * n
-    start = 1
-    for t, e in enumerate(ends):
-        for v in range(start, e):
-            maxn[v - 1] = e
-        start = e
-    maxn[n - 1] = n
-    return maxn
+    return sizes
 
 
 def gen_family(family: str, n: int | None = None, sizes=None) -> ProperIntervalGraph:
-    """Deterministic families: path, complete, clique_chain."""
+    """Deterministic families: path, complete, clique_chain.
+
+    Consecutive cliques of a chain share one vertex, so with e_0 = 1 clique
+    t of size c_t spans [e_(t-1)..e_t], e_t = e_(t-1) + c_t - 1.  Its
+    c_t - 1 vertices below e_t have max neighbor e_t, as do all c_m
+    vertices of the last clique, and ``from_runs`` builds the graph from
+    these runs; a complete graph is the chain of one clique.  A path is
+    built vertex by vertex, ``maxn[j] = min(j + 1, n)``, as runs of one
+    vertex are slower.
+    """
+    sizes = _family_sizes(family, n, sizes)
     if family == "path":
-        if n is None or n < 1:
-            raise BadParameters("path needs n >= 1")
         return ProperIntervalGraph([min(j + 1, n) for j in range(1, n + 1)])
-    if family == "complete":
-        if n is None or n < 1:
-            raise BadParameters("complete needs n >= 1")
-        return ProperIntervalGraph([n] * n)
-    if family == "clique_chain":
-        if not sizes:
-            raise BadParameters("clique_chain needs a list of clique sizes")
-        return ProperIntervalGraph(_clique_chain_maxn(sizes))
-    raise BadParameters(f"unknown family {family!r}")
+    runs = [c - 1 for c in sizes]
+    ends = list(accumulate(runs, initial=1))[1:]
+    runs[-1] += 1
+    return ProperIntervalGraph.from_runs(runs, ends)
 
 
 def random_unit_intervals(n: int, spread, seed: int) -> list[tuple[int, int]]:
@@ -147,39 +155,26 @@ def gen_random_bubbles(
 
 
 def compact_for_family(family: str, n: int | None = None, sizes=None) -> CompactBubbles:
-    """Hand-built compact bubble structures for the deterministic families."""
-    if family == "complete":
-        if n is None or n < 1:
-            raise BadParameters("complete needs n >= 1")
-        return CompactBubbles([[(1, n)]])
-    if family == "path":
-        if n is None or n < 1:
-            raise BadParameters("path needs n >= 1")
-        if n == 1:
-            return CompactBubbles([[(1, 1)]])
-        sizes = [2] * (n - 1)
-        family = "clique_chain"
-    if family == "clique_chain":
-        if not sizes:
-            raise BadParameters("clique_chain needs a list of clique sizes")
-        sizes = list(map(index, sizes))
-        if len(sizes) == 1:
-            return CompactBubbles([[(1, sizes[0])]])
-        if any(c < 2 for c in sizes):
-            raise BadParameters("chained cliques must have at least 2 vertices")
-        m = len(sizes)
-        # Column t holds clique t minus its left shared vertex.  Plain members
-        # sit at row t; the vertex shared with the next clique gets the high
-        # row 2m+2-t, above every row of column t+1 so it alone joins it.
-        columns = []
-        for t in range(1, m + 1):
-            width = sizes[t - 1] - (1 if t > 1 else 0)
-            col = []
-            plain = width - (1 if t < m else 0)
-            if plain > 0:
-                col.append((t, plain))
-            if t < m:
-                col.append((2 * m + 2 - t, 1))
-            columns.append(col)
-        return CompactBubbles(columns)
-    raise BadParameters(f"unknown family {family!r}")
+    """Hand-built compact bubble structures for the deterministic families.
+
+    Each clique of the family's chain (see ``_family_sizes``) gets its own
+    column; a single clique is one bubble of its size.
+    """
+    sizes = _family_sizes(family, n, sizes)
+    m = len(sizes)
+    if m == 1:
+        return CompactBubbles([[(1, sizes[0])]])
+    # Column t holds clique t minus its left shared vertex.  Plain members
+    # sit at row t; the vertex shared with the next clique gets the high
+    # row 2m+2-t, above every row of column t+1 so it alone joins it.
+    columns = []
+    for t in range(1, m + 1):
+        width = sizes[t - 1] - (1 if t > 1 else 0)
+        col = []
+        plain = width - (1 if t < m else 0)
+        if plain > 0:
+            col.append((t, plain))
+        if t < m:
+            col.append((2 * m + 2 - t, 1))
+        columns.append(col)
+    return CompactBubbles(columns)

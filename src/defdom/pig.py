@@ -78,19 +78,26 @@ def _name_violation(ends: list) -> None:
     raise AssertionError("whole-list proper checks failed on a proper family")
 
 
+def _exact(x) -> Fraction:
+    """A number as a Fraction, exactly; a string is refused, not parsed."""
+    if isinstance(x, str):
+        raise TypeError(f"endpoint {x!r} is a string, not a number")
+    return Fraction(x)
+
+
 def _scaled_ends(entries) -> list:
     """The endpoints as one flat list, left, right, left, ..., as ints on the
     common scale of ``on_common_scale``, or as Fractions past its budget.
 
     Plain ints, as ``defdom.io`` builds them, are kept as they are (scale 1);
-    an entry holding anything else is converted exactly, floats included, and
-    then the whole list goes through ``on_common_scale``.
+    an entry holding anything else is converted exactly by ``_exact``, floats
+    included, and then the whole list goes through ``on_common_scale``.
     """
     ends = []
     exact = True  # every endpoint so far a plain int
     for left, right in entries:
         if type(left) is not int or type(right) is not int:
-            left, right, exact = Fraction(left), Fraction(right), False
+            left, right, exact = _exact(left), _exact(right), False
         if left > right:
             raise ValueError(f"interval {len(ends) // 2 + 1} has left endpoint above right endpoint")
         ends.append(left)
@@ -178,10 +185,11 @@ class ProperIntervalGraph:
         """Build the canonical graph of a proper family of closed intervals.
 
         Entries are (left, right) pairs of ints, fractions, or floats
-        (converted exactly).  Vertices are renumbered by left endpoint,
-        ties broken by right endpoint then input position.  Touching
-        endpoints count as adjacent.  Raises ProperViolation, reporting the
-        1-based input positions, if one interval properly contains another.
+        (converted exactly); a string endpoint raises TypeError.  Vertices
+        are renumbered by left endpoint, ties broken by right endpoint then
+        input position.  Touching endpoints count as adjacent.  Raises
+        ProperViolation, reporting the 1-based input positions, if one
+        interval properly contains another.
 
         Endpoints are compared on the common scale of ``on_common_scale``;
         when they are all ints already (L = 1) they are used as they are,

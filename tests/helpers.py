@@ -296,6 +296,8 @@ def reference_from_intervals(entries) -> ProperIntervalGraph:
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str):
+        raise TypeError(f"endpoint {x!r} is a string, not a number")
     return Fraction(x)
 
 

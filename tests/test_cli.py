@@ -397,6 +397,13 @@ def test_gen_and_bench_name_the_option_on_non_integer_sizes():
         assert err == f"error: --sizes needs comma-separated integers, got {argv[4]!r}\n", (argv, err)
 
 
+def test_gen_refuses_non_positive_clique_sizes_alike_in_every_format():
+    for sizes in ("0", "-3"):
+        for fmt in ("pig", "intervals", "bubbles"):
+            code, out, err = cli("gen", "--family", "clique_chain", f"--sizes={sizes}", "--format", fmt)
+            assert (code, out, err) == (2, "", "error: clique sizes must be positive\n"), (sizes, fmt)
+
+
 def test_gen_rejects_bad_spread():
     for fmt in ("pig", "intervals"):
         for spread, why in (("1/0", "zero denominator"), ("-1", "negative"), ("x", "not a finite number")):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from defdom import (
@@ -29,13 +31,29 @@ def test_clique_chain():
 
 def test_bad_parameters():
     with pytest.raises(BadParameters):
-        gen_family("path", 0)
-    with pytest.raises(BadParameters):
-        gen_family("clique_chain", sizes=[3, 1])
-    with pytest.raises(BadParameters):
-        gen_family("nonsense", 3)
-    with pytest.raises(BadParameters):
         gen_random_unit_intervals(0)
+    # the graph and the compact builder refuse the same input with the same message
+    for sizes, message in (
+        ([], "clique_chain needs a list of clique sizes"),
+        (None, "clique_chain needs a list of clique sizes"),
+        (iter([]), "clique_chain needs a list of clique sizes"),
+        ([0], "clique sizes must be positive"),
+        ([-3], "clique sizes must be positive"),
+        ([2, 0], "clique sizes must be positive"),
+        ([3, 1], "chained cliques must have at least 2 vertices"),
+        ([1, 1], "chained cliques must have at least 2 vertices"),
+    ):
+        for build in (gen_family, compact_for_family):
+            with pytest.raises(BadParameters) as err:
+                build("clique_chain", sizes=sizes)
+            assert str(err.value) == message, (build.__name__, sizes)
+    for build in (gen_family, compact_for_family):
+        for family in ("path", "complete"):
+            for n in (None, 0, -2):
+                with pytest.raises(BadParameters, match=f"^{family} needs n >= 1$"):
+                    build(family, n)
+        with pytest.raises(BadParameters, match="^unknown family 'nonsense'$"):
+            build("nonsense", 3)
 
 
 def test_splitmix_determinism():
@@ -94,11 +112,29 @@ def test_compact_for_family_matches_graphs():
         cb = compact_for_family("path", n)
         assert pig_from_bubbles(cb) == gen_family("path", n)
         assert linear_from_compact(cb).to_graph() == gen_family("path", n)
-    for n in (1, 4, 9):
-        assert pig_from_bubbles(compact_for_family("complete", n)) == gen_family("complete", n)
-    for sizes in ([3, 3], [2, 5, 2], [4], [6, 2, 2, 6], [2, 2, 2, 2, 2]):
+    for n in range(1, 13):
+        g = gen_family("complete", n)
+        assert g.maxn[1:] == (n,) * n
+        assert pig_from_bubbles(compact_for_family("complete", n)) == g
+    chains = [[c] for c in range(1, 9)]
+    chains += [list(s) for m in (2, 3, 4) for s in product(range(2, 7), repeat=m)]
+    chains.append([2, 2, 2, 2, 2])
+    for sizes in chains:
+        g = gen_family("clique_chain", sizes=sizes)
+        assert g == ProperIntervalGraph(chain_maxn(sizes)), sizes
         cb = compact_for_family("clique_chain", sizes=sizes)
-        assert pig_from_bubbles(cb) == gen_family("clique_chain", sizes=sizes), sizes
+        assert pig_from_bubbles(cb) == g, sizes
+        assert linear_from_compact(cb).to_graph() == g, sizes
+
+
+def chain_maxn(sizes):
+    """The clique chain's ``maxn`` vertex by vertex: each vertex's largest
+    neighbor is the last vertex of the last clique holding it."""
+    cliques, first = [], 1
+    for c in sizes:
+        cliques.append((first, first + c - 1))
+        first += c - 1
+    return [max(hi for lo, hi in cliques if lo <= v <= hi) for v in range(1, cliques[-1][1] + 1)]
 
 
 def test_enumerate_connected_counts():

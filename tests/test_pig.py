@@ -175,6 +175,8 @@ def test_from_runs_builds_every_graph_without_init(monkeypatch):
         lambda: LinearBubbles([2], [1], ["2"]),
         lambda: gen_family("clique_chain", sizes=[2, 3.5]),
         lambda: compact_for_family("clique_chain", sizes=["3"]),
+        lambda: ProperIntervalGraph.from_intervals([("0", "1/2"), (" 1/4 ", "3")]),
+        lambda: ProperIntervalGraph.from_intervals([(0, 1), (Fraction(1, 2), "3")]),
     ],
 )
 def test_constructors_take_exact_integers(build):
