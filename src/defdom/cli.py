@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
+import re
 import sys
 
 from . import io as dio
@@ -25,6 +27,7 @@ from .bubble_solver import solve_bubble
 from .defense import Attack, defends_consecutive, first_undefended_attack
 from .errors import BadParameters, DefdomError, TooLarge
 from .generators import (
+    _family_sizes,
     compact_for_family,
     gen_family,
     gen_random_bubbles,
@@ -39,6 +42,13 @@ from .pig import ProperIntervalGraph
 
 #: Answer lines formatted into one string per write: few writes, a bounded buffer.
 _ANSWER_CHUNK = 1024
+#: Defender text is converted about this many characters at a time, each slice cut at a separator.
+_DEFENDER_SLICE = 4096
+_COMMA = re.compile(",")
+#: A defenders file separates vertices by commas and by whitespace as ``str.split()``
+#: reads it: ``\s`` matches exactly the characters ``str.isspace`` accepts.
+_FILE_SEPARATOR = re.compile(r"[\s,]")
+_FILE_TOKEN = re.compile(r"[^\s,]+")
 
 
 def _load(path: str):
@@ -59,20 +69,22 @@ def _model(payload) -> LinearBubbles:
     return bubbles_from_pig(payload)
 
 
-def _defender_tokens(args) -> list[str]:
-    """``--defenders`` split at commas, or the vertices of ``--defenders-file``.
-
-    A file (``-`` for stdin) holds comma- or whitespace-separated vertices,
-    optionally after ``solve``'s ``size=N`` line, whose N must match the count.
-    """
+def _defender_text(args) -> str:
+    """The whole text of ``--defenders``, or of ``--defenders-file`` (``-`` for stdin)."""
     if args.defenders_file is None:
-        text = args.defenders
-        return text.split(",") if text and not text.isspace() else []
+        return args.defenders
     if args.defenders_file == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.defenders_file, encoding="utf-8") as fh:
-            text = fh.read()
+        return sys.stdin.read()
+    with open(args.defenders_file, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _defender_tokens(text: str, in_file: bool) -> list[str]:
+    """The whole text's tokens, split once: ``--defenders`` at commas, a file at
+    commas and whitespace, after its optional ``size=N`` line, whose N must
+    match the count.  Built only to name the first fault."""
+    if not in_file:
+        return text.split(",")
     tokens = text.replace(",", " ").split()
     if tokens and tokens[0].startswith("size="):
         size = tokens.pop(0)[5:]
@@ -81,27 +93,74 @@ def _defender_tokens(args) -> list[str]:
     return tokens
 
 
+def _slices(text: str, in_file: bool):
+    """``text`` in slices of about ``_DEFENDER_SLICE`` characters.  Each ends
+    just before the first separator past that length, found by a search from
+    its offset, so the slices split exactly as the whole text does and none
+    copies more of it than its own characters."""
+    sep = _FILE_SEPARATOR if in_file else _COMMA
+    start = 0
+    while cut := sep.search(text, start + _DEFENDER_SLICE):
+        yield text[start : cut.start()]
+        start = cut.end()
+    yield text[start:]
+
+
+def _file_slices(path: str):
+    """The slices (``_slices``) of a named file, read a slice's length at a
+    time and each read finished to the end of its line, so a file of many
+    lines is never held whole."""
+    with open(path, encoding="utf-8") as fh:
+        while part := fh.read(_DEFENDER_SLICE):
+            yield from _slices(part + fh.readline(), True)
+
+
+def _sliced_ints(args, text: str | None) -> tuple[str | None, list[int]]:
+    """A file's ``size=N`` value (None without that line) and the vertices,
+    converted into one int list a slice at a time: slices of ``text``, or of
+    the named file when ``text`` is None.  Each slice's tokens are freed
+    before the next slice is split."""
+    in_file = args.defenders_file is not None
+    size, head, out = None, in_file, []
+    for part in _slices(text, in_file) if text is not None else _file_slices(args.defenders_file):
+        if head and (first := _FILE_TOKEN.search(part)):
+            head = False
+            if first[0].startswith("size="):
+                size, part = first[0][5:], part[first.end() :]
+        out += map(int, part.replace(",", " ").split() if in_file else part.split(","))
+    return size, out
+
+
 def _defenders(args, n: int) -> list[int]:
-    """The defenders in ascending order, duplicates kept, from one bulk
-    ``sorted(map(int, ...))`` range-checked at its two ends; the verifier's
-    own dedupe is the only one.  On any failure the per-token loop names the
-    first bad token in order."""
-    tokens = _defender_tokens(args)
+    """The defenders in ascending order, duplicates kept (the verifier's own
+    dedupe is the only one).  They are converted slice by slice into one int
+    list (``_sliced_ints``), sorted and range-checked at its two ends, so no
+    token list of the whole text is built, and a regular file of many lines
+    is never held whole.  On any failure, a bad token, a wrong ``size=N`` or
+    bad UTF-8, the whole text is read and split once and the per-token loop
+    names the first fault."""
+    named = args.defenders_file not in (None, "-") and os.path.isfile(args.defenders_file)
+    text = None if named else _defender_text(args)  # a pipe or stdin is read once, whole
+    if args.defenders_file is None and (not text or text.isspace()):
+        return []
     try:
-        out = sorted(map(int, tokens))
+        size, out = _sliced_ints(args, text)
     except ValueError:
         pass
     else:
-        if not out or (1 <= out[0] and out[-1] <= n):
+        out.sort()
+        if (size is None or size == str(len(out))) and (not out or (1 <= out[0] and out[-1] <= n)):
             return out
-    for part in tokens:  # some token is refused: name the first one
+        del out
+    text = _defender_text(args) if text is None else text
+    for part in _defender_tokens(text, args.defenders_file is not None):  # name the first fault
         try:
             v = int(part)
         except ValueError:
             raise BadParameters(f"defender {part.strip()!r} is not a vertex number") from None
         if not 1 <= v <= n:
             raise BadParameters(f"defender {v} outside 1..{n}")
-    raise AssertionError("the bulk pass refused no defender")
+    raise AssertionError("the sliced pass refused no defender")
 
 
 def _sizes(text: str) -> list[int]:
@@ -117,7 +176,10 @@ def _cmd_solve(args, out) -> int:
     # expanded before anything is printed, so a refused expansion prints nothing
     g = _graph(payload) if args.algo == "greedy" or args.emit_defense else None
     if args.algo == "bubble":
-        result = solve_bubble(_model(payload), args.k)
+        lbm = _model(payload)
+        del payload  # the input goes once the model is built, the model once the solve returns
+        result = solve_bubble(lbm, args.k)
+        del lbm
     else:
         result = solve_greedy(g, args.k)
     out.write(f"size={len(result)}\n")
@@ -139,6 +201,7 @@ def _cmd_verify(args, out) -> int:
     payload = _load(args.input)
     # a compact structure is verified on its bubble model, never expanded
     g = linear_from_compact(payload) if isinstance(payload, CompactBubbles) else payload
+    del payload  # a compact payload goes once its model is built
     defenders = _defenders(args, g.n)
     bad = first_undefended_attack(g, defenders, args.k)
     if bad is None:
@@ -186,9 +249,12 @@ def _cmd_gen(args, out) -> int:
     sizes = _sizes(args.sizes) if args.sizes else None
     if args.family == "random" and (args.n is None or args.n < 1):
         raise BadParameters("random instances need --n >= 1")
+    if args.family == "clique_chain":
+        # checked first, so a bad list gets the same message in every format
+        sizes = _family_sizes(args.family, args.n, sizes)
     # Only a compact complete graph or clique chain is written without a per-vertex loop.
     if args.format != "bubbles" or args.family in ("path", "random"):
-        n = sum(sizes) - len(sizes) + 1 if args.family == "clique_chain" and sizes else args.n
+        n = sum(sizes) - len(sizes) + 1 if args.family == "clique_chain" else args.n
         if n is not None:
             check_expansion(n, f"generated {args.family} instance")
     if args.format == "bubbles":

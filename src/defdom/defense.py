@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import repeat
-from operator import sub
+from itertools import chain, compress, islice, repeat
+from operator import eq, ne, sub
 from typing import NamedTuple, Optional
 
 from .bubbles import LinearBubbles
@@ -161,16 +161,22 @@ def first_undefended_attack(
     side among the last m values of a in a monotone deque, and reads both
     counts through two forward pointers into the sorted defenders.  The
     first failing b names the leftmost failing window.  Work is O(n + |D|)
-    for any k, after sorting the defenders.  ``stats`` receives ``steps``:
-    pointer moves plus deque pushes and pops.  On a ``LinearBubbles`` the
-    same windows are decided in one pass over the bubbles, never over the
-    vertices (see ``_first_undefended_bubbles``).
+    for any k, after sorting the defenders: a sort, linear when they
+    already ascend, as the CLI hands them, and a linear pass that drops
+    adjacent repeats.  The sorted copy is the verifier's own (the graph
+    pass appends a sentinel to it), so the caller's list is left as it
+    was.  ``stats`` receives ``steps``: pointer moves plus deque pushes
+    and pops.  On a ``LinearBubbles`` the same windows are decided in one
+    pass over the bubbles, never over the vertices (see
+    ``_first_undefended_bubbles``).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     n = g.n
     m = min(k, n)
-    ds = sorted(set(defenders))
+    ds = sorted(defenders)  # linear on an ascending list: one run
+    if any(map(eq, ds, islice(ds, 1, None))):  # drop repeats, now adjacent
+        ds = list(compress(ds, chain((True,), map(ne, islice(ds, 1, None), ds))))
     if isinstance(g, LinearBubbles):
         return _first_undefended_bubbles(g, ds, m, stats)
     maxn, minn = g.maxn, g.minn

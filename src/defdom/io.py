@@ -217,6 +217,7 @@ def parse_instance(data: bytes):
     CompactBubbles for bubbles files.
     """
     rd = _Reader(data)
+    del data  # the reader holds the decoded text, the one copy of the file kept
     if not rd.tokens:
         raise FormatError(0, "empty file")
     head = rd.next("header")

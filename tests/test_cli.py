@@ -1,13 +1,21 @@
+import argparse
 import io
 import os
+import random
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import defdom.cli as cli_module
 from defdom import compact_for_family, gen_family, solve_greedy
 from defdom.cli import run
+from defdom.errors import BadParameters
 from defdom.io import format_bubbles, format_pig
 from helpers import is_valid_defense
 
@@ -117,11 +125,12 @@ def test_verify_duplicate_and_unordered_defenders_get_the_verdict_of_their_set(t
 
 
 def test_verify_peak_memory_per_defender(tmp_path):
-    """Verifying a 31,001-defender answer peaks at 165 bytes per defender or less.
+    """Verifying a 31,001-defender answer peaks at 80 bytes per defender or less.
 
-    The answer is converted to ints once; the verifier's sorted set is the
-    only other copy.  A second set of the defenders (as a set-building
-    intake makes) reads about 185 bytes per defender.
+    The answer is converted to ints slice by slice into one list, and the
+    verifier's sorted copy shares its ints, so about 63 bytes per defender
+    are read.  A token list of the whole text beside the ints, with the
+    verifier's set, read about 141, and a second set about 185.
     """
     path = str(tmp_path / "chain.bubbles")
     sizes = ",".join(["100"] * 1000)
@@ -140,7 +149,161 @@ def test_verify_peak_memory_per_defender(tmp_path):
     finally:
         tracemalloc.stop()
     assert result == (0, "OK\n", "")
-    assert peak <= 165 * count, peak / count
+    assert peak <= 80 * count, peak / count
+
+
+def _intake(text, in_file, n, stdin=False):
+    """``cli._defenders`` on ``text`` given as ``--defenders``, a file or stdin: its list or its message."""
+    if not in_file:
+        args = argparse.Namespace(defenders=text, defenders_file=None)
+    elif stdin:
+        args = argparse.Namespace(defenders=None, defenders_file="-")
+    else:
+        args = argparse.Namespace(defenders=None, defenders_file=text)
+    try:
+        return cli_module._defenders(args, n)
+    except BadParameters as exc:
+        return f"error: {exc}"
+
+
+def _one_split_intake(text, in_file, n):
+    """The whole text split once and converted by ``sorted(map(int, ...))``, with the
+    diagnostics that intake gives: a ``size=N`` mismatch first, then the first
+    token in order that is not a vertex number or lies outside 1..n."""
+    if not in_file:
+        tokens = text.split(",") if text and not text.isspace() else []
+    else:
+        tokens = text.replace(",", " ").split()
+        if tokens and tokens[0].startswith("size="):
+            size = tokens.pop(0)[5:]
+            if size != str(len(tokens)):
+                return f"error: defenders file says size={size} but lists {len(tokens)} vertices"
+    for part in tokens:
+        try:
+            v = int(part)
+        except ValueError:
+            return f"error: defender {part.strip()!r} is not a vertex number"
+        if not 1 <= v <= n:
+            return f"error: defender {v} outside 1..{n}"
+    return sorted(map(int, tokens))
+
+
+SLICE_CASES = {
+    # (text, in_file): what it exercises
+    ("12345,678,9", False): "a token straddles a cut",
+    ("123,45,6789,10", False): "tokens straddle several cuts",
+    ("123,", False): "a trailing comma exactly at a cut",
+    ("12,3,", False): "a trailing comma past a cut",
+    ("1,,2", False): "an empty token",
+    (",", False): "two empty tokens",
+    ("   ", False): "whitespace-only text",
+    ("", False): "empty text",
+    (" 3 , 4,5 ", False): "spaces around tokens",
+    ("1,2,3,4,5,6,7,x", False): "a bad token in the last slice",
+    ("1,2,3,4,5,6,7,99", False): "an out-of-range token in the last slice",
+    ("1\n2\n3\n4\n", True): "newlines",
+    ("1\x1c2\x1c3\x1c45", True): "\\x1c separators",
+    ("1\xa02\xa03\xa0 4", True): "NBSP separators",
+    ("1,\n2, 3,,4\t5", True): "mixed separators",
+    ("1\r\n2\r\n3\r4", True): "CR and CRLF line ends",
+    ("10,11,12,13,14,15,16,17,18,19", True): "a line longer than a slice",
+    ("\n\n\n\n\n\n  size=2\n1\n2", True): "a header after slices with no token",
+    ("size=4\n1\n2\n3\n4\n", True): "a matching size header",
+    ("size=5\n1\n2\n3\n4\n", True): "a size header that does not match",
+    ("size=12345\n" + "\n".join(map(str, range(1, 12346))), True): "a header longer than a slice",
+    ("size=2\n1\nx\n", True): "a matching header before a bad token",
+    ("1\nsize=1\n", True): "a size=N token after the first is a bad token",
+    ("size=3\n1\nx\n", True): "a mismatched header before a bad token",
+    (" \n\t ", True): "whitespace-only file",
+    ("1 2 3 4 5 6 7 8 9 10 11 x", True): "a bad token in the last slice of a file",
+    ("1 2 3 4 5 6 7 8 9 10 11 0", True): "an out-of-range token in the last slice of a file",
+    ("9 x", True): "the first fault is an out-of-range token",
+}
+
+
+def test_sliced_defender_intake_matches_one_split(tmp_path, monkeypatch):
+    """Sliced intake returns the one-split list, or its one-line error, at every slice length."""
+    f = tmp_path / "defenders.txt"
+    for width in (1, 2, 3, 4, 5, 7, 4096):
+        monkeypatch.setattr(cli_module, "_DEFENDER_SLICE", width)
+        for (text, in_file), what in SLICE_CASES.items():
+            n = 20_000 if "12345" in text else 20
+            want = _one_split_intake(text, in_file, n)
+            if in_file:
+                f.write_text(text, encoding="utf-8")
+                assert _intake(str(f), True, n) == want, (width, what)
+                monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+                assert _intake(text, True, n, stdin=True) == want, (width, what)
+            else:
+                assert _intake(text, False, n) == want, (width, what)
+
+
+_SLICE_TOKENS = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["", " 7", "8 ", "x", "+3", "1_2", "\u0663", "size=2", "1.0"]),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(
+    st.lists(_SLICE_TOKENS, max_size=30),
+    st.lists(st.sampled_from([",", " ", "\n", "\r\n", ", ", "\x1c", "\xa0", "\t\t", ",,"]), min_size=1, max_size=4),
+    st.sampled_from(["", "size=3\n", "size=0 ", ", size=2,"]),
+    st.booleans(),
+    st.integers(1, 9),
+)
+def test_sliced_defender_intake_matches_one_split_on_random_tokens(tokens, seps, header, in_file, width):
+    text = "".join(tok + seps[i % len(seps)] for i, tok in enumerate(tokens))
+    if in_file:
+        text = header + text
+    else:
+        text = ",".join(tokens)
+    want = _one_split_intake(text, in_file, 30)
+    with mock.patch.object(cli_module, "_DEFENDER_SLICE", width):
+        if in_file:
+            with tempfile.TemporaryDirectory() as tmp:
+                f = Path(tmp) / "defenders.txt"
+                f.write_bytes(text.encode("utf-8"))
+                assert _intake(str(f), True, 30) == want
+            with mock.patch.object(sys, "stdin", io.StringIO(text)):
+                got = _intake(text, True, 30, stdin=True)
+        else:
+            got = _intake(text, False, 30)
+    assert got == want
+
+
+def test_defenders_file_with_bad_utf8_is_refused_as_a_whole_read_refuses_it(tmp_path):
+    """Bad UTF-8 past the first slices of a streamed file is named at its offset in the file."""
+    f = tmp_path / "defenders.txt"
+    for head in (b"", b"size=9000\n" + b"\n".join(b"%d" % v for v in range(1, 9000)) + b"\n"):
+        f.write_bytes(head + b"\xff\n")
+        want = f"error: 'utf-8' codec can't decode byte 0xff in position {len(head)}: invalid start byte\n"
+        assert cli("verify", "--input", write_p5(tmp_path), "--k", "2", "--defenders-file", str(f)) == (2, "", want)
+
+
+def test_defender_intake_peak_is_near_the_list_it_returns(tmp_path):
+    """The intake of 10^5 defenders peaks at no more than 1.5x the bytes of its int list,
+    and at 1.1x from a file.
+
+    Beside the list sit one slice and its tokens, and a file is read a slice
+    at a time (about 1.02x; unsorted commas, sorted in place, about 1.11x).
+    A token list of the whole text read about 2.7x, and a file's whole text
+    beside the list about 1.19x.
+    """
+    count = 10**5
+    ds = random.Random(5).sample(range(1, 2 * count + 1), count)
+    f = tmp_path / "defenders.txt"
+    f.write_text(f"size={count}\n" + "\n".join(map(str, sorted(ds))) + "\n")
+    for form, text in (("comma", ",".join(map(str, ds))), ("file", str(f))):
+        tracemalloc.start()
+        try:
+            out = _intake(text, form == "file", 2 * count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == sorted(ds), form
+        size = sys.getsizeof(out) + sum(map(sys.getsizeof, out))
+        assert peak <= (1.1 if form == "file" else 1.5) * size, (form, peak / size)
 
 
 def test_verify_rejects_invalid_compact_files_as_solve_does(tmp_path):
@@ -230,6 +393,11 @@ def test_solve_piped_into_verify_at_100k(tmp_path):
     bad = _defdom("verify", "--input", path, "--k", "3", "--defenders-file", "-", stdin="size=2\n1\nx\n")
     assert bad.returncode == 2 and bad.stdout == "" and bad.stderr.startswith("error: ")
     assert bad.stderr.count("\n") == 1
+    if os.path.exists("/dev/stdin"):  # a pipe by name is read once, whole, as stdin is
+        bad_token = (2, "", "error: defender 'x' is not a vertex number\n")
+        for stdin, want in (("size=2\n1\n3\n", (1, "FAIL [1..3]\n", "")), ("1\nx\n", bad_token)):
+            piped = _defdom("verify", "--input", path, "--k", "3", "--defenders-file", "/dev/stdin", stdin=stdin)
+            assert (piped.returncode, piped.stdout, piped.stderr) == want
 
 
 def test_oracle(tmp_path):
@@ -402,6 +570,14 @@ def test_gen_refuses_non_positive_clique_sizes_alike_in_every_format():
         for fmt in ("pig", "intervals", "bubbles"):
             code, out, err = cli("gen", "--family", "clique_chain", f"--sizes={sizes}", "--format", fmt)
             assert (code, out, err) == (2, "", "error: clique sizes must be positive\n"), (sizes, fmt)
+
+
+def test_gen_checks_clique_sizes_before_the_expansion_cap_in_every_format():
+    """A bad chain gets the sizes message, not the cap message of a per-vertex format."""
+    for sizes, message in (("1,2000001", "chained cliques must have at least 2 vertices"), ("0,3000000", "clique sizes must be positive")):
+        for fmt in ("pig", "intervals", "bubbles"):
+            code, out, err = cli("gen", "--family", "clique_chain", f"--sizes={sizes}", "--format", fmt)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), (sizes, fmt)
 
 
 def test_gen_rejects_bad_spread():

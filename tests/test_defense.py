@@ -406,3 +406,25 @@ def test_attack_validation():
         is_bridged(p5(), set())
     with pytest.raises(ValueError):
         range_of([])
+
+
+def test_verifier_dedupes_any_iterable_and_leaves_the_callers_list_alone():
+    """Unsorted defenders with repeats, as a list, a tuple, a generator or a set, get the
+    Attack and the exact steps of their sorted distinct list, on a graph and on its model."""
+    rng = SplitMix64(626)
+    for _ in range(300):
+        n = 1 + rng.below(14)
+        g = random_graph(rng, n, seed_tag=6)
+        listed = [1 + rng.below(n) for _ in range(rng.below(2 * n + 1))]
+        distinct = sorted(set(listed))
+        k = 1 + rng.below(n + 1)
+        for structure in (g, bubbles_from_pig(g)):
+            want_stats = {}
+            want = first_undefended_attack(structure, distinct, k, stats=want_stats)
+            for form in ("list", tuple, iter, set):
+                caller = listed.copy()
+                stats = {}
+                given = caller if form == "list" else form(caller)
+                got = first_undefended_attack(structure, given, k, stats=stats)
+                assert (got, stats) == (want, want_stats), (g.maxn, listed, k, form)
+                assert caller == listed, (g.maxn, listed, k, form)
