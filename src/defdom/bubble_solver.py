@@ -50,19 +50,17 @@ linear is sorting each merge's new segments in among the popped ones.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
-from typing import Optional
+from typing import Callable, Optional
 
 from .bubbles import LinearBubbles, check_expansion
-from .defense import Attack, defends_consecutive
 
 
 def solve_bubble(
     lbm: LinearBubbles,
     k: int,
     stats: Optional[dict] = None,
-    validate: bool = False,
+    on_step: Optional[Callable[..., None]] = None,
 ) -> list[int]:
     """Minimum k-defensive dominating set from a linear bubble model.
 
@@ -72,9 +70,11 @@ def solve_bubble(
     component gap, the earlier component's top live bubble covers that
     component's last vertex, which is also its last neighbor, so its slack
     is 0: the window never slides across a gap, and the next zero-slack
-    step drops every attacker up to the earlier component's end.  With
-    ``validate``, the state is checked against the rightmost defense of the
-    expanded graph after every step.
+    step drops every attacker up to the earlier component's end.
+    ``on_step(first, last, d, live, seg, key, mins)`` is called after each
+    step's merge, with the window ends and the solver's own state, which the
+    hook must not change: the per-bubble lists ``d``, ``seg`` and ``key``
+    (index 0 is the empty bubble) and the deques ``live`` and ``mins``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -97,7 +97,6 @@ def solve_bubble(
     # Bubbles holding ``first`` and ``last + 1``; moved only by chunks, as both end past n.
     first_bubble = next_bubble = 1
     inserts = deletes = touches = zero = positive = chunks = 0
-    graph = lbm.to_graph() if validate else None
     grow = min(k, n)
     while True:
         if grow:
@@ -165,8 +164,8 @@ def solve_bubble(
                     mins.pop()
                 mins.append(b)
             live.extend(back)
-        if graph is not None:
-            _check(graph, first, last, d, max_v, live, seg, key, mins)
+        if on_step is not None:
+            on_step(first, last, d, live, seg, key, mins)
         if last >= n:
             break
         # The live bubble of least key, rightmost on ties.
@@ -222,24 +221,3 @@ def _defenders(d, max_v) -> list[int]:
             out.extend(range(max_v[b] - d[b] + 1, max_v[b] + 1))
     return out
 
-
-def _check(graph, first, last, d, max_v, live, seg, key, mins):
-    """Segments must encode the rightmost monotone defense of the defenders so far,
-    and ``mins`` the strict suffix minima of their keys."""
-    window = Attack(first, last)
-    defense = defends_consecutive(graph, _defenders(d, max_v), window)
-    assert defense is not None, f"state holds an undefendable window {window}"
-    blocks: dict[int, int] = {}
-    for v, _ in defense:
-        b = bisect_left(max_v, v)
-        blocks[b] = blocks.get(b, 0) + 1
-    segments = {b: seg[b] for b in live}
-    assert len(segments) == len(live), f"segment deque {list(live)} repeats a bubble"
-    assert list(segments) == sorted(segments) and all(segments.values()), f"segment deque {segments} out of order"
-    assert blocks == segments, f"segments {segments} disagree with the rightmost defense {blocks}"
-    assert sum(segments.values()) == window.size, "segment counts do not cover the window"
-    want: list[int] = []
-    for b in reversed(live):
-        if not want or key[b] < key[want[-1]]:
-            want.append(b)
-    assert list(mins) == want[::-1], f"minima deque {list(mins)} is not the suffix minima {want[::-1]}"

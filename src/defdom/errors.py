@@ -36,7 +36,7 @@ class TooLarge(DefdomError):
 
 
 class BadParameters(DefdomError):
-    """Invalid generator parameters."""
+    """Invalid parameters: a generator's, a defender list, ``--sizes`` or a ``bench`` option."""
 
 
 class FormatError(DefdomError):

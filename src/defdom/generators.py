@@ -42,10 +42,18 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, m: int) -> int:
-        """Uniform-ish draw in [0, m); plain modulo, bias immaterial here."""
+        """Uniform-ish draw in [0, m); plain modulo, bias immaterial here.
+
+        A bound up to 2^64 takes one 64-bit word.  A larger one takes one
+        more word per 64 bits of m, so the draw reaches the whole range.
+        """
         if m <= 0:
             raise ValueError("below() needs a positive bound")
-        return self.next() % m
+        x = self.next()
+        if m > _MASK + 1:
+            for _ in range((m.bit_length() + 63) // 64):
+                x = x << 64 | self.next()
+        return x % m
 
 
 def _family_sizes(family: str, n, sizes) -> list[int]:

@@ -107,6 +107,35 @@ def _scaled_ends(entries) -> list:
     return on_common_scale([x.numerator for x in ends], [x.denominator for x in ends])
 
 
+def _check_maxn(vertices: Iterable[tuple[int, int]], n: int) -> None:
+    """Raise InvalidRanges at the first (vertex, max neighbor) pair, in
+    ascending vertex order, whose value is below its vertex, beyond n, or
+    below the value before it; or when n is 0."""
+    if n == 0:
+        raise InvalidRanges("graph needs at least one vertex")
+    prev = 1
+    for j, m in vertices:
+        if m < j:
+            raise InvalidRanges(f"max neighbor of vertex {j} is {m}, below the vertex itself")
+        if m > n:
+            raise InvalidRanges(f"max neighbor of vertex {j} is {m}, beyond n={n}")
+        if m < prev:
+            raise InvalidRanges(f"max neighbor sequence decreases at vertex {j}")
+        prev = m
+
+
+def _run_vertices(runs: Iterable[tuple[int, int]]):
+    """The vertices of (size, value) runs that ``_check_maxn`` can refuse, as
+    (vertex, value) pairs: each run's first vertex, which any check can
+    refuse, and the first one above its value, when that lies further in."""
+    end = 0
+    for s, m in runs:
+        yield end + 1, m
+        if end < m < end + s:
+            yield m + 1, m
+        end += s
+
+
 class ProperIntervalGraph:
     """A proper interval graph in canonical vertex order."""
 
@@ -114,18 +143,7 @@ class ProperIntervalGraph:
 
     def __init__(self, maxn: Sequence[int]):
         maxn = tuple(map(index, maxn))
-        n = len(maxn)
-        if n == 0:
-            raise InvalidRanges("graph needs at least one vertex")
-        prev = 1
-        for j, m in enumerate(maxn, start=1):
-            if m < j:
-                raise InvalidRanges(f"max neighbor of vertex {j} is {m}, below the vertex itself")
-            if m > n:
-                raise InvalidRanges(f"max neighbor of vertex {j} is {m}, beyond n={n}")
-            if m < prev:
-                raise InvalidRanges(f"max neighbor sequence decreases at vertex {j}")
-            prev = m
+        _check_maxn(enumerate(maxn, start=1), len(maxn))
         self._store(maxn)
 
     def _store(self, maxn: Sequence[int]) -> None:
@@ -155,8 +173,9 @@ class ProperIntervalGraph:
         most n.  ``min_nbr`` takes one pointer over the runs: the vertices in
         (previous top, m] get the first vertex of the run whose value m first
         reaches them.  The two sequences hold one int per run.  On empty
-        input or a failed check, ``cls`` runs on the expanded sequence only
-        to raise its error, so every error is ``__init__``'s, word for word.
+        input or a failed check, ``__init__``'s checks run on the at most two
+        vertices per run that can fail, so every error is ``__init__``'s,
+        word for word, and no run is expanded.
         """
         end = top = 0
         starts, widths = [], []  # min_nbr as runs
@@ -177,7 +196,10 @@ class ProperIntervalGraph:
                 g._maxn = tuple(chain((0,), chain.from_iterable(map(repeat, map(index, values), sizes))))
                 g._minn = tuple(chain((0,), chain.from_iterable(map(repeat, starts, widths))))
                 return g
-        cls(list(chain.from_iterable(map(repeat, values, sizes))))
+        # Sizes convert before values, as when the expansion repeats each value.
+        runs = [(s, m) for m, s in zip(values, map(index, sizes)) if s > 0]
+        runs = [(s, index(m)) for s, m in runs]
+        _check_maxn(_run_vertices(runs), sum(s for s, _ in runs))
         raise AssertionError("the per-run checks refused a valid maxn")
 
     @classmethod

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Optional
@@ -14,10 +15,14 @@ from defdom import (
     ProperIntervalGraph,
     ProperViolation,
     SplitMix64,
+    bubbles_from_pig,
     defends_consecutive,
     defends_matching,
     gen_random_unit_intervals,
+    solve_bubble,
+    solve_greedy,
 )
+from defdom.bubble_solver import _defenders
 from defdom.io import _Reader
 
 
@@ -170,6 +175,60 @@ def scan_greedy(
         stats.update(defense_steps=steps, additions=len(result))
     result.sort()
     return result
+
+
+def bubble_checker(lbm, steps=None):
+    """An ``on_step`` hook for ``solve_bubble`` on ``lbm``: after every step the
+    segments must encode the rightmost monotone defense of the defenders so
+    far, and ``mins`` the strict suffix minima of their keys.  The expanded
+    graph is built once.  With ``steps`` a list, each step also appends
+    (first, last, defenders, live bubbles, bubbles in the minima deque, its length)."""
+    graph = lbm.to_graph()
+    max_v = (0, *lbm.max_v)
+
+    def check(first, last, d, live, seg, key, mins):
+        defenders = _defenders(d, max_v)
+        if steps is not None:
+            steps.append((first, last, defenders, list(live), sorted(mins), len(mins)))
+        window = Attack(first, last)
+        defense = defends_consecutive(graph, defenders, window)
+        assert defense is not None, f"state holds an undefendable window {window}"
+        blocks: dict[int, int] = {}
+        for v, _ in defense:
+            b = bisect_left(max_v, v)
+            blocks[b] = blocks.get(b, 0) + 1
+        segments = {b: seg[b] for b in live}
+        assert len(segments) == len(live), f"segment deque {list(live)} repeats a bubble"
+        assert list(segments) == sorted(segments) and all(segments.values()), f"segment deque {segments} out of order"
+        assert blocks == segments, f"segments {segments} disagree with the rightmost defense {blocks}"
+        assert sum(segments.values()) == window.size, "segment counts do not cover the window"
+        want: list[int] = []
+        for b in reversed(live):
+            if not want or key[b] < key[want[-1]]:
+                want.append(b)
+        assert list(mins) == want[::-1], f"minima deque {list(mins)} is not the suffix minima {want[::-1]}"
+
+    return check
+
+
+def first_divergence(g: ProperIntervalGraph, k: int):
+    """The first window end ``last`` of a bubble-solver step after which its
+    defenders differ from the vertex greedy's after window ``last``, or None."""
+    lbm = bubbles_from_pig(g)
+    max_v = (0, *lbm.max_v)
+    ends = []
+    solve_bubble(lbm, k, on_step=lambda first, last, d, *_: ends.append((last, _defenders(d, max_v))))
+    at = dict.fromkeys(last for last, _ in ends)
+
+    def snapshot(j, ds):
+        if j in at:
+            at[j] = list(ds)
+
+    solve_greedy(g, k, on_step=snapshot)
+    for last, defenders in ends:
+        if defenders != at[last]:
+            return last
+    return None
 
 
 def reference_is_k_defensive(n, adjacency, defenders, k) -> bool:

@@ -25,7 +25,7 @@ from defdom import (
 )
 from defdom.bench import build_instance, run_once
 from defdom.cli import run as cli_run
-from helpers import connected_graphs, is_bridged, range_of
+from helpers import connected_graphs, first_divergence, is_bridged, range_of
 
 import io as _io
 
@@ -59,7 +59,7 @@ def test_criterion_1_oracle_optimality():
             for k in KS:
                 a = solve_greedy(g, k)
                 b = solve_bubble(bubbles_from_pig(g), k)
-                assert a == b, (g.maxn, k)
+                assert a == b, (g.maxn, k, first_divergence(g, k))
                 size, _ = min_defensive_bruteforce(n, edges, k)
                 assert len(a) == size, (g.maxn, k, a, size)
                 checked += 1
@@ -72,7 +72,7 @@ def test_criterion_1_oracle_optimality():
         for k in KS:
             a = solve_greedy(g, k)
             b = solve_bubble(bubbles_from_pig(g), k)
-            assert a == b, (g.maxn, k)
+            assert a == b, (g.maxn, k, first_divergence(g, k))
             size, _ = min_defensive_bruteforce(g.n, edges, k)
             assert len(a) == size, (g.maxn, k, a, size)
             checked += 1
@@ -93,7 +93,7 @@ def test_criterion_2_solver_agreement():
         k = 1 + rng.below(max(1, g.n - 1))
         a = solve_greedy(g, k)
         b = solve_bubble(bubbles_from_pig(g), k)
-        assert a == b, (g.maxn, k)
+        assert a == b, (g.maxn, k, first_divergence(g, k))
         instances += 1
 
     for t in range(820):

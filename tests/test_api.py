@@ -1,5 +1,6 @@
 """The package exports only what the CLI, the README, the demos and the benchmark use."""
 
+import inspect
 import re
 from pathlib import Path
 
@@ -58,3 +59,15 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
         if uses == definitions:
             unused.append(name)
     assert not unused, unused
+
+
+def test_solver_signatures_are_pinned():
+    """Both solvers take the instance, k, a stats dict and a per-step hook."""
+    for solve, first in ((defdom.solve_greedy, "g"), (defdom.solve_bubble, "lbm")):
+        params = inspect.signature(solve).parameters.values()
+        assert [(p.name, p.default) for p in params] == [
+            (first, inspect.Parameter.empty),
+            ("k", inspect.Parameter.empty),
+            ("stats", None),
+            ("on_step", None),
+        ], solve.__name__

@@ -16,8 +16,8 @@ from defdom import (
     solve_bubble,
     solve_greedy,
 )
-from defdom import bubble_solver
-from helpers import all_maxn, p5, diamond, k4, random_components, random_graph
+import helpers
+from helpers import all_maxn, bubble_checker, diamond, first_divergence, k4, p5, random_components, random_graph
 
 
 def test_examples():
@@ -27,29 +27,26 @@ def test_examples():
     assert len(r) == 2
 
 
-def trace(monkeypatch, lbm, k, stats=None):
-    """Solve with validation; return (first, last, defenders, live bubbles, bubbles
-    in the minima deque, its length) as the validation hook sees them after every step."""
-    check, steps = bubble_solver._check, []
-
-    def watched(graph, first, last, d, max_v, live, seg, key, mins):
-        steps.append((first, last, bubble_solver._defenders(d, max_v), list(live), sorted(mins), len(mins)))
-        check(graph, first, last, d, max_v, live, seg, key, mins)
-
-    monkeypatch.setattr(bubble_solver, "_check", watched)
-    assert solve_bubble(lbm, k, stats=stats, validate=True) == solve_greedy(lbm.to_graph(), k)
+def trace(lbm, k, stats=None):
+    """Solve with the checking hook; return (first, last, defenders, live bubbles,
+    bubbles in the minima deque, its length) as the hook sees them after every step."""
+    steps = []
+    g = lbm.to_graph()
+    assert solve_bubble(lbm, k, stats=stats, on_step=bubble_checker(lbm, steps)) == solve_greedy(g, k), (
+        first_divergence(g, k)
+    )
     return steps
 
 
-def test_initial_add_mirrors_greedy_prefix(monkeypatch):
+def test_initial_add_mirrors_greedy_prefix():
     # after the initial fill of a width-2 window on the path, defenders are {2,3}
-    assert trace(monkeypatch, bubbles_from_pig(p5()), 2)[0][:3] == (1, 2, [2, 3])
+    assert trace(bubbles_from_pig(p5()), 2)[0][:3] == (1, 2, [2, 3])
     # on the diamond the first two recruits are {3,4}
-    assert trace(monkeypatch, bubbles_from_pig(diamond()), 2)[0][:3] == (1, 2, [3, 4])
+    assert trace(bubbles_from_pig(diamond()), 2)[0][:3] == (1, 2, [3, 4])
 
 
-def test_slack_and_bottleneck_on_path_trace(monkeypatch):
-    steps = [step[:4] for step in trace(monkeypatch, bubbles_from_pig(p5()), 2)]
+def test_slack_and_bottleneck_on_path_trace():
+    steps = [step[:4] for step in trace(bubbles_from_pig(p5()), 2)]
     assert steps == [
         (1, 2, [2, 3], [2, 3]),  # defenders 2 and 3 can stretch to attackers 3 and 4: slack 2
         (3, 4, [2, 3], [2, 3]),  # the window slides by 2, leaving zero slack
@@ -59,16 +56,16 @@ def test_slack_and_bottleneck_on_path_trace(monkeypatch):
     ]
     # on a 6-vertex path both bubbles reach zero slack at window [3..4]; the
     # tie goes to the rightmost, {3}, so attackers 3 and 4 leave in one step
-    steps = [step[:4] for step in trace(monkeypatch, bubbles_from_pig(gen_family("path", 6)), 2)]
+    steps = [step[:4] for step in trace(bubbles_from_pig(gen_family("path", 6)), 2)]
     assert steps[1:] == [(3, 4, [2, 3], [2, 3]), (5, 6, [2, 3, 5, 6], [5, 6])]
 
 
-def test_remove_left_examples(monkeypatch):
+def test_remove_left_examples():
     # two 4-vertex paths side by side, 4 bubbles each: the first component's
     # segments and minima have left once the window starts in the second
     g = ProperIntervalGraph([2, 3, 4, 4, 6, 7, 8, 8])
     stats = {}
-    steps = trace(monkeypatch, bubbles_from_pig(g), 2, stats)
+    steps = trace(bubbles_from_pig(g), 2, stats)
     second = [step for step in steps if step[0] >= 5]
     assert second and second[0][:2] == (5, 6)
     for first, last, _, live, entries, _ in second:
@@ -78,11 +75,11 @@ def test_remove_left_examples(monkeypatch):
     assert stats["heap_inserts"] - stats["heap_deletes"] == len(steps[-1][3])
 
 
-def test_window_spans_a_component_gap(monkeypatch):
+def test_window_spans_a_component_gap():
     # an isolated vertex, then an edge: the first window [1..2] spans the gap,
     # vertex 1 defends itself with zero slack, so it leaves and attacker 3
     # joins without a slide; the recruit for it stays in its own component
-    steps = [step[:4] for step in trace(monkeypatch, bubbles_from_pig(ProperIntervalGraph([1, 3, 3])), 2)]
+    steps = [step[:4] for step in trace(bubbles_from_pig(ProperIntervalGraph([1, 3, 3])), 2)]
     assert steps == [(1, 2, [1, 3], [1, 2]), (2, 3, [1, 2, 3], [2])]
 
 
@@ -112,19 +109,20 @@ def test_agreement_with_greedy_random():
         k = 1 + rng.below(max(1, n - 1))
         dg = solve_greedy(g, k)
         db = solve_bubble(bubbles_from_pig(g), k)
-        assert dg == db, (g.maxn, k)
+        assert dg == db, (g.maxn, k, first_divergence(g, k))
 
 
 def test_agreement_with_validation_mode():
-    """Validation mode re-derives the rightmost defense every iteration."""
+    """The checking hook re-derives the rightmost defense after every step."""
     rng = SplitMix64(3141)
     for trial in range(40):
         n = 3 + rng.below(60)
         g = gen_random_unit_intervals(n, spread=1 + rng.below(3), seed=trial + 7000)
         k = 1 + rng.below(max(1, min(n - 1, 12)))
         dg = solve_greedy(g, k)
-        db = solve_bubble(bubbles_from_pig(g), k, validate=True)
-        assert dg == db
+        lbm = bubbles_from_pig(g)
+        db = solve_bubble(lbm, k, on_step=bubble_checker(lbm))
+        assert dg == db, (g.maxn, k, first_divergence(g, k))
 
 
 def test_counter_bounds():
@@ -142,8 +140,8 @@ def test_counter_bounds():
         assert stats["iterations"] <= 2 * B + 3, (g.maxn, k, stats)
 
 
-def test_minima_deque_is_exact_on_random_runs(monkeypatch):
-    """Validated runs check at every step that the deque holds exactly the
+def test_minima_deque_is_exact_on_random_runs():
+    """Checked runs confirm at every step that the deque holds exactly the
     strict suffix minima of the live keys, and so the least slack first."""
     rng = SplitMix64(2718)
     checked = 0
@@ -151,8 +149,8 @@ def test_minima_deque_is_exact_on_random_runs(monkeypatch):
         n = 2 + rng.below(300)
         g = random_graph(rng, n, seed_tag=21) if trial % 3 else random_components(rng, 1 + rng.below(12), 2 + rng.below(5))
         k = 1 + rng.below(max(1, g.n - 1))
-        checked += len(trace(monkeypatch, bubbles_from_pig(g), k))
-    assert checked > 500  # 785 validated steps in all
+        checked += len(trace(bubbles_from_pig(g), k))
+    assert checked > 500  # 1167 checked steps in all
 
 
 def test_summed_counters_over_a_seeded_sweep():
@@ -182,23 +180,50 @@ def test_summed_counters_over_a_seeded_sweep():
 
 def test_exhaustive_agreement_with_validation():
     """Every graph with n <= 7, connected or not, at every k from 1 to n + 1:
-    the validated bubble solver returns the greedy's defenders within its
-    counter bounds."""
+    the checked bubble solver returns the greedy's defenders within its
+    counter bounds, and the two solvers hold the same defenders after every
+    window end of a bubble step."""
     runs = 0
     for n in range(1, 8):
         for maxn in all_maxn(n):
             g = ProperIntervalGraph(maxn)
             lbm = bubbles_from_pig(g)
             B = lbm.count
+            check = bubble_checker(lbm)
             for k in range(1, n + 2):
                 stats = {}
-                assert solve_bubble(lbm, k, stats=stats, validate=True) == solve_greedy(g, k), (maxn, k)
+                assert solve_bubble(lbm, k, stats=stats, on_step=check) == solve_greedy(g, k), (
+                    maxn, k, first_divergence(g, k))
                 assert stats["heap_inserts"] + stats["heap_deletes"] <= 2 * B, (maxn, k, stats)
                 assert stats["iterations"] <= 2 * B + 3, (maxn, k, stats)
                 # the segments still live at the end hold one attacker each at least
                 assert 0 <= stats["heap_inserts"] - stats["heap_deletes"] <= min(k, B), (maxn, k, stats)
+                assert first_divergence(g, k) is None, (maxn, k)
                 runs += 1
     assert runs == 4706
+
+
+@pytest.mark.parametrize(
+    "k, bubble, want",
+    [
+        # attacker 4's batch recruits at reach(4) = 5; lowered, it takes 4
+        (1, 4, 4),
+        # window [5..6] recruits 6 for attacker 5, then 7 for attacker 6;
+        # with reach(6) lowered to the full bubble 6, that batch takes 5
+        (2, 6, 6),
+    ],
+)
+def test_first_divergence_names_a_corrupted_batch(monkeypatch, k, bubble, want):
+    """On the 8-vertex path, one bubble's reach one bubble lower breaks the
+    recruit batch of the attackers in that bubble, at that batch's window end."""
+    g = gen_family("path", 8)
+    lbm = bubbles_from_pig(g)
+    reach = list(lbm.reach)
+    reach[bubble - 1] -= 1
+    fields = ("n", "count", "sizes", "max_v", "min_nbr", "max_nbr")
+    broken = SimpleNamespace(reach=tuple(reach), **{name: getattr(lbm, name) for name in fields})
+    monkeypatch.setattr(helpers, "bubbles_from_pig", lambda _: broken)
+    assert first_divergence(g, k) == want
 
 
 def test_exact_counters():
@@ -276,8 +301,9 @@ def test_disconnected_models():
         k = 1 + rng.below(12)
         g = random_components(rng, k, 2 + rng.below(5))
         stats = {}
-        d = solve_bubble(bubbles_from_pig(g), k, stats=stats, validate=True)
-        assert d == solve_greedy(g, k), (g.maxn, k)
+        lbm = bubbles_from_pig(g)
+        d = solve_bubble(lbm, k, stats=stats, on_step=bubble_checker(lbm))
+        assert d == solve_greedy(g, k), (g.maxn, k, first_divergence(g, k))
         B = stats["bubbles"]
         assert stats["heap_inserts"] + stats["heap_deletes"] <= 2 * B, (g.maxn, k, stats)
         assert stats["iterations"] <= 2 * B + 3, (g.maxn, k, stats)

@@ -14,6 +14,7 @@ from defdom import (
     pig_from_bubbles,
     random_unit_intervals,
 )
+from defdom.generators import UNIT
 from helpers import connected_graphs
 
 
@@ -61,6 +62,33 @@ def test_splitmix_determinism():
     b = [SplitMix64(42).next() for _ in range(5)]
     assert a == b
     assert SplitMix64(42).next() != SplitMix64(43).next()
+
+
+def test_below_takes_one_word_up_to_2_64():
+    """A bound up to 2^64 reduces one 64-bit word, as every seeded instance
+    so far was drawn."""
+    for m in (1, 2, 7, 10**6 + 1, 10**13 * 10**6, 2**63 + 1, 2**64 - 1, 2**64):
+        rng, words = SplitMix64(99), SplitMix64(99)
+        for _ in range(20):
+            assert rng.below(m) == words.next() % m, m
+        assert rng.state == words.state, m
+
+
+def test_below_reaches_the_whole_range_past_2_64():
+    """A larger bound takes one more word per 64 bits of it, so the draws
+    spread over the whole range: left ends at spread 10^13 fill [0, top]."""
+    for m, extra in ((2**64 + 1, 2), (2**128, 3), (2**128 + 1, 3)):
+        rng, words = SplitMix64(5), SplitMix64(5)
+        x = rng.below(m)
+        for _ in range(1 + extra):
+            words.next()
+        assert rng.state == words.state and 0 <= x < m, m
+    n = 1000
+    top = 10**13 * n * UNIT
+    lefts = sorted(left for left, _ in random_unit_intervals(n, 10**13, 1))
+    assert top > 2**64 and 0 <= lefts[0] and lefts[-1] <= top
+    assert lefts[n // 10] < top // 5 and lefts[-n // 10] > top * 4 // 5
+    assert top * 2 // 5 < lefts[n // 2] < top * 3 // 5
 
 
 def test_random_intervals_deterministic_per_seed():

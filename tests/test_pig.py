@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -140,6 +140,53 @@ def test_from_runs_errors_match_expanded_constructor(sizes, values):
     assert outcome(ProperIntervalGraph.from_runs, sizes, values) == want
     if sizes and min(sizes) > 0:
         assert want[0] is InvalidRanges, want
+
+
+def test_from_runs_matches_expanded_constructor_on_random_runs():
+    """Seeded runs of every length from -1 to 3, values from 0 to n + 2, and
+    now and then a non-integer size, or value of a nonempty run: the same
+    graph or the same error as ``__init__`` on the expanded sequence, which
+    names the first failing vertex."""
+    rng = SplitMix64(4242)
+    failed = 0
+    for _ in range(4000):
+        count = 1 + rng.below(5)
+        sizes = [rng.below(5) - 1 for _ in range(count)]
+        top = sum(s for s in sizes if s > 0) + 3
+        values = [rng.below(top) for _ in range(count - rng.below(2))]
+        if values and not rng.below(20):
+            i = rng.below(len(values))
+            if sizes[i] > 0 and rng.below(2):
+                values[i] += 0.5
+            else:
+                sizes[i] += 0.5
+        want = _graph_fields(lambda: ProperIntervalGraph(list(chain.from_iterable(map(repeat, values, sizes)))))
+        assert _graph_fields(ProperIntervalGraph.from_runs, sizes, values) == want, (sizes, values)
+        failed += want[0] != "ok"
+    assert failed > 2000
+
+
+def test_from_runs_names_a_fault_past_a_billion_vertices_without_expanding():
+    """A failing run after 10^9 vertices is named in closed form: no
+    expanded sequence, a tracemalloc peak under 1 MB."""
+    import tracemalloc
+
+    cases = [
+        ([10**9, 1], [10**9, 5], "max neighbor of vertex 1000000001 is 5, below the vertex itself"),
+        ([10**9, 3], [10**9, 10**9 + 1], "max neighbor of vertex 1000000002 is 1000000001, below the vertex itself"),
+        ([10**9, 1], [10**9 + 2, 10**9 + 2], "max neighbor of vertex 1 is 1000000002, beyond n=1000000001"),
+        ([10**9, 2], [10**9 + 2, 10**9 + 1], "max neighbor sequence decreases at vertex 1000000001"),
+    ]
+    for sizes, values, message in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidRanges) as exc:
+                ProperIntervalGraph.from_runs(sizes, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == message
+        assert peak < 1 << 20, (sizes, peak)
 
 
 def test_from_runs_builds_every_graph_without_init(monkeypatch):
