@@ -8,9 +8,11 @@ Every column is a clique and every bubble is a set of pairwise twins.
 
 The linear model lists the bubbles column by column, row order inside a
 column, and records per bubble the vertex range plus the extremes of its
-closed neighborhood; that is all the bubble solver needs.  ``LinearBubbles(...)``,
-and so ``linear_from_compact``, validate it; ``bubbles_from_pig`` builds it
-unchecked from the twin runs of a graph, which are valid by construction.
+closed neighborhood; that is all the bubble solver needs.  The sizes and the
+last neighbors determine the rest: ``LinearBubbles(sizes, max_nbr)``, and so
+``linear_from_compact``, checks them and derives the first neighbors;
+``bubbles_from_pig`` builds the model unchecked from the twin runs of a
+graph, which are valid by construction.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from operator import index, itemgetter
 from typing import Sequence
 
 from .errors import InvalidBubbles, InvalidRanges, TooLarge
-from .pig import ProperIntervalGraph
+from .pig import ProperIntervalGraph, _check_maxn, _run_vertices
 
 #: Most vertices a bubble model is ever expanded into.  pig_from_bubbles keeps
 #: two tuples of n references plus a few lists per bubble, so a path, one
@@ -88,28 +90,30 @@ class LinearBubbles:
 
     __slots__ = ("sizes", "min_v", "max_v", "min_nbr", "max_nbr", "reach", "count", "n")
 
-    def __init__(self, sizes, min_nbr, max_nbr):
-        sizes, min_nbr, max_nbr = tuple(map(index, sizes)), tuple(map(index, min_nbr)), tuple(map(index, max_nbr))
+    def __init__(self, sizes, max_nbr):
+        sizes, max_nbr = tuple(map(index, sizes)), tuple(map(index, max_nbr))
         if not sizes:
             raise InvalidBubbles("need at least one bubble")
-        if not (len(sizes) == len(min_nbr) == len(max_nbr)):
+        if len(sizes) != len(max_nbr):
             raise InvalidBubbles("bubble field lengths differ")
         if min(sizes) <= 0:
             raise InvalidBubbles("bubble sizes must be positive")
         min_v, max_v = _ranges(sizes)
-        n, ends, starts = max_v[-1], set(max_v), set(min_v)
-        prev_lo, prev_hi = 0, 0
-        for i, lo, hi, a, b in zip(range(1, len(sizes) + 1), min_nbr, max_nbr, min_v, max_v):
-            if not (lo <= a and hi >= b):
-                raise InvalidBubbles(f"bubble {i} neighborhood excludes its own vertices")
-            if lo < prev_lo or hi < prev_hi:
-                raise InvalidBubbles(f"neighborhood extremes decrease at bubble {i}")
-            if hi > n or lo < 1:
-                raise InvalidBubbles(f"bubble {i} neighborhood leaves the vertex range")
-            # Twin classes mean neighborhoods cover whole bubbles.
-            if hi not in ends or lo not in starts:
+        try:
+            _check_maxn(_run_vertices(zip(max_nbr, sizes)), max_v[-1])
+        except InvalidRanges as exc:
+            raise InvalidBubbles(f"bubble model induces invalid neighbor ranges: {exc}") from exc
+        ends = set(max_v)
+        for i, hi in enumerate(max_nbr, start=1):
+            if hi not in ends:  # twin classes: a neighborhood covers whole bubbles
                 raise InvalidBubbles(f"bubble {i} neighborhood splits a bubble")
-            prev_lo, prev_hi = lo, hi
+        # min_nbr(v) is the least u with max_nbr(u) >= v: the first vertex of
+        # the first bubble reaching v, found by one forward pointer
+        min_nbr, r = [], 0
+        for a in min_v:
+            while max_nbr[r] < a:
+                r += 1
+            min_nbr.append(min_v[r])
         self._derive(sizes, min_nbr, max_nbr, min_v, max_v)
 
     def _derive(self, sizes, min_nbr, max_nbr, min_v, max_v) -> None:
@@ -135,7 +139,6 @@ class LinearBubbles:
         return (
             isinstance(other, LinearBubbles)
             and self.sizes == other.sizes
-            and self.min_nbr == other.min_nbr
             and self.max_nbr == other.max_nbr
         )
 
@@ -170,43 +173,37 @@ def linear_from_compact(cb: CompactBubbles) -> LinearBubbles:
     """Linear model of a compact structure, in time linear in the bubble count.
 
     A bubble's neighborhood ends at the last bubble of the next column in a
-    strictly lower row and starts at the first bubble of the previous column
-    in a strictly higher row; with none, its own column bounds it.  Both are
-    found by lagging pointers, one per adjacent column, that walk up the
-    rows with the bubble.
+    strictly lower row; with none, its own column bounds it.  That end is
+    found by a lagging pointer into the next column that walks up the rows
+    with the bubble.
 
     Every structure that ``CompactBubbles`` accepts defines a valid model,
     so the checks of ``LinearBubbles(...)`` never fail here.  Rows strictly
     increase within a column, so a bubble's neighbors in the next column
-    are a prefix of it and those in the previous column a suffix.  So
-    ``max_nbr`` is the last vertex of a bubble and ``min_nbr`` the first
-    vertex of one, inside 1..n, and both cover the bubble's own column, and
-    so its own vertices.  Up a column the prefix grows and the suffix
-    shrinks, so neither extreme decreases.  Nor does either decrease into
-    the next column: the last bubble of column j reaches at most to the end
-    of column j+1, where every bubble of column j+1 reaches at least, and
-    starts at most at the start of column j, where every bubble of column
-    j+1 starts at least.
+    are a prefix of it, and its later neighbors are the rest of its own
+    column and that prefix: a range that ends at ``max_nbr``, the last
+    vertex of a bubble, inside 1..n, covering the bubble's own vertices.
+    Up a column the prefix grows, so ``max_nbr`` does not decrease; nor
+    does it into the next column: the last bubble of column j reaches at
+    most to the end of column j+1, where every bubble of column j+1 reaches
+    at least.  The later neighbors of every vertex are so a range ending at
+    its ``max_nbr``, which fixes the graph, and the ``min_nbr`` that the
+    constructor derives from it is the rule's first neighbor.
     """
     cols = cb.columns
     sizes = [size for col in cols for _, size in col]
     tops = list(accumulate(sizes, initial=0))  # tops[i]: the vertex before bubble i
     base = list(accumulate(map(len, cols), initial=0))  # base[j]: column j's first bubble
-    min_nbr, max_nbr = [], []
+    max_nbr = []
     for j, col in enumerate(cols):
         nxt = cols[j + 1] if j + 1 < len(cols) else ()
-        prv = cols[j - 1] if j else ()
-        nb, pb = base[j + 1], base[j - 1] if j else 0
-        p_end, q_end = len(nxt), len(prv)
-        p = q = 0  # next-column rows below the bubble's, previous-column rows at or below
+        nb, p_end = base[j + 1], len(nxt)
+        p = 0  # next-column rows below the bubble's
         for row, _ in col:
             while p < p_end and nxt[p][0] < row:
                 p += 1
-            while q < q_end and prv[q][0] <= row:
-                q += 1
             max_nbr.append(tops[nb + p])
-            min_nbr.append(tops[pb + q] + 1)
-    return LinearBubbles(sizes, min_nbr, max_nbr)
+    return LinearBubbles(sizes, max_nbr)
 
 
 def pig_from_bubbles(cb: CompactBubbles) -> ProperIntervalGraph:

@@ -26,7 +26,7 @@ exactly, only more slowly.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
 from math import lcm
 from operator import floordiv, index, lt, mul
 from typing import Iterable, Optional, Sequence
@@ -125,11 +125,12 @@ def _check_maxn(vertices: Iterable[tuple[int, int]], n: int) -> None:
 
 
 def _run_vertices(runs: Iterable[tuple[int, int]]):
-    """The vertices of (size, value) runs that ``_check_maxn`` can refuse, as
-    (vertex, value) pairs: each run's first vertex, which any check can
-    refuse, and the first one above its value, when that lies further in."""
+    """The vertices of (value, size) runs, positive sizes, that ``_check_maxn``
+    can refuse, as (vertex, value) pairs: each run's first vertex, which any
+    check can refuse, and the first one above its value, when that lies
+    further in."""
     end = 0
-    for s, m in runs:
+    for m, s in runs:
         yield end + 1, m
         if end < m < end + s:
             yield m + 1, m
@@ -166,22 +167,22 @@ class ProperIntervalGraph:
         """The graph whose ``maxn`` holds ``values[r]`` for ``sizes[r]``
         consecutive vertices, built with Python work per run only.
 
-        A run of no or negative length holds no vertex and is skipped, so n
-        is the sum of the other sizes.  ``__init__``'s three checks are made
-        once per other run: the value is at least the run's last vertex and
-        not below the previous value, and the last value, the largest, is at
-        most n.  ``min_nbr`` takes one pointer over the runs: the vertices in
-        (previous top, m] get the first vertex of the run whose value m first
-        reaches them.  The two sequences hold one int per run.  On empty
-        input or a failed check, ``__init__``'s checks run on the at most two
-        vertices per run that can fail, so every error is ``__init__``'s,
-        word for word, and no run is expanded.
+        A run of no or negative length holds no vertex and is skipped, its
+        value unread, so n is the sum of the other sizes.  ``__init__``'s
+        three checks are made once per other run: the value is at least the
+        run's last vertex and not below the previous value, and the last
+        value, the largest, is at most n.  ``min_nbr`` takes one pointer over
+        the runs: the vertices in (previous top, m] get the first vertex of
+        the run whose value m first reaches them.  The two sequences hold one
+        int per run.  On empty input or a failed check, ``__init__``'s checks
+        run on the at most two vertices per run that can fail, so every error
+        is ``__init__``'s, word for word, and no run is expanded.
         """
+        # Sizes convert before values, as when the expansion repeats each value.
+        runs = [(index(m), s) for m, s in zip(values, map(index, sizes)) if s > 0]
         end = top = 0
         starts, widths = [], []  # min_nbr as runs
-        for s, m in zip(sizes, values):
-            if s <= 0:
-                continue
+        for m, s in runs:
             if m < end + s or m < top:
                 break
             if m > top:
@@ -193,13 +194,10 @@ class ProperIntervalGraph:
             if 0 < end and top <= end:
                 g = cls.__new__(cls)
                 g.n = end
-                g._maxn = tuple(chain((0,), chain.from_iterable(map(repeat, map(index, values), sizes))))
+                g._maxn = tuple(chain((0,), chain.from_iterable(starmap(repeat, runs))))
                 g._minn = tuple(chain((0,), chain.from_iterable(map(repeat, starts, widths))))
                 return g
-        # Sizes convert before values, as when the expansion repeats each value.
-        runs = [(s, m) for m, s in zip(values, map(index, sizes)) if s > 0]
-        runs = [(s, index(m)) for s, m in runs]
-        _check_maxn(_run_vertices(runs), sum(s for s, _ in runs))
+        _check_maxn(_run_vertices(runs), sum(s for _, s in runs))
         raise AssertionError("the per-run checks refused a valid maxn")
 
     @classmethod

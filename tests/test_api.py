@@ -4,6 +4,8 @@ import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 import defdom
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,3 +73,15 @@ def test_solver_signatures_are_pinned():
             ("stats", None),
             ("on_step", None),
         ], solve.__name__
+
+
+def test_bubble_model_signature_is_pinned():
+    """A bubble model is built from its sizes and last neighbors alone; the
+    first neighbors are derived, so a call that passes them is refused."""
+    params = inspect.signature(defdom.LinearBubbles).parameters.values()
+    assert [(p.name, p.default) for p in params] == [
+        ("sizes", inspect.Parameter.empty),
+        ("max_nbr", inspect.Parameter.empty),
+    ]
+    with pytest.raises(TypeError):
+        defdom.LinearBubbles([1, 1], [1, 2], [1, 2])

@@ -87,7 +87,7 @@ def test_empty_model_rejected():
     from defdom import InvalidBubbles, LinearBubbles
 
     with pytest.raises(InvalidBubbles):
-        LinearBubbles([], [], [])
+        LinearBubbles([], [])
 
 
 def test_rejects_bad_k():
@@ -290,7 +290,7 @@ def test_solver_accepts_finer_than_twin_models():
     from defdom import LinearBubbles
 
     g = ProperIntervalGraph([4, 4, 4, 4])
-    fine = LinearBubbles([2, 2], [1, 1], [4, 4])  # one clique, two bubbles
+    fine = LinearBubbles([2, 2], [4, 4])  # one clique, two bubbles
     for k in (1, 2, 3):
         assert solve_bubble(fine, k) == solve_greedy(g, k)
 
@@ -314,10 +314,10 @@ def test_state_is_per_bubble_on_huge_twin_classes():
     import tracemalloc
 
     def one_bubble(m):
-        return LinearBubbles([m], [1], [m]), 1
+        return LinearBubbles([m], [m]), 1
 
     def three_bubbles_chained(m):  # each bubble adjacent to the next only
-        return LinearBubbles([m] * 3, [1, 1, m + 1], [2 * m, 3 * m, 3 * m]), 3
+        return LinearBubbles([m] * 3, [2 * m, 3 * m, 3 * m]), 3
 
     for shape in (one_bubble, three_bubbles_chained):
         lbm, k = shape(40)

@@ -1,7 +1,8 @@
 import re
 import time
 import tracemalloc
-from itertools import combinations, product
+from itertools import accumulate, combinations, combinations_with_replacement, product
+from operator import le
 
 import pytest
 
@@ -13,6 +14,7 @@ from defdom import (
     SplitMix64,
     bubbles_from_pig,
     compact_for_family,
+    first_undefended_attack,
     gen_random_bubbles,
     linear_from_compact,
     pig_from_bubbles,
@@ -195,25 +197,75 @@ def test_bubble_members_are_twins_columns_are_cliques():
 
 
 def test_linear_bubbles_validation():
+    ranges = "bubble model induces invalid neighbor ranges: "
     cases = [
-        (([], [], []), "need at least one bubble"),
-        (([1, 1], [1], [1, 2]), "bubble field lengths differ"),
-        (([1, 0], [1, 2], [1, 2]), "bubble sizes must be positive"),
-        (([1, 1], [2, 2], [2, 2]), "bubble 1 neighborhood excludes its own vertices"),
-        (([1, 1], [1, 1], [2, 1]), "bubble 2 neighborhood excludes its own vertices"),
-        (([1, 1, 1], [1, 2, 1], [1, 2, 3]), "neighborhood extremes decrease at bubble 3"),
-        (([1, 1], [1, 0], [2, 2]), "neighborhood extremes decrease at bubble 2"),  # and below vertex 1
-        (([1, 1], [1, 1], [2, 3]), "bubble 2 neighborhood leaves the vertex range"),  # max_nbr past n
-        (([2, 2], [1, 1], [4, 9]), "bubble 2 neighborhood leaves the vertex range"),
-        (([1], [0], [1]), "bubble 1 neighborhood leaves the vertex range"),
-        (([2, 2], [1, 1], [3, 4]), "bubble 1 neighborhood splits a bubble"),  # reach 3 splits bubble 2
-        (([2, 2], [1, 2], [4, 4]), "bubble 2 neighborhood splits a bubble"),  # starts inside bubble 1
+        (([], []), "need at least one bubble"),
+        (([1, 1], [1]), "bubble field lengths differ"),
+        (([1, 0], [1, 2]), "bubble sizes must be positive"),
+        (([1, 1], [2, 1]), ranges + "max neighbor of vertex 2 is 1, below the vertex itself"),
+        (([3], [2]), ranges + "max neighbor of vertex 3 is 2, below the vertex itself"),  # inside its bubble
+        (([1, 1], [2, 3]), ranges + "max neighbor of vertex 2 is 3, beyond n=2"),
+        (([2, 2], [4, 9]), ranges + "max neighbor of vertex 3 is 9, beyond n=4"),
+        (([1, 1, 1], [3, 2, 3]), ranges + "max neighbor sequence decreases at vertex 2"),
+        (([2, 2], [3, 4]), "bubble 1 neighborhood splits a bubble"),  # reach 3 splits bubble 2
     ]
     for args, message in cases:
         with pytest.raises(InvalidBubbles, match=f"^{re.escape(message)}$"):
             LinearBubbles(*args)
-    LinearBubbles([1, 1], [1, 2], [1, 2])  # two isolated vertices: fine
-    LinearBubbles([2, 2], [1, 1], [4, 4])  # one clique, two bubbles: fine
+    LinearBubbles([1, 1], [1, 2])  # two isolated vertices: fine
+    LinearBubbles([2, 2], [4, 4])  # one clique, two bubbles: fine
+
+
+def _compositions(n):
+    """Every list of positive sizes summing to n."""
+    if n == 0:
+        yield []
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield [first, *rest]
+
+
+def test_every_accepted_model_agrees_with_its_graph():
+    """Every (sizes, max_nbr) with n <= 6 and max_nbr nondecreasing in 1..n,
+    as any accepted one is: the constructor accepts exactly the runs whose
+    expansion is a valid ``maxn`` and whose values end bubbles; each
+    accepted model's first neighbors are its graph's, and the bubble pass of
+    the verifier names the same attack as the graph pass for every defender
+    subset at k = 1, 2 and n."""
+    accepted, verdicts = 0, {}
+    c0 = time.thread_time()
+    for n in range(1, 7):
+        subsets = [list(ds) for r in range(n + 1) for ds in combinations(range(1, n + 1), r)]
+        for sizes in _compositions(n):
+            ends = set(accumulate(sizes))
+            for max_nbr in combinations_with_replacement(range(1, n + 1), len(sizes)):
+                maxn = [m for s, m in zip(sizes, max_nbr) for _ in range(s)]
+                valid = all(map(le, range(1, n + 1), maxn)) and ends.issuperset(max_nbr)
+                try:
+                    lb = LinearBubbles(sizes, max_nbr)
+                except InvalidBubbles:
+                    assert not valid, (sizes, max_nbr)
+                    continue
+                assert valid, (sizes, max_nbr)
+                accepted += 1
+                g = lb.to_graph()
+                assert [g.minn[v] for v in lb.min_v] == list(lb.min_nbr), lb
+                if g not in verdicts:  # finer models of one graph share its verdicts
+                    verdicts[g] = [first_undefended_attack(g, ds, k) for k in {1, 2, n} for ds in subsets]
+                got = [first_undefended_attack(lb, ds, k) for k in {1, 2, n} for ds in subsets]
+                assert got == verdicts[g], lb
+    cpu = time.thread_time() - c0
+    assert accepted == 730
+    assert cpu < 2.0, cpu
+
+
+def test_counterexample_model_verifies_as_its_graph():
+    """A model whose old hand-given first neighbors contradicted its last
+    ones read FAIL on the model and OK on the graph; derived, both read OK."""
+    lb = LinearBubbles([1, 3, 3, 3], [4, 7, 7, 10])
+    assert lb.min_nbr == (1, 1, 2, 8)
+    assert first_undefended_attack(lb, [4, 10], 1) is None
+    assert first_undefended_attack(lb.to_graph(), [4, 10], 1) is None
 
 
 def _fields(lb):
@@ -231,7 +283,7 @@ def test_bubbles_from_pig_matches_validating_constructor():
     ]
     for g in graphs:
         lb = bubbles_from_pig(g)
-        assert _fields(lb) == _fields(LinearBubbles(lb.sizes, lb.min_nbr, lb.max_nbr)), g
+        assert _fields(lb) == _fields(LinearBubbles(lb.sizes, lb.max_nbr)), g
 
 
 def test_linear_from_compact_accepts_every_structure():

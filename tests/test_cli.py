@@ -580,6 +580,13 @@ def test_gen_checks_clique_sizes_before_the_expansion_cap_in_every_format():
             assert (code, out, err) == (2, "", f"error: {message}\n"), (sizes, fmt)
 
 
+def test_gen_refuses_random_instances_without_a_positive_n():
+    for n in ((), ("--n", "0")):
+        for fmt in ("pig", "intervals", "bubbles"):
+            code, out, err = cli("gen", "--family", "random", *n, "--format", fmt)
+            assert (code, out, err) == (2, "", "error: random instances need --n >= 1\n"), (n, fmt)
+
+
 def test_gen_rejects_bad_spread():
     for fmt in ("pig", "intervals"):
         for spread, why in (("1/0", "zero denominator"), ("-1", "negative"), ("x", "not a finite number")):
@@ -659,6 +666,13 @@ def test_bench_csv_shape():
     assert lines[0] == "instance,n,bubbles,k,algo,nanoseconds,defense_steps,heap_ops,list_ops"
     assert len(lines) == 1 + 2 * 2 * 2  # sizes x repeats x algos
     assert all(len(l.split(",")) == 9 for l in lines[1:])
+    # a one-vertex clique chain is a single clique of one vertex
+    code, out, _ = cli("bench", "--family", "clique_chain", "--sizes", "1", "--k", "1")
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert code == 0 and [row[:5] for row in rows] == [
+        ["clique_chain-n1-r0", "1", "1", "1", "greedy"],
+        ["clique_chain-n1-r0", "1", "1", "1", "bubble"],
+    ]
 
 
 def test_bench_deterministic_outside_timing_column():

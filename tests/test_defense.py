@@ -241,8 +241,8 @@ def test_bubble_verifier_exact_steps():
     P = -4 above bubble 2's -5.  In ``edge`` the pointer's own bubble 0
     decides for bubble 1.  The 10^15 twins take the same steps as 10 would.
     """
-    model = LinearBubbles([2, 3, 2, 2], [1, 1, 3, 6], [5, 7, 9, 9])
-    edge = LinearBubbles([1, 1, 1], [1, 1, 3], [2, 2, 3])  # an edge split in two, then a lone vertex
+    model = LinearBubbles([2, 3, 2, 2], [5, 7, 9, 9])
+    edge = LinearBubbles([1, 1, 1], [2, 2, 3])  # an edge split in two, then a lone vertex
     twins = linear_from_compact(CompactBubbles([[(1, 10**15)]]))
     runs = (
         (model, [4, 5, 6, 7], 4, None, 10),

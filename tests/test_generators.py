@@ -55,6 +55,9 @@ def test_bad_parameters():
                     build(family, n)
         with pytest.raises(BadParameters, match="^unknown family 'nonsense'$"):
             build("nonsense", 3)
+    for columns, rows in ((0, 4), (4, 0)):
+        with pytest.raises(BadParameters, match="^need at least one column and one row$"):
+            gen_random_bubbles(5, max_columns=columns, max_rows=rows)
 
 
 def test_splitmix_determinism():

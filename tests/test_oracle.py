@@ -41,6 +41,10 @@ def test_caps():
         is_k_defensive_bruteforce(17, [], {1}, 1)
     with pytest.raises(TooLarge):
         min_defensive_bruteforce(13, [], 1)
+    with pytest.raises(ValueError, match="^k must be at least 1$"):
+        is_k_defensive_bruteforce(3, p3().edges(), {2}, 0)
+    with pytest.raises(ValueError, match="^k must be at least 1$"):
+        min_defensive_bruteforce(3, p3().edges(), 0)
 
 
 def test_agrees_with_structured_checker():

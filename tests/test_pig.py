@@ -144,9 +144,9 @@ def test_from_runs_errors_match_expanded_constructor(sizes, values):
 
 def test_from_runs_matches_expanded_constructor_on_random_runs():
     """Seeded runs of every length from -1 to 3, values from 0 to n + 2, and
-    now and then a non-integer size, or value of a nonempty run: the same
-    graph or the same error as ``__init__`` on the expanded sequence, which
-    names the first failing vertex."""
+    now and then a non-integer size or value, an empty run's value included:
+    the same graph or the same error as ``__init__`` on the expanded
+    sequence, which names the first failing vertex."""
     rng = SplitMix64(4242)
     failed = 0
     for _ in range(4000):
@@ -156,7 +156,7 @@ def test_from_runs_matches_expanded_constructor_on_random_runs():
         values = [rng.below(top) for _ in range(count - rng.below(2))]
         if values and not rng.below(20):
             i = rng.below(len(values))
-            if sizes[i] > 0 and rng.below(2):
+            if rng.below(2):
                 values[i] += 0.5
             else:
                 sizes[i] += 0.5
@@ -192,9 +192,11 @@ def test_from_runs_names_a_fault_past_a_billion_vertices_without_expanding():
 def test_from_runs_builds_every_graph_without_init(monkeypatch):
     """from_runs never enters __init__ when it returns a graph, runs of no or
     negative length included; those runs' values, 0 or above n here, would
-    fail a check, and are skipped with them.  A size with no value adds no
-    vertex, as in the expanded sequence."""
+    fail a check, and are skipped with them, unread, so no value of theirs
+    is converted.  A size with no value adds no vertex, as in the expanded
+    sequence."""
     splits = [([2, 0, 1], [3, 0, 3]), ([2, -1, 2], [4, 5, 4]), ([1, 1], [1])]
+    splits += [([1, 0, 1], [1, 4.5]), ([1, -2], [1, "7"]), ([1, 0], [1, None])]
     for n in range(1, 7):
         for maxn in all_maxn(n):
             splits.append(([1, 0] * n, [v for m in maxn for v in (m, 0)]))
@@ -218,8 +220,8 @@ def test_from_runs_builds_every_graph_without_init(monkeypatch):
         lambda: ProperIntervalGraph.from_runs([1, 1], [2, 2.0]),  # a float no check reaches
         lambda: CompactBubbles([[(1, 2.7)]]),
         lambda: CompactBubbles([[("1", 2)]]),
-        lambda: LinearBubbles([2.5], [1], [2]),
-        lambda: LinearBubbles([2], [1], ["2"]),
+        lambda: LinearBubbles([2.5], [2]),
+        lambda: LinearBubbles([2], ["2"]),
         lambda: gen_family("clique_chain", sizes=[2, 3.5]),
         lambda: compact_for_family("clique_chain", sizes=["3"]),
         lambda: ProperIntervalGraph.from_intervals([("0", "1/2"), (" 1/4 ", "3")]),
