@@ -42,8 +42,6 @@ from .pig import ProperIntervalGraph
 
 #: Answer lines formatted into one string per write: few writes, a bounded buffer.
 _ANSWER_CHUNK = 1024
-#: Defender text is converted about this many characters at a time, each slice cut at a separator.
-_DEFENDER_SLICE = 4096
 _COMMA = re.compile(",")
 #: A defenders file separates vertices by commas and by whitespace as ``str.split()``
 #: reads it: ``\s`` matches exactly the characters ``str.isspace`` accepts.
@@ -93,26 +91,13 @@ def _defender_tokens(text: str, in_file: bool) -> list[str]:
     return tokens
 
 
-def _slices(text: str, in_file: bool):
-    """``text`` in slices of about ``_DEFENDER_SLICE`` characters.  Each ends
-    just before the first separator past that length, found by a search from
-    its offset, so the slices split exactly as the whole text does and none
-    copies more of it than its own characters."""
-    sep = _FILE_SEPARATOR if in_file else _COMMA
-    start = 0
-    while cut := sep.search(text, start + _DEFENDER_SLICE):
-        yield text[start : cut.start()]
-        start = cut.end()
-    yield text[start:]
-
-
 def _file_slices(path: str):
-    """The slices (``_slices``) of a named file, read a slice's length at a
-    time and each read finished to the end of its line, so a file of many
-    lines is never held whole."""
+    """The slices (``defdom.io._slices``) of a named file, read a slice's
+    length at a time and each read finished to the end of its line, so a file
+    of many lines is never held whole."""
     with open(path, encoding="utf-8") as fh:
-        while part := fh.read(_DEFENDER_SLICE):
-            yield from _slices(part + fh.readline(), True)
+        while part := fh.read(dio._SLICE):
+            yield from dio._slices(part + fh.readline(), _FILE_SEPARATOR)
 
 
 def _sliced_ints(args, text: str | None) -> tuple[str | None, list[int]]:
@@ -122,7 +107,8 @@ def _sliced_ints(args, text: str | None) -> tuple[str | None, list[int]]:
     before the next slice is split."""
     in_file = args.defenders_file is not None
     size, head, out = None, in_file, []
-    for part in _slices(text, in_file) if text is not None else _file_slices(args.defenders_file):
+    sep = _FILE_SEPARATOR if in_file else _COMMA
+    for part in dio._slices(text, sep) if text is not None else _file_slices(args.defenders_file):
         if head and (first := _FILE_TOKEN.search(part)):
             head = False
             if first[0].startswith("size="):

@@ -25,14 +25,19 @@ by one positive integer keeps every comparison between endpoints, so the
 graph is exactly the one the rationals define.  Should L pass ``SCALE_BITS``
 bits, the endpoints are made Fractions instead, equally exact.
 
-The payload tokens of every format are converted in bulk: all of them in one
-pass, with no ``_Reader`` method call and no message built per token, and
-the bulk pass accepts every form the grammar does (``+1``, ``1_0``,
+The header words are read one regex search at a time; the payload, which
+runs to the end of the file, is converted a slice of about ``_SLICE``
+characters at a time, each slice cut at a separator, so no list of the
+file's tokens is ever built for a ``pig`` or ``intervals`` file.  The slices
+are converted with no ``_Reader`` method call and no message built per
+token, and that pass accepts every form the grammar does (``+1``, ``1_0``,
 non-ASCII digits, ``1/``, ``1/-2``, a negative bubble count as none).
-Should any token be refused, or the file end first, the per-token loop runs
-instead only to name the first bad token; it is the only code that builds a
-diagnostic, so every message and every byte offset is the one the grammar
-read token by token gives.
+Should any token be refused, or the token count differ from the header's,
+the per-token loop runs instead only to name the first bad token, or
+``done`` the trailing one; it is the only code that builds a diagnostic, so
+every message and every byte offset is the one the grammar read token by
+token gives.  The decoded text goes once the last diagnostic that needs it
+has run, before the graph is built.
 
 Parse failures raise FormatError carrying the byte offset of the offending
 token.
@@ -52,9 +57,24 @@ from .pig import ProperIntervalGraph, on_common_scale
 #: Tokens split on exactly ASCII whitespace, as a bytes ``\S+`` would;
 #: ``str.split()`` would also split on NBSP, ``\x1c``-``\x1f``, U+2028 and more.
 _TOKEN = re.compile(r"[^ \t\n\r\f\v]+")
+#: One of ``_TOKEN``'s six separators: where a payload slice is cut.
+_SPACE = re.compile(r"[ \t\n\r\f\v]")
 #: The only ASCII characters ``str.split()`` splits on that ``_TOKEN`` does not.
 _ODD_SPACE = "\x1c\x1d\x1e\x1f"
 _COMMENT = re.compile(rb"#[^\n]*")
+#: Text is converted about this many characters at a time, each slice cut at a separator.
+_SLICE = 4096
+
+
+def _slices(text: str, sep: re.Pattern, start: int = 0):
+    """``text[start:]`` in slices of about ``_SLICE`` characters.  Each ends
+    just before the first one-character separator ``sep`` matches past that
+    length, found by a search from its offset, so the slices split exactly as
+    the whole text does and none copies more of it than its own characters."""
+    while cut := sep.search(text, start + _SLICE):
+        yield text[start : cut.start()]
+        start = cut.end()
+    yield text[start:]
 
 
 class _Denominators(dict):
@@ -66,7 +86,10 @@ class _Denominators(dict):
 
 
 class _Reader:
-    """The file's tokens as plain strings, split once; a token's byte offset is
+    """The decoded file, and the offset ``pos`` just past the ``i`` tokens
+    read so far.  Header words are found one ``_TOKEN.search`` at a time; the
+    payload, the rest of the file, is split a slice at a time (``_payload``),
+    so no list of the file's tokens is built.  A token's byte offset is
     recomputed, by one rescan, only for a diagnostic."""
 
     def __init__(self, data: bytes):
@@ -75,20 +98,24 @@ class _Reader:
         except UnicodeDecodeError as exc:
             raise FormatError(exc.start, "invalid UTF-8") from None
         text = self.text
-        plain = text.isascii() and not any(c in text for c in _ODD_SPACE)
-        self.tokens = text.split() if plain else _TOKEN.findall(text)
-        self.i = 0
+        self.plain = text.isascii() and not any(c in text for c in _ODD_SPACE)
+        self.pos = self.i = 0
 
     def error(self, j, message) -> FormatError:
         """A FormatError at token j, or at the end of the file past the last token."""
         m = next(itertools.islice(_TOKEN.finditer(self.text), j, None), None)
         return FormatError(len(self.text[: m.start() if m else None].encode("utf-8")), message)
 
+    def at_end(self) -> bool:
+        return _TOKEN.search(self.text, self.pos) is None
+
     def next(self, what):
-        if self.i >= len(self.tokens):
+        m = _TOKEN.search(self.text, self.pos)
+        if m is None:
             raise self.error(self.i, f"unexpected end of file, expected {what}")
+        self.pos = m.end()
         self.i += 1
-        return self.tokens[self.i - 1]
+        return m[0]
 
     def word(self, expected):
         text = self.next(f"'{expected}'")
@@ -102,66 +129,89 @@ class _Reader:
         except ValueError:
             raise self.error(self.i - 1, f"expected integer {what}, got '{text}'") from None
 
-    def integers(self, count, what):
-        """The next ``count`` tokens as ints, converted in one bulk ``map(int, ...)``.
+    def _split(self, text):
+        """The tokens of ``text``: ``str.split()`` on a plain file, ``_TOKEN.findall`` on any other."""
+        return text.split() if self.plain else _TOKEN.findall(text)
 
-        A token ``int`` refuses, or a file that ends first, sends the read
-        back to the per-token loop, which names the first bad token;
-        ``what(t)`` describes the t-th token (0-based) for its message.
+    def _payload(self):
+        """The tokens of the rest of the file, one list per slice (``_slices``)."""
+        return map(self._split, _slices(self.text, _SPACE, self.pos))
+
+    def _read_to_end(self, count):
+        """Mark the rest of the file, ``count`` tokens, as read."""
+        self.pos = len(self.text)
+        self.i += count
+
+    def integers(self, count, what):
+        """The rest of the file, exactly ``count`` tokens, as ints, converted
+        by ``map(int, ...)`` a slice at a time (``_payload``).
+
+        A token ``int`` refuses, or a token count other than ``count``,
+        sends the read back to the per-token loop, which names the first bad
+        token, or to ``done``, which names a trailing one; ``what(t)``
+        describes the t-th token (0-based) for its message.
         """
-        stop = self.i + count
-        if stop <= len(self.tokens):
-            try:
-                out = list(map(int, itertools.islice(self.tokens, self.i, stop)))
-            except ValueError:
-                pass
-            else:
-                self.i = stop
+        out = []
+        try:
+            for tokens in self._payload():
+                out += map(int, tokens)
+        except ValueError:
+            pass
+        else:
+            if len(out) == count:
+                self._read_to_end(count)
                 return out
         for t in range(count):
             self.integer(what(t))
+        self.done()
         raise AssertionError("the bulk pass refused no integer")
 
     def rationals(self, count, what):
-        """The next ``count`` tokens as two lists, numerators and nonzero denominators, not reduced.
+        """The rest of the file, exactly ``count`` tokens, as two lists,
+        numerators and nonzero denominators, not reduced.
 
-        One pass splits the tokens at their first ``/``, with no method call
-        or message per token; each distinct denominator text is converted
+        One pass a slice at a time splits the tokens at their first ``/``,
+        with no ``_Reader`` method call or message per token, and holds one
+        token's parts at a time; each distinct denominator text is converted
         once, so equal denominators share one int, and a negative one keeps
-        its sign (``on_common_scale`` takes either).  A refused token, a zero
-        denominator, or a file that ends first sends the read back to the
-        per-token ``rational`` loop, as ``integers`` does.
+        its sign (``on_common_scale`` takes either).  A
+        refused token, a zero denominator, or a token count other than
+        ``count`` sends the read back to the per-token ``rational`` loop and
+        ``done``, as ``integers`` does.
         """
-        stop = self.i + count
-        if stop <= len(self.tokens):
-            nums, dens, den_of = [], [], _Denominators()
-            parts = map(str.partition, itertools.islice(self.tokens, self.i, stop), itertools.repeat("/"))
-            try:
-                for num, _, den in parts:
+        nums, dens, den_of = [], [], _Denominators()
+        try:
+            for tokens in self._payload():
+                for num, _, den in map(str.partition, tokens, itertools.repeat("/")):
                     nums.append(int(num))
                     dens.append(den_of[den])
-            except ValueError:
-                pass
-            else:
-                if 0 not in den_of.values():
-                    self.i = stop
-                    return nums, dens
+        except ValueError:
+            pass
+        else:
+            if len(nums) == count and 0 not in den_of.values():
+                self._read_to_end(count)
+                return nums, dens
         for t in range(count):
             self.rational(what(t))
+        self.done()
         raise AssertionError("the bulk pass refused no rational")
 
     def columns(self, count):
-        """The next ``count`` bubble columns, ``col j cnt`` then cnt (row, size) pairs.
+        """The rest of the file, exactly ``count`` bubble columns, each ``col j
+        cnt`` then cnt (row, size) pairs.
 
-        The ``col j cnt`` headers are walked first; then every (row, size)
-        token is converted in one bulk ``map(int, ...)``, with no method call
-        per token, and the ints are cut into columns by ``islice``.  A
-        negative count is read as no bubbles, as the grammar reads it, and
+        The rest of the file is split whole: a compact file is small.  The
+        ``col j cnt`` headers are walked first; then every (row, size) token
+        is converted in one bulk ``map(int, ...)``, with no method call per
+        token, and the ints are cut into columns by ``islice``.  A negative
+        count is read as no bubbles, as the grammar reads it, and
         ``CompactBubbles`` names the empty column.  A wrong ``col j`` header,
-        a token ``int`` refuses or a file that ends first sends the read back
-        to the per-token loop, which names the first bad token.
+        a token ``int`` refuses, or a token count other than the columns'
+        sends the read back to the per-token loop, which names the first bad
+        token, or to ``done``, which names a trailing one.
         """
-        tokens, i, spans = self.tokens, self.i, []
+        tokens = self._split(self.text[self.pos :])
+        i, spans = 0, []
         try:
             for j in range(1, count + 1):
                 if tokens[i] != "col" or int(tokens[i + 1]) != j:
@@ -171,11 +221,13 @@ class _Reader:
                     raise ValueError
                 spans.append(slice(i + 3, stop))
                 i = stop
+            if i != len(tokens):
+                raise ValueError
             values = iter(list(map(int, itertools.chain.from_iterable(map(tokens.__getitem__, spans)))))
         except (ValueError, IndexError):
             pass
         else:
-            self.i = i
+            self._read_to_end(i)
             out = []
             for span in spans:
                 pairs = itertools.islice(values, span.stop - span.start)
@@ -189,6 +241,7 @@ class _Reader:
             for _ in range(self.integer("bubble count")):
                 self.integer("row")
                 self.integer("size")
+        self.done()
         raise AssertionError("the bulk pass refused no column")
 
     def rational(self, what):
@@ -204,10 +257,9 @@ class _Reader:
         raise self.error(self.i - 1, f"expected rational {what}, got '{text}'")
 
     def done(self):
-        """Reject a trailing token, then free the tokens before the payload is built."""
-        if self.i < len(self.tokens):
-            raise self.error(self.i, f"trailing token '{self.tokens[self.i]}'")
-        self.tokens = None
+        """Reject a trailing token."""
+        if m := _TOKEN.search(self.text, self.pos):
+            raise self.error(self.i, f"trailing token '{m[0]}'")
 
 
 def parse_instance(data: bytes):
@@ -218,7 +270,7 @@ def parse_instance(data: bytes):
     """
     rd = _Reader(data)
     del data  # the reader holds the decoded text, the one copy of the file kept
-    if not rd.tokens:
+    if rd.at_end():
         raise FormatError(0, "empty file")
     head = rd.next("header")
     if head == "pig":
@@ -226,8 +278,8 @@ def parse_instance(data: bytes):
         if n < 1:
             raise rd.error(0, "vertex count must be positive")
         rd.word("maxn")
-        maxn = rd.integers(n, lambda t: f"max neighbor of vertex {t + 1}")
-        rd.done()
+        maxn = iter(rd.integers(n, lambda t: f"max neighbor of vertex {t + 1}"))
+        del rd  # the text goes before the graph is built, the int list once its tuple is
         return "pig", ProperIntervalGraph(maxn)
     if head == "intervals":
         n = rd.integer("interval count")
@@ -235,7 +287,6 @@ def parse_instance(data: bytes):
             raise rd.error(0, "interval count must be positive")
         # token 2j - 2 of the payload is interval j's left endpoint, 2j - 1 its right one
         nums, dens = rd.rationals(2 * n, lambda t: f"{('left', 'right')[t % 2]} endpoint {t // 2 + 1}")
-        rd.done()
         ends = on_common_scale(nums, dens)
         del nums, dens
         above = map(gt, itertools.islice(ends, 0, None, 2), itertools.islice(ends, 1, None, 2))
@@ -243,15 +294,15 @@ def parse_instance(data: bytes):
             # the first reversed interval; token 2j of the file is its left endpoint
             raise rd.error(2 * j, f"interval {j} has left endpoint above right endpoint")
         pairs = iter(ends)
-        del ends, above  # the list goes as from_intervals reads the last pair
+        del rd, ends, above  # the text goes here, the list as from_intervals reads the last pair
         return "intervals", ProperIntervalGraph.from_intervals(zip(pairs, pairs))
     if head == "bubbles":
         c = rd.integer("column count")
         if c < 1:
             raise rd.error(0, "column count must be positive")
-        columns = rd.columns(c)
-        rd.done()
-        return "bubbles", CompactBubbles(columns)
+        return "bubbles", CompactBubbles(rd.columns(c))
+    if head.startswith("\ufeff"):
+        raise FormatError(0, "the file starts with a UTF-8 byte-order mark (U+FEFF); save it without one")
     raise rd.error(0, f"unknown header '{head}' (expected pig, intervals, or bubbles)")
 
 

@@ -26,7 +26,7 @@ exactly, only more slowly.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, repeat, starmap
+from itertools import chain, islice, repeat, starmap
 from math import lcm
 from operator import floordiv, index, lt, mul
 from typing import Iterable, Optional, Sequence
@@ -142,15 +142,15 @@ class ProperIntervalGraph:
 
     __slots__ = ("n", "_maxn", "_minn")
 
-    def __init__(self, maxn: Sequence[int]):
-        maxn = tuple(map(index, maxn))
-        _check_maxn(enumerate(maxn, start=1), len(maxn))
+    def __init__(self, maxn: Iterable[int]):
+        maxn = tuple(chain((0,), map(index, maxn)))  # 1-based, the one copy kept
+        _check_maxn(islice(enumerate(maxn), 1, None), len(maxn) - 1)
         self._store(maxn)
 
-    def _store(self, maxn: Sequence[int]) -> None:
-        """Keep a valid, non-empty ``maxn`` (vertex 1 first) and derive ``minn``; no checks."""
-        n = self.n = len(maxn)
-        maxn = self._maxn = (0, *maxn)  # 1-based
+    def _store(self, maxn: tuple[int, ...]) -> None:
+        """Keep a valid, non-empty 1-based ``maxn`` tuple and derive ``minn``; no checks."""
+        n = self.n = len(maxn) - 1
+        self._maxn = maxn
         # min_nbr(j) = least i with max_nbr(i) >= j
         minn = [0] * (n + 1)
         i = 1
@@ -235,14 +235,14 @@ class ProperIntervalGraph:
         if hi != sorted(hi) or list(map(lt, lo, lo[1:])) != list(map(lt, hi, hi[1:])):
             _name_violation(ends)
         del ends
-        maxn = []
+        maxn = [0]  # 1-based
         m = 0  # the vertices whose left end is at most the current right end
         for r in hi:
             while m < n and lo[m] <= r:
                 m += 1
             maxn.append(m)
         g = cls.__new__(cls)  # j < maxn[j] <= n, never decreasing: valid as built
-        g._store(maxn)
+        g._store(tuple(maxn))
         return g
 
     # -- basic queries ----------------------------------------------------

@@ -374,7 +374,7 @@ def _reference_rational(rd: _Reader, what):
 def reference_parse_intervals(data: bytes) -> ProperIntervalGraph:
     """Reference reading of an ``intervals`` file: one Fraction per endpoint token."""
     rd = _Reader(data)
-    if not rd.tokens:
+    if rd.at_end():
         raise FormatError(0, "empty file")
     rd.word("intervals")
     n = rd.integer("interval count")
@@ -395,7 +395,7 @@ def reference_parse_intervals(data: bytes) -> ProperIntervalGraph:
 def reference_parse_pig(data: bytes) -> ProperIntervalGraph:
     """Reference reading of a ``pig`` file: one ``_Reader.integer`` call per token."""
     rd = _Reader(data)
-    if not rd.tokens:
+    if rd.at_end():
         raise FormatError(0, "empty file")
     rd.word("pig")
     n = rd.integer("vertex count")
@@ -410,7 +410,7 @@ def reference_parse_pig(data: bytes) -> ProperIntervalGraph:
 def reference_parse_bubbles(data: bytes) -> CompactBubbles:
     """Reference reading of a ``bubbles`` file: one ``_Reader`` call per token."""
     rd = _Reader(data)
-    if not rd.tokens:
+    if rd.at_end():
         raise FormatError(0, "empty file")
     rd.word("bubbles")
     c = rd.integer("column count")

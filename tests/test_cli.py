@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import defdom.cli as cli_module
+import defdom.io
 from defdom import compact_for_family, gen_family, solve_greedy
 from defdom.cli import run
 from defdom.errors import BadParameters
@@ -225,7 +226,7 @@ def test_sliced_defender_intake_matches_one_split(tmp_path, monkeypatch):
     """Sliced intake returns the one-split list, or its one-line error, at every slice length."""
     f = tmp_path / "defenders.txt"
     for width in (1, 2, 3, 4, 5, 7, 4096):
-        monkeypatch.setattr(cli_module, "_DEFENDER_SLICE", width)
+        monkeypatch.setattr(defdom.io, "_SLICE", width)
         for (text, in_file), what in SLICE_CASES.items():
             n = 20_000 if "12345" in text else 20
             want = _one_split_intake(text, in_file, n)
@@ -259,7 +260,7 @@ def test_sliced_defender_intake_matches_one_split_on_random_tokens(tokens, seps,
     else:
         text = ",".join(tokens)
     want = _one_split_intake(text, in_file, 30)
-    with mock.patch.object(cli_module, "_DEFENDER_SLICE", width):
+    with mock.patch.object(defdom.io, "_SLICE", width):
         if in_file:
             with tempfile.TemporaryDirectory() as tmp:
                 f = Path(tmp) / "defenders.txt"
@@ -613,6 +614,21 @@ def test_parse_error_exit_code_and_offset(tmp_path):
     path.write_bytes(b"intervals 2\n0 1\n3/2 1\n")
     code, out, err = cli("solve", "--input", str(path), "--k", "1")
     assert (code, out, err) == (2, "", "error: byte 16: interval 2 has left endpoint above right endpoint\n")
+
+
+def test_byte_order_mark_is_named(tmp_path):
+    """A file that starts with a UTF-8 byte-order mark exits 2 with one line naming the mark, in every format."""
+    texts = ("pig 1\nmaxn 1\n", "intervals 1\n0 1\n", "bubbles 1\ncol 1 1\n1 1\n")
+    for text in texts:
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert cli("solve", "--input", str(path), "--k", "1") == (
+            2,
+            "",
+            "error: byte 0: the file starts with a UTF-8 byte-order mark (U+FEFF); save it without one\n",
+        ), text
+        path.write_text(text)
+        assert cli("solve", "--input", str(path), "--k", "1")[0] == 0, text
 
 
 def test_unknown_subcommand_exits_2():

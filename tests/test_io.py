@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import defdom.io
 import defdom.pig
 from defdom import CompactBubbles, DefdomError, FormatError, ProperIntervalGraph, gen_family
 from defdom.cli import run
@@ -146,10 +148,16 @@ def test_rational_denominator_optional():
     assert g.n == 2
 
 
+#: Payload slice lengths the readers are checked at: every cut a tiny file
+#: can have, and the default, at which a small file is one slice.
+SLICE_LENGTHS = [1, 2, 3, 5, 7, defdom.io._SLICE]
+
+
 @FUZZ
-@given(FILES)
-def test_reader_matches_reference_tokenizer(data):
-    """Same tokens, per-token offsets, end-of-file offset and UTF-8 error as the line-by-line reference."""
+@given(FILES, st.sampled_from(SLICE_LENGTHS))
+def test_reader_matches_reference_tokenizer(data, width):
+    """Same tokens, read one by one and a slice at a time, per-token offsets,
+    end-of-file offset and UTF-8 error as the line-by-line reference."""
     try:
         ref = reference_tokenize(data)
     except FormatError as exc:
@@ -158,7 +166,11 @@ def test_reader_matches_reference_tokenizer(data):
         assert (got.value.offset, str(got.value)) == (exc.offset, str(exc))
         return
     rd = _Reader(data)
-    assert rd.tokens == [text for text, _ in ref]
+    want = [text for text, _ in ref]
+    with patch.object(defdom.io, "_SLICE", width):
+        assert list(itertools.chain.from_iterable(rd._payload())) == want
+    assert rd.at_end() == (not want)
+    assert [rd.next("token") for _ in want] == want and rd.at_end()
     offsets = [rd.error(j, "").offset for j in range(len(ref) + 1)]
     assert offsets == [off for _, off in ref] + [len(data)]
 
@@ -256,6 +268,15 @@ def _parse_graph(data):
     return parse_instance(data)[1]
 
 
+def _assert_reference_outcome(parse, reference, data):
+    """``parse`` gives ``reference``'s graph, or its error class, message and
+    byte offset, at every payload slice length."""
+    want = outcome(reference, data)
+    for width in SLICE_LENGTHS:
+        with patch.object(defdom.io, "_SLICE", width):
+            assert outcome(parse, data) == want, (width, data)
+
+
 INTERVALS_TEXTS = [
     "intervals 2\n0 1\n1 2\n",  # touching
     "intervals 3\n0 1\n0/5 2/2\n1 2\n",  # equal, unreduced
@@ -273,15 +294,14 @@ INTERVALS_TEXTS = [
 
 @pytest.mark.parametrize("text", INTERVALS_TEXTS)
 def test_intervals_match_fraction_reference(text):
-    data = text.encode()
-    assert outcome(_parse_graph, data) == outcome(reference_parse_intervals, data)
+    _assert_reference_outcome(_parse_graph, reference_parse_intervals, text.encode())
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=600)
 @given(intervals_file())
 def test_intervals_differential_against_fraction_reference(data):
     """Same graph, or the same error class, message and byte offset, as one Fraction per token."""
-    assert outcome(_parse_graph, data) == outcome(reference_parse_intervals, data)
+    _assert_reference_outcome(_parse_graph, reference_parse_intervals, data)
 
 
 @st.composite
@@ -328,8 +348,7 @@ PIG_TEXTS = [
 
 @pytest.mark.parametrize("text", PIG_TEXTS)
 def test_pig_match_per_token_reference(text):
-    data = text.encode()
-    assert outcome(_parse_graph, data) == outcome(reference_parse_pig, data)
+    _assert_reference_outcome(_parse_graph, reference_parse_pig, text.encode())
 
 
 def test_pig_count_below_tokens_is_a_trailing_token():
@@ -343,7 +362,7 @@ def test_pig_count_below_tokens_is_a_trailing_token():
 @given(pig_file())
 def test_pig_differential_against_per_token_reference(data):
     """Same graph, or the same error class, message and byte offset, as one ``integer`` call per token."""
-    assert outcome(_parse_graph, data) == outcome(reference_parse_pig, data)
+    _assert_reference_outcome(_parse_graph, reference_parse_pig, data)
 
 
 @st.composite
@@ -389,15 +408,14 @@ BUBBLES_TEXTS = [
 
 @pytest.mark.parametrize("text", BUBBLES_TEXTS)
 def test_bubbles_match_per_token_reference(text):
-    data = text.encode()
-    assert outcome(_parse_bubbles, data) == outcome(reference_parse_bubbles, data)
+    _assert_reference_outcome(_parse_bubbles, reference_parse_bubbles, text.encode())
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=600)
 @given(bubbles_file())
 def test_bubbles_differential_against_per_token_reference(data):
     """Same columns, or the same error class, message and byte offset, as one ``integer`` call per token."""
-    assert outcome(_parse_bubbles, data) == outcome(reference_parse_bubbles, data)
+    _assert_reference_outcome(_parse_bubbles, reference_parse_bubbles, data)
 
 
 def _reader_calls(data):
@@ -420,13 +438,157 @@ def _reader_calls(data):
 
 
 def _assert_one_accepting_path(data):
-    """A payload the reader takes is read by the bulk pass alone: the only
-    ``integer`` call is the header count's, and ``rational`` is never called."""
-    got, calls = _reader_calls(data)
-    if "done" in calls:
-        assert calls == ["integer", "done"], (data, got, calls)
-    else:  # the reader refused the payload, by the per-token loop's diagnostic
-        assert got[0] is FormatError, (data, got, calls)
+    """A payload the reader takes is read by the sliced pass alone: the only
+    ``integer`` call is the header count's, and ``rational`` and ``done`` are
+    never called.  Any further call is the per-token loop's, which runs only
+    to name the first fault, at every slice length."""
+    for width in SLICE_LENGTHS:
+        with patch.object(defdom.io, "_SLICE", width):
+            got, calls = _reader_calls(data)
+        assert calls[:1] == ["integer"], (width, data, got, calls)
+        if calls[1:]:  # the reader refused the payload, by the per-token loop's diagnostic
+            assert got[0] is FormatError, (width, data, got, calls)
+
+
+#: Small files with a fault, or a token of the regex tokenizer, at which a
+#: payload slice is cut at every length from 1 up: inside the token, just
+#: before it and just after it.
+CUT_TEXTS = [
+    "pig 6\nmaxn 2 3 4 x5 6 6\n",  # a bad token
+    "pig 4\nmaxn 2 3 4 4x\n",  # a bad last token
+    "intervals 3\n0 1\n1/2 1/0\n2 3\n",  # a zero denominator
+    "pig 6\nmaxn 2 3 4 5 6\n",  # an early end of file
+    "intervals 3\n0 1\n1/2 3/2\n2\n",
+    "pig 3\nmaxn 2 3 3 3\n",  # a trailing token
+    "pig 2\nmaxn 2 2 zz\n",  # a trailing token int refuses
+    "intervals 2\n0 1\n1 2 3/4\n",
+    "intervals 3\n0 1\n5/2 2\n2 3\n",  # a reversed interval
+    "bubbles 2\ncol 1 2\n1 3\n2 4\ncol 2 1\n1 x\n",
+    "bubbles 1\ncol 1 1\n1 1 7\n",
+    "pig 3 # three\nmaxn 2 # two\n3 3 # and three\n",  # comments
+    "pig 3\nmaxn ٢ ٣ ٣\n",  # non-ASCII digits
+    "intervals 2\n٠ 1\n1/٢ 2\n",
+    "pig 3\nmaxn ٢ \xa0 3\n",  # NBSP, a token of its own
+    "pig 2\nmaxn 2\x1c 2\n",  # \x1c inside a token int takes
+    "pig 3\nmaxn 2 3\x1c3 3\n",  # and inside one it refuses
+    "intervals 2\n0 1\x1f\n1 2\n",
+    "bubbles 1\ncol\x1c 1 1\n1 1\n",
+]
+PARSERS = {
+    "pig": (_parse_graph, reference_parse_pig),
+    "intervals": (_parse_graph, reference_parse_intervals),
+    "bubbles": (_parse_bubbles, reference_parse_bubbles),
+}
+
+
+@pytest.mark.parametrize("text", CUT_TEXTS)
+def test_every_slice_cut_gives_the_reference_outcome(text):
+    """The graph, or the error class, message and byte offset, of the
+    per-token reference, with the payload read only by the sliced pass when
+    it is taken, at every slice length from 1 to past the end of the file."""
+    data = text.encode()
+    parse, reference = PARSERS[text.split()[0]]
+    want = outcome(reference, data)
+    for width in range(1, len(text) + 2):
+        with patch.object(defdom.io, "_SLICE", width):
+            assert outcome(parse, data) == want, width
+            got, calls = _reader_calls(data)
+        if calls[1:]:  # the per-token loop ran, only to name the first fault
+            assert got[0] is FormatError, (width, got, calls)
+
+
+class _SpyText(str):
+    """The decoded file: records its own whole-text splits, and its release."""
+
+    events: list
+
+    def split(self, *args):
+        self.events.append("split")
+        return super().split(*args)
+
+    def __del__(self):
+        self.events.append("freed")
+
+
+class _SpyToken:
+    """``_TOKEN``, recording each ``findall`` or ``finditer`` over a whole ``_SpyText``."""
+
+    def __init__(self, real, events):
+        self.real, self.events = real, events
+
+    def __getattr__(self, name):
+        method = getattr(self.real, name)
+
+        def scan(string, *args):
+            if isinstance(string, _SpyText) and name in ("findall", "finditer"):
+                self.events.append(name)
+            return method(string, *args)
+
+        return scan
+
+
+def _spied_parse(data, width):
+    """``parse_instance``'s outcome on ``data`` at slice length ``width``,
+    the whole-text scans, text release and graph builds in order, and the
+    lengths of the payload slices."""
+    events, lengths = [], []
+    spy_text = type("SpyText", (_SpyText,), {"events": events})
+    real_comment, real_slices = defdom.io._COMMENT, defdom.io._slices
+    real_build, real_from_intervals = ProperIntervalGraph.__init__, ProperIntervalGraph.from_intervals.__func__
+
+    class Blanked(bytes):
+        """The file with comments blanked, which decodes to the spied text."""
+
+        def decode(self, *args):
+            return spy_text(bytes.decode(self, *args))
+
+    class Comment:
+        def sub(self, repl, data):
+            return Blanked(real_comment.sub(repl, data))
+
+    def slices(text, sep, start=0):
+        for part in real_slices(text, sep, start):
+            lengths.append(len(part))
+            yield part
+
+    def build(self, maxn):
+        events.append("build")
+        real_build(self, maxn)
+
+    def from_intervals(cls, entries):
+        events.append("build")
+        return real_from_intervals(cls, entries)
+
+    with (
+        patch.object(defdom.io, "_SLICE", width),
+        patch.object(defdom.io, "_TOKEN", _SpyToken(defdom.io._TOKEN, events)),
+        patch.object(defdom.io, "_slices", slices),
+        patch.object(defdom.io, "_COMMENT", Comment()),
+        patch.object(ProperIntervalGraph, "__init__", build),
+        patch.object(ProperIntervalGraph, "from_intervals", classmethod(from_intervals)),
+    ):
+        got = outcome(parse_instance, data)
+    return got, events, lengths
+
+
+@pytest.mark.parametrize("digits", ["0123456789", "٠١٢٣٤٥٦٧٨٩"])
+@pytest.mark.parametrize("fmt", ["pig", "intervals"])
+def test_accepted_payload_builds_no_token_list_and_frees_the_text_first(fmt, digits):
+    """An accepted pig or intervals file, on the split and on the regex
+    tokenizer, is read in slices of about ``_SLICE`` characters: the whole
+    text is never split or scanned by ``findall``, and it is freed before
+    the graph is built."""
+    g = gen_family("path", 400)
+    text = format_pig(g) if fmt == "pig" else format_intervals(g.canonical_intervals())
+    data = text.translate(str.maketrans("0123456789", digits)).encode()
+    got, events, lengths = _spied_parse(data, 64)
+    assert got == ("ok", (fmt, g))
+    assert events == ["freed", "build"]
+    longest = max(map(len, text.split()))
+    assert len(lengths) > len(text) // 128 and max(lengths) <= 64 + longest, lengths
+    # the spy sees a whole-text scan: the rescan that names a trailing token
+    got, events, _ = _spied_parse(data + b"x\n", 64)
+    assert got[0] is FormatError and "finditer" in events, (got, events)
 
 
 @pytest.mark.parametrize("text", PIG_TEXTS + INTERVALS_TEXTS + BUBBLES_TEXTS)
@@ -502,8 +664,9 @@ def test_parse_peak_memory_per_vertex():
 
 
 def test_intervals_parse_peak_memory_per_vertex():
-    """No Fraction per endpoint token: a 20,000-interval file of x/10^6
-    endpoints peaks below 400 bytes per vertex."""
+    """No Fraction per endpoint token and no list of the file's tokens: a
+    20,000-interval file of x/10^6 endpoints peaks below 240 bytes per
+    vertex (208 measured; 273 with a whole-file token list)."""
     n = 20_000
     entries = random_unit_intervals(n, Fraction(1, 16), seed=20)
     data = format_intervals([(Fraction(l, UNIT), Fraction(r, UNIT)) for l, r in entries]).encode()
@@ -513,4 +676,4 @@ def test_intervals_parse_peak_memory_per_vertex():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n < 400, peak / n
+    assert peak / n < 240, peak / n
