@@ -1,17 +1,15 @@
 """Command-line interface.
 
-Subcommands: solve, verify, oracle, bubbles, gen, bench.  Instance files use
-the formats documented in defdom.io.  Parse and validation failures exit
-with status 2 and a one-line diagnostic; verify exits 1 when the defenders
-fail, reporting the first undefended consecutive attack.
+Subcommands: solve, verify, oracle, bubbles, gen, bench.  defdom.io reads the
+instance files and defender lists, in the formats it documents.  Refused input
+exits with status 2 and a one-line diagnostic; verify exits 1 when the
+defenders fail, reporting the first undefended consecutive attack.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
-import re
 import sys
 
 from . import io as dio
@@ -42,11 +40,6 @@ from .pig import ProperIntervalGraph
 
 #: Answer lines formatted into one string per write: few writes, a bounded buffer.
 _ANSWER_CHUNK = 1024
-_COMMA = re.compile(",")
-#: A defenders file separates vertices by commas and by whitespace as ``str.split()``
-#: reads it: ``\s`` matches exactly the characters ``str.isspace`` accepts.
-_FILE_SEPARATOR = re.compile(r"[\s,]")
-_FILE_TOKEN = re.compile(r"[^\s,]+")
 
 
 def _load(path: str):
@@ -67,86 +60,14 @@ def _model(payload) -> LinearBubbles:
     return bubbles_from_pig(payload)
 
 
-def _defender_text(args) -> str:
-    """The whole text of ``--defenders``, or of ``--defenders-file`` (``-`` for stdin)."""
-    if args.defenders_file is None:
-        return args.defenders
-    if args.defenders_file == "-":
-        return sys.stdin.read()
-    with open(args.defenders_file, encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _defender_tokens(text: str, in_file: bool) -> list[str]:
-    """The whole text's tokens, split once: ``--defenders`` at commas, a file at
-    commas and whitespace, after its optional ``size=N`` line, whose N must
-    match the count.  Built only to name the first fault."""
-    if not in_file:
-        return text.split(",")
-    tokens = text.replace(",", " ").split()
-    if tokens and tokens[0].startswith("size="):
-        size = tokens.pop(0)[5:]
-        if size != str(len(tokens)):
-            raise BadParameters(f"defenders file says size={size} but lists {len(tokens)} vertices")
-    return tokens
-
-
-def _file_slices(path: str):
-    """The slices (``defdom.io._slices``) of a named file, read a slice's
-    length at a time and each read finished to the end of its line, so a file
-    of many lines is never held whole."""
-    with open(path, encoding="utf-8") as fh:
-        while part := fh.read(dio._SLICE):
-            yield from dio._slices(part + fh.readline(), _FILE_SEPARATOR)
-
-
-def _sliced_ints(args, text: str | None) -> tuple[str | None, list[int]]:
-    """A file's ``size=N`` value (None without that line) and the vertices,
-    converted into one int list a slice at a time: slices of ``text``, or of
-    the named file when ``text`` is None.  Each slice's tokens are freed
-    before the next slice is split."""
-    in_file = args.defenders_file is not None
-    size, head, out = None, in_file, []
-    sep = _FILE_SEPARATOR if in_file else _COMMA
-    for part in dio._slices(text, sep) if text is not None else _file_slices(args.defenders_file):
-        if head and (first := _FILE_TOKEN.search(part)):
-            head = False
-            if first[0].startswith("size="):
-                size, part = first[0][5:], part[first.end() :]
-        out += map(int, part.replace(",", " ").split() if in_file else part.split(","))
-    return size, out
-
-
 def _defenders(args, n: int) -> list[int]:
-    """The defenders in ascending order, duplicates kept (the verifier's own
-    dedupe is the only one).  They are converted slice by slice into one int
-    list (``_sliced_ints``), sorted and range-checked at its two ends, so no
-    token list of the whole text is built, and a regular file of many lines
-    is never held whole.  On any failure, a bad token, a wrong ``size=N`` or
-    bad UTF-8, the whole text is read and split once and the per-token loop
-    names the first fault."""
-    named = args.defenders_file not in (None, "-") and os.path.isfile(args.defenders_file)
-    text = None if named else _defender_text(args)  # a pipe or stdin is read once, whole
-    if args.defenders_file is None and (not text or text.isspace()):
-        return []
-    try:
-        size, out = _sliced_ints(args, text)
-    except ValueError:
-        pass
-    else:
-        out.sort()
-        if (size is None or size == str(len(out))) and (not out or (1 <= out[0] and out[-1] <= n)):
-            return out
-        del out
-    text = _defender_text(args) if text is None else text
-    for part in _defender_tokens(text, args.defenders_file is not None):  # name the first fault
-        try:
-            v = int(part)
-        except ValueError:
-            raise BadParameters(f"defender {part.strip()!r} is not a vertex number") from None
-        if not 1 <= v <= n:
-            raise BadParameters(f"defender {v} outside 1..{n}")
-    raise AssertionError("the sliced pass refused no defender")
+    """``--defenders``, or the ``--defenders-file`` (``-``: stdin), read by ``defdom.io.read_defenders``."""
+    if args.defenders_file is None:
+        return dio.read_defenders(args.defenders, n)
+    if args.defenders_file == "-":
+        return dio.read_defenders(sys.stdin.buffer, n)
+    with open(args.defenders_file, "rb") as fh:
+        return dio.read_defenders(fh, n)
 
 
 def _sizes(text: str) -> list[int]:

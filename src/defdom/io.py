@@ -1,4 +1,4 @@
-"""Line-oriented instance file formats.
+"""Line-oriented instance file formats, and defender lists.
 
 Three UTF-8 formats, distinguished by their header word; ``#`` starts a
 comment anywhere on a line.
@@ -14,7 +14,14 @@ comment anywhere on a line.
     col <j> <count>
     <row> <size>                                      (count lines per column)
 
-Tokens are split on exactly the six ASCII whitespace characters: by
+A defender list, the answer ``verify`` checks (``read_defenders``), has no
+header and no comments: vertex numbers in any order, repeats allowed.  A UTF-8
+file separates them by commas and by whitespace as ``str.split()`` reads it,
+after an optional first token ``size=N`` that must give their count; the
+``--defenders`` string by commas alone, each token read by ``int`` (``2,,3``
+holds an empty, bad token; an empty or blank string lists none).
+
+Instance tokens are split on exactly the six ASCII whitespace characters: by
 ``str.split()`` on an all-ASCII file with none of 0x1c-0x1f, where it splits
 on just those six, and by the ``_TOKEN`` regex on any other file.
 
@@ -51,7 +58,7 @@ from fractions import Fraction
 from operator import gt
 
 from .bubbles import CompactBubbles
-from .errors import FormatError
+from .errors import BadParameters, FormatError
 from .pig import ProperIntervalGraph, on_common_scale
 
 #: Tokens split on exactly ASCII whitespace, as a bytes ``\S+`` would;
@@ -64,6 +71,9 @@ _ODD_SPACE = "\x1c\x1d\x1e\x1f"
 _COMMENT = re.compile(rb"#[^\n]*")
 #: Text is converted about this many characters at a time, each slice cut at a separator.
 _SLICE = 4096
+_COMMA = re.compile(",")
+#: The bytes that are no defender-file separator (a comma, or ASCII whitespace as ``str.split()`` reads it).
+_TOKEN_BYTES = bytes(b for b in range(256) if b not in b",\t\n\v\f\r\x1c\x1d\x1e\x1f ")
 
 
 def _slices(text: str, sep: re.Pattern, start: int = 0):
@@ -304,6 +314,74 @@ def parse_instance(data: bytes):
     if head.startswith("\ufeff"):
         raise FormatError(0, "the file starts with a UTF-8 byte-order mark (U+FEFF); save it without one")
     raise rd.error(0, f"unknown header '{head}' (expected pig, intervals, or bubbles)")
+
+
+def read_defenders(source, n: int) -> list[int]:
+    """``source``, the ``--defenders`` string or a binary defenders file, as
+    ascending ints, repeats kept.  Each slice (a string cut at commas, a file
+    read ``_SLICE`` bytes at a time) is sorted and range-checked at its two
+    ends; the first that fails names its first fault in input order, and the
+    rest is only counted, so a wrong ``size=N`` is named first.  Faults raise
+    BadParameters."""
+    if isinstance(source, str):  # an empty or all-whitespace string has no slice
+        slices = _slices(source, _COMMA) if source and not source.isspace() else ()
+        split, header = lambda text: text.split(","), False
+    else:
+        slices, split, header = _utf8_slices(source), lambda text: text.replace(",", " ").split(), True
+    out, size, count, fault, ordered = [], None, 0, None, True
+    for tokens in map(split, slices):
+        if header and size is None and not count and tokens and tokens[0].startswith("size="):
+            size = tokens.pop(0)[5:]  # the file's first token
+        count += len(tokens)
+        if fault is None and tokens:
+            try:
+                vals = sorted(map(int, tokens))
+            except ValueError:
+                vals = None
+            if vals is None or vals[0] < 1 or vals[-1] > n:
+                fault, out = _first_fault(tokens, n), None
+            else:
+                tokens.clear()  # the strings go before the list grows
+                ordered = ordered and (not out or out[-1] <= vals[0])
+                out += vals
+            del vals  # before the next slice is split, as is the token list
+        del tokens
+    if size is not None and size != str(count):
+        raise BadParameters(f"defenders file says size={size} but lists {count} vertices")
+    if fault is not None:
+        raise BadParameters(fault)
+    if not ordered:
+        out.sort()
+    return out
+
+
+def _first_fault(tokens, n: int) -> str:
+    """The message for the first token that is no vertex number or lies outside 1..n."""
+    for token in tokens:
+        try:
+            v = int(token)
+        except ValueError:
+            return f"defender {token.strip()!r} is not a vertex number"
+        if not 1 <= v <= n:
+            return f"defender {v} outside 1..{n}"
+
+
+def _utf8_slices(fh):
+    """The binary file ``fh`` decoded a slice at a time: each read of ``_SLICE``
+    bytes is cut past its last separator byte, so no token or character is cut,
+    and bad UTF-8 fails at the bytes and for the reason one whole decode gives."""
+    offset, rest, chunk = 0, b"", b"-"
+    while chunk:
+        chunk = fh.read(_SLICE)
+        data = rest + chunk
+        cut = len(data.rstrip(_TOKEN_BYTES)) if chunk else len(data)
+        try:
+            yield data[:cut].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            at, last = offset + exc.start, offset + exc.end - 1
+            where = f"byte 0x{data[exc.start]:02x} in position {at}" if at == last else f"bytes in position {at}-{last}"
+            raise BadParameters(f"'utf-8' codec can't decode {where}: {exc.reason}") from None
+        offset, rest = offset + cut, data[cut:]
 
 
 def format_pig(g: ProperIntervalGraph) -> str:

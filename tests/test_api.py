@@ -85,3 +85,11 @@ def test_bubble_model_signature_is_pinned():
     ]
     with pytest.raises(TypeError):
         defdom.LinearBubbles([1, 1], [1, 2], [1, 2])
+
+
+def test_cli_uses_no_private_io_name():
+    """The CLI opens the defender source and leaves its grammar, slices and
+    slice length to ``defdom.io.read_defenders``: it names no private
+    ``defdom.io`` attribute."""
+    text = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert re.findall(r"\bdio\._\w*", text) == []

@@ -9,7 +9,7 @@ import tracemalloc
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import defdom.cli as cli_module
@@ -25,6 +25,11 @@ def cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(list(argv), out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def byte_stdin(text):
+    """A stand-in for ``sys.stdin`` holding ``text``: bytes under a text wrapper, as the real one is."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
 
 
 def write_p5(tmp_path):
@@ -67,7 +72,7 @@ def test_verify_defenders_file_forms(tmp_path, monkeypatch):
         f = tmp_path / f"{name}.txt"
         f.write_text(text)
         assert cli("verify", "--input", path, "--k", "2", "--defenders-file", str(f)) == (0, "OK\n", ""), name
-    monkeypatch.setattr(sys, "stdin", io.StringIO("size=2\n2\n3\n"))
+    monkeypatch.setattr(sys, "stdin", byte_stdin("size=2\n2\n3\n"))
     assert cli("verify", "--input", path, "--k", "2", "--defenders-file", "-")[:2] == (1, "FAIL [4..5]\n")
     bad = {"token": "2\nx\n5\n", "size": "size=4\n2\n3\n5\n", "range": "2,3,9", "header": "size=three\n2\n"}
     for name, text in bad.items():
@@ -219,6 +224,15 @@ SLICE_CASES = {
     ("1 2 3 4 5 6 7 8 9 10 11 x", True): "a bad token in the last slice of a file",
     ("1 2 3 4 5 6 7 8 9 10 11 0", True): "an out-of-range token in the last slice of a file",
     ("9 x", True): "the first fault is an out-of-range token",
+    ("5,6,7,1,2,3", False): "slices each ascending but out of order across a cut",
+    ("7\n8\n9\n1\n2\n3\n", True): "lines each ascending but out of order across a cut",
+    ("1,2,3,3,3,3,4", False): "a repeat that straddles a cut",
+    ("2 2 2 2 2 2 2 2", True): "a repeat that straddles a cut in a file",
+    ("9,8,7,6,5,4,3,2,1,30,2", False): "an out-of-range value in a later slice, after an out-of-order slice",
+    ("size=9\nx\n1\n2\n", True): "a wrong size=N with a bad token in the first slice",
+    ("25,x,1", False): "an out-of-range value, then a bad token in the same slice",
+    ("1 2 25 x 3", True): "an out-of-range value, then a bad token in the same slice of a file",
+    ("1 2 25\nx", True): "an out-of-range value, then a bad token in the next slice of a file",
 }
 
 
@@ -233,7 +247,7 @@ def test_sliced_defender_intake_matches_one_split(tmp_path, monkeypatch):
             if in_file:
                 f.write_text(text, encoding="utf-8")
                 assert _intake(str(f), True, n) == want, (width, what)
-                monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+                monkeypatch.setattr(sys, "stdin", byte_stdin(text))
                 assert _intake(text, True, n, stdin=True) == want, (width, what)
             else:
                 assert _intake(text, False, n) == want, (width, what)
@@ -266,7 +280,7 @@ def test_sliced_defender_intake_matches_one_split_on_random_tokens(tokens, seps,
                 f = Path(tmp) / "defenders.txt"
                 f.write_bytes(text.encode("utf-8"))
                 assert _intake(str(f), True, 30) == want
-            with mock.patch.object(sys, "stdin", io.StringIO(text)):
+            with mock.patch.object(sys, "stdin", byte_stdin(text)):
                 got = _intake(text, True, 30, stdin=True)
         else:
             got = _intake(text, False, 30)
@@ -282,29 +296,73 @@ def test_defenders_file_with_bad_utf8_is_refused_as_a_whole_read_refuses_it(tmp_
         assert cli("verify", "--input", write_p5(tmp_path), "--k", "2", "--defenders-file", str(f)) == (2, "", want)
 
 
-def test_defender_intake_peak_is_near_the_list_it_returns(tmp_path):
-    """The intake of 10^5 defenders peaks at no more than 1.5x the bytes of its int list,
-    and at 1.1x from a file.
+_UTF8_PIECES = [b"1", b" ", b"\n", b",", b"\xff", b"\xc0", b"\xc3", b"\xa9", b"\xe2", b"\x82", b"\xe2\x82\xac", b"\xed\xa0", b"\xf0\x9f"]
 
-    Beside the list sit one slice and its tokens, and a file is read a slice
-    at a time (about 1.02x; unsorted commas, sorted in place, about 1.11x).
-    A token list of the whole text read about 2.7x, and a file's whole text
-    beside the list about 1.19x.
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(st.sampled_from(_UTF8_PIECES), max_size=14).map(b"".join), st.integers(1, 5))
+def test_streamed_defenders_name_bad_utf8_as_one_decode_of_the_input(data, width):
+    """Each slice of a defenders stream is decoded on its own, yet bad UTF-8,
+    a lone byte or a cut or broken sequence, gets the message and the offsets
+    that one decode of the whole input gives."""
+    want = None
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        want = f"error: {exc}"
+    assume(want is not None)
+    with mock.patch.object(defdom.io, "_SLICE", width), mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO(data))):
+        assert _intake(None, True, 10**9, stdin=True) == want
+
+
+def test_defender_intake_peak_is_near_the_list_it_returns(tmp_path, monkeypatch):
+    """The intake of 10^5 defenders peaks at no more than 1.5x the bytes of its int list,
+    and at 1.1x from a file or from stdin.
+
+    Beside the list sit one slice and its tokens, and a file or stdin is read
+    a slice at a time (about 1.01x; unsorted commas, each slice and then the
+    list sorted in place, about 1.11x).  A token list of the whole text read
+    about 2.7x, and stdin's whole text beside the list about 1.19x.
     """
     count = 10**5
     ds = random.Random(5).sample(range(1, 2 * count + 1), count)
     f = tmp_path / "defenders.txt"
     f.write_text(f"size={count}\n" + "\n".join(map(str, sorted(ds))) + "\n")
-    for form, text in (("comma", ",".join(map(str, ds))), ("file", str(f))):
+    for form, text in (("comma", ",".join(map(str, ds))), ("file", str(f)), ("stdin", None)):
+        if form == "stdin":  # the piped bytes exist before the call, as the comma string does
+            monkeypatch.setattr(sys, "stdin", byte_stdin(f.read_text()))
         tracemalloc.start()
         try:
-            out = _intake(text, form == "file", 2 * count)
+            out = _intake(text, form != "comma", 2 * count, stdin=form == "stdin")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert out == sorted(ds), form
         size = sys.getsizeof(out) + sum(map(sys.getsizeof, out))
-        assert peak <= (1.1 if form == "file" else 1.5) * size, (form, peak / size)
+        assert peak <= (1.5 if form == "comma" else 1.1) * size, (form, peak / size)
+
+
+def test_refused_defenders_file_is_opened_once(tmp_path, monkeypatch):
+    """A regular defenders file that is refused, for a bad last token or a
+    wrong size=N, is read in the one pass that names the fault."""
+    path = write_p5(tmp_path)
+    f = tmp_path / "defenders.txt"
+    opened, real_open = [], open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    for text, message in (
+        ("size=3\n2\n3\nx\n", "defender 'x' is not a vertex number"),
+        ("size=4\n2\n3\n5\n", "defenders file says size=4 but lists 3 vertices"),
+    ):
+        f.write_bytes(text.encode("utf-8"))
+        opened.clear()
+        result = cli("verify", "--input", path, "--k", "2", "--defenders-file", str(f))
+        assert result == (2, "", f"error: {message}\n"), text
+        assert opened.count(str(f)) == 1, (text, opened)
 
 
 def test_verify_rejects_invalid_compact_files_as_solve_does(tmp_path):
@@ -376,11 +434,13 @@ def test_solve_answer_spans_write_chunks(tmp_path):
 
 
 def _defdom(*argv, stdin=None):
-    """Run ``python -m defdom.cli`` on this checkout's sources in a fresh process."""
+    """Run ``python -m defdom.cli`` on this checkout's sources in a fresh process;
+    ``stdin`` given as bytes makes the output bytes too."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     cmd = [sys.executable, "-m", "defdom.cli", *argv]
-    return subprocess.run(cmd, env=env, input=stdin, capture_output=True, text=True, timeout=120)
+    text = not isinstance(stdin, bytes)
+    return subprocess.run(cmd, env=env, input=stdin, capture_output=True, text=text, timeout=120)
 
 
 def test_solve_piped_into_verify_at_100k(tmp_path):
@@ -394,11 +454,24 @@ def test_solve_piped_into_verify_at_100k(tmp_path):
     bad = _defdom("verify", "--input", path, "--k", "3", "--defenders-file", "-", stdin="size=2\n1\nx\n")
     assert bad.returncode == 2 and bad.stdout == "" and bad.stderr.startswith("error: ")
     assert bad.stderr.count("\n") == 1
-    if os.path.exists("/dev/stdin"):  # a pipe by name is read once, whole, as stdin is
+    if os.path.exists("/dev/stdin"):  # a pipe by name is read a slice at a time, as stdin is
         bad_token = (2, "", "error: defender 'x' is not a vertex number\n")
         for stdin, want in (("size=2\n1\n3\n", (1, "FAIL [1..3]\n", "")), ("1\nx\n", bad_token)):
             piped = _defdom("verify", "--input", path, "--k", "3", "--defenders-file", "/dev/stdin", stdin=stdin)
             assert (piped.returncode, piped.stdout, piped.stderr) == want
+
+
+def test_bad_utf8_through_a_pipe_is_named_at_its_offset_in_the_input(tmp_path):
+    """Bad UTF-8 past the first slice of stdin, or of a pipe by name, exits 2
+    with the codec's message at its offset in the whole input, whatever the
+    locale's error handler for stdin."""
+    path = write_p5(tmp_path)
+    head = b"size=9001\n" + b"\n".join(b"%d" % (v % 5 + 1) for v in range(9000)) + b"\n"
+    want = f"error: 'utf-8' codec can't decode byte 0xff in position {len(head)}: invalid start byte\n"
+    sources = ["-", "/dev/stdin"] if os.path.exists("/dev/stdin") else ["-"]
+    for source in sources:
+        run = _defdom("verify", "--input", path, "--k", "2", "--defenders-file", source, stdin=head + b"\xff\n")
+        assert (run.returncode, run.stdout, run.stderr.decode()) == (2, b"", want), source
 
 
 def test_oracle(tmp_path):
