@@ -25,7 +25,6 @@ from .bubble_solver import solve_bubble
 from .defense import Attack, defends_consecutive, first_undefended_attack
 from .errors import BadParameters, DefdomError, TooLarge
 from .generators import (
-    _family_sizes,
     compact_for_family,
     gen_family,
     gen_random_bubbles,
@@ -36,10 +35,6 @@ from .greedy import solve_greedy
 from .oracle import MINIMUM_CAP, min_defensive_bruteforce
 from .bench import bench_rows, rows_to_csv
 from .pig import ProperIntervalGraph
-
-
-#: Answer lines formatted into one string per write: few writes, a bounded buffer.
-_ANSWER_CHUNK = 1024
 
 
 def _load(path: str):
@@ -89,10 +84,7 @@ def _cmd_solve(args, out) -> int:
         del lbm
     else:
         result = solve_greedy(g, args.k)
-    out.write(f"size={len(result)}\n")
-    for i in range(0, len(result), _ANSWER_CHUNK):
-        chunk = tuple(result[i : i + _ANSWER_CHUNK])
-        out.write("%d\n" * len(chunk) % chunk)
+    dio.write_answer(out, result)
     if args.emit_defense:
         ds = tuple(result)
         m = min(args.k, g.n)
@@ -123,10 +115,8 @@ def _cmd_oracle(args, out) -> int:
     if payload.n > MINIMUM_CAP:  # before a compact file is expanded
         raise TooLarge(payload.n, MINIMUM_CAP)
     g = _graph(payload)
-    size, witness = min_defensive_bruteforce(g.n, g.edges(), args.k)
-    print(f"size={size}", file=out)
-    for v in witness:
-        print(v, file=out)
+    _, witness = min_defensive_bruteforce(g.n, g.edges(), args.k)
+    dio.write_answer(out, witness)
     return 0
 
 
@@ -156,14 +146,6 @@ def _cmd_gen(args, out) -> int:
     sizes = _sizes(args.sizes) if args.sizes else None
     if args.family == "random" and (args.n is None or args.n < 1):
         raise BadParameters("random instances need --n >= 1")
-    if args.family == "clique_chain":
-        # checked first, so a bad list gets the same message in every format
-        sizes = _family_sizes(args.family, args.n, sizes)
-    # Only a compact complete graph or clique chain is written without a per-vertex loop.
-    if args.format != "bubbles" or args.family in ("path", "random"):
-        n = sum(sizes) - len(sizes) + 1 if args.family == "clique_chain" else args.n
-        if n is not None:
-            check_expansion(n, f"generated {args.family} instance")
     if args.format == "bubbles":
         if args.family == "random":
             cb = gen_random_bubbles(args.n, seed=args.seed)
@@ -203,10 +185,18 @@ def _cmd_bench(args, out) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise BadParameters, so ``run``
+    reports them as one ``error:`` line with the other refusals."""
+
+    def error(self, message):
+        raise BadParameters(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: building it costs more than a parse."""
-    p = argparse.ArgumentParser(prog="defdom", description=__doc__)
+    p = _Parser(prog="defdom", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve", help="solve an instance")
@@ -256,13 +246,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args, out)
+    except SystemExit as exc:  # --help, printed by argparse
+        return int(exc.code or 0)
     except (DefdomError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 2

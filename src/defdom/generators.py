@@ -5,7 +5,8 @@ vertex, described by one list of clique sizes (``_family_sizes``), from
 which ``gen_family`` builds the graph and ``compact_for_family`` the compact
 bubbles.  All randomness comes from an embedded splitmix64 generator so
 that identical (parameters, seed) pairs reproduce identical instances on
-any platform.
+any platform.  Every generator that builds or draws vertex by vertex raises
+TooLarge before it allocates past ``MAX_EXPANDED_VERTICES``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import index
 
-from .bubbles import CompactBubbles
+from .bubbles import CompactBubbles, check_expansion
 from .errors import BadParameters
 from .pig import ProperIntervalGraph
 
@@ -62,11 +63,13 @@ def _family_sizes(family: str, n, sizes) -> list[int]:
     A path on n vertices is the chain of n - 1 edges (one vertex at n = 1),
     a complete graph is one clique of n, and a clique chain's sizes are
     converted with ``operator.index`` and must be non-empty, positive, and
-    at least 2 each when there is more than one.
+    at least 2 each when there is more than one.  A path's list is capped.
     """
     if family in ("path", "complete"):
         if n is None or n < 1:
             raise BadParameters(f"{family} needs n >= 1")
+        if family == "path":
+            check_expansion(n, "generated path instance")
         return [n] if family == "complete" else [2] * (n - 1) or [1]
     if family != "clique_chain":
         raise BadParameters(f"unknown family {family!r}")
@@ -91,9 +94,10 @@ def gen_family(family: str, n: int | None = None, sizes=None) -> ProperIntervalG
     built vertex by vertex, ``maxn[j] = min(j + 1, n)``, as runs of one
     vertex are slower.
     """
-    sizes = _family_sizes(family, n, sizes)
+    sizes = _family_sizes(family, n, sizes)  # a path's list is capped there
     if family == "path":
         return ProperIntervalGraph([min(j + 1, n) for j in range(1, n + 1)])
+    check_expansion(sum(sizes) - len(sizes) + 1, f"generated {family} instance")
     runs = [c - 1 for c in sizes]
     ends = list(accumulate(runs, initial=1))[1:]
     runs[-1] += 1
@@ -105,10 +109,11 @@ def random_unit_intervals(n: int, spread, seed: int) -> list[tuple[int, int]]:
 
     Endpoints are scaled by UNIT so the family is exact; every interval has
     length UNIT.  ``spread`` is any value Fraction accepts, "3/2" included,
-    and must not be negative.
+    and must not be negative.  n is capped before the first draw.
     """
     if n < 1:
         raise BadParameters("need n >= 1")
+    check_expansion(n, "generated random instance")
     try:
         spread = Fraction(spread)
     except ZeroDivisionError:
@@ -144,9 +149,10 @@ def gen_random_unit_intervals(
 def gen_random_bubbles(
     n: int, max_columns: int = 4, max_rows: int = 4, seed: int = 0
 ) -> CompactBubbles:
-    """Scatter n vertices over random (column, row) cells."""
+    """Scatter n vertices over random (column, row) cells, n capped first."""
     if n < 1:
         raise BadParameters("need n >= 1")
+    check_expansion(n, "generated random instance")
     if max_columns < 1 or max_rows < 1:
         raise BadParameters("need at least one column and one row")
     rng = SplitMix64(seed)

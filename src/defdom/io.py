@@ -19,7 +19,9 @@ header and no comments: vertex numbers in any order, repeats allowed.  A UTF-8
 file separates them by commas and by whitespace as ``str.split()`` reads it,
 after an optional first token ``size=N`` that must give their count; the
 ``--defenders`` string by commas alone, each token read by ``int`` (``2,,3``
-holds an empty, bad token; an empty or blank string lists none).
+holds an empty, bad token; an empty or blank string lists none).  The answer
+that ``solve`` and ``oracle`` print is such a file, written by
+``write_answer``: ``size=N``, then one vertex per line.
 
 Instance tokens are split on exactly the six ASCII whitespace characters: by
 ``str.split()`` on an all-ASCII file with none of 0x1c-0x1f, where it splits
@@ -382,6 +384,19 @@ def _utf8_slices(fh):
             where = f"byte 0x{data[exc.start]:02x} in position {at}" if at == last else f"bytes in position {at}-{last}"
             raise BadParameters(f"'utf-8' codec can't decode {where}: {exc.reason}") from None
         offset, rest = offset + cut, data[cut:]
+
+
+#: Answer lines formatted into one string per write: few writes, a bounded buffer.
+_ANSWER_CHUNK = 1024
+
+
+def write_answer(out, vertices) -> None:
+    """Write ``vertices`` to the text stream ``out`` as an answer file:
+    ``size=N``, then one vertex per line, ``_ANSWER_CHUNK`` lines per write."""
+    out.write(f"size={len(vertices)}\n")
+    for i in range(0, len(vertices), _ANSWER_CHUNK):
+        chunk = tuple(vertices[i : i + _ANSWER_CHUNK])
+        out.write("%d\n" * len(chunk) % chunk)
 
 
 def format_pig(g: ProperIntervalGraph) -> str:

@@ -168,37 +168,31 @@ class ProperIntervalGraph:
         consecutive vertices, built with Python work per run only.
 
         A run of no or negative length holds no vertex and is skipped, its
-        value unread, so n is the sum of the other sizes.  ``__init__``'s
-        three checks are made once per other run: the value is at least the
-        run's last vertex and not below the previous value, and the last
-        value, the largest, is at most n.  ``min_nbr`` takes one pointer over
-        the runs: the vertices in (previous top, m] get the first vertex of
-        the run whose value m first reaches them.  The two sequences hold one
-        int per run.  On empty input or a failed check, ``__init__``'s checks
-        run on the at most two vertices per run that can fail, so every error
-        is ``__init__``'s, word for word, and no run is expanded.
+        value unread, so n is the sum of the other sizes.  The runs are
+        checked first, by ``_check_maxn`` on the at most two vertices per run
+        that can fail (``_run_vertices``), so every error is ``__init__``'s,
+        word for word, and no run is expanded.  ``min_nbr`` then takes one
+        pointer over the runs: the vertices in (previous top, m] get the
+        first vertex of the run whose value m first reaches them.  The two
+        sequences hold one int per run.
         """
         # Sizes convert before values, as when the expansion repeats each value.
         runs = [(index(m), s) for m, s in zip(values, map(index, sizes)) if s > 0]
+        n = sum(s for _, s in runs)
+        _check_maxn(_run_vertices(runs), n)
         end = top = 0
         starts, widths = [], []  # min_nbr as runs
         for m, s in runs:
-            if m < end + s or m < top:
-                break
             if m > top:
                 starts.append(end + 1)
                 widths.append(m - top)
                 top = m
             end += s
-        else:
-            if 0 < end and top <= end:
-                g = cls.__new__(cls)
-                g.n = end
-                g._maxn = tuple(chain((0,), chain.from_iterable(starmap(repeat, runs))))
-                g._minn = tuple(chain((0,), chain.from_iterable(map(repeat, starts, widths))))
-                return g
-        _check_maxn(_run_vertices(runs), sum(s for _, s in runs))
-        raise AssertionError("the per-run checks refused a valid maxn")
+        g = cls.__new__(cls)
+        g.n = n
+        g._maxn = tuple(chain((0,), chain.from_iterable(starmap(repeat, runs))))
+        g._minn = tuple(chain((0,), chain.from_iterable(map(repeat, starts, widths))))
+        return g
 
     @classmethod
     def from_intervals(cls, entries: Iterable) -> "ProperIntervalGraph":

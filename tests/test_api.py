@@ -93,3 +93,11 @@ def test_cli_uses_no_private_io_name():
     ``defdom.io`` attribute."""
     text = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     assert re.findall(r"\bdio\._\w*", text) == []
+
+
+def test_cli_holds_no_answer_grammar_and_no_cap_arithmetic():
+    """``defdom.io.write_answer`` writes the answer and the generators cap
+    their own output: ``cli.py`` spells no ``size=`` and no family sizes."""
+    text = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    for name in ("size=", "_ANSWER_CHUNK", "_family_sizes"):
+        assert name not in text, name

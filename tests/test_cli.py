@@ -423,14 +423,41 @@ def test_greedy_and_oracle_on_compact_files_build_the_graph_by_runs(tmp_path, mo
 
 def test_solve_answer_spans_write_chunks(tmp_path):
     """An answer longer than one write chunk prints one vertex per line, in order."""
-    n = 8 * cli_module._ANSWER_CHUNK + 5
+    n = 8 * defdom.io._ANSWER_CHUNK + 5
     path = tmp_path / "path.pig"
     path.write_text(format_pig(gen_family("path", n)))
     for algo in ("greedy", "bubble"):
         code, out, _ = cli("solve", "--input", str(path), "--k", "1", "--algo", algo)
         want = solve_greedy(gen_family("path", n), 1)
-        assert len(want) > 2 * cli_module._ANSWER_CHUNK
+        assert len(want) > 2 * defdom.io._ANSWER_CHUNK
         assert (code, out) == (0, f"size={len(want)}\n" + "".join(f"{v}\n" for v in want)), algo
+
+
+def test_oracle_answer_pipes_into_verify(tmp_path, monkeypatch):
+    """``oracle`` writes the answer file that ``verify --defenders-file -`` reads."""
+    path = write_p5(tmp_path)
+    code, answer, _ = cli("oracle", "--input", path, "--k", "2")
+    assert (code, answer) == (0, "size=3\n1\n3\n4\n")
+    monkeypatch.setattr(sys, "stdin", byte_stdin(answer))
+    assert cli("verify", "--input", path, "--k", "2", "--defenders-file", "-") == (0, "OK\n", "")
+
+
+def test_argument_errors_are_one_line(capsys):
+    """A refused argument list exits 2 with argparse's message as one
+    ``error:`` line on ``err``, and no usage block anywhere; ``--help``
+    still prints the usage and exits 0."""
+    for argv, message in (
+        (["solve", "--k", "x"], "argument --k: invalid int value: 'x'"),
+        (["solve", "--k", "1"], "the following arguments are required: --input"),
+        (["frob"], "argument command: invalid choice: 'frob'"),
+        (["gen", "--family", "path", "--seed", "q"], "argument --seed: invalid int value: 'q'"),
+    ):
+        code, out, err = cli(*argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, (argv, err)
+        assert capsys.readouterr() == ("", ""), argv
+    assert cli("--help") == (0, "", "")
+    assert capsys.readouterr().out.startswith("usage: defdom ")
 
 
 def _defdom(*argv, stdin=None):

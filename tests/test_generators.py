@@ -1,7 +1,9 @@
+import tracemalloc
 from itertools import product
 
 import pytest
 
+import defdom.bubbles
 from defdom import (
     BadParameters,
     ProperIntervalGraph,
@@ -14,6 +16,7 @@ from defdom import (
     pig_from_bubbles,
     random_unit_intervals,
 )
+from defdom.errors import TooLarge
 from defdom.generators import UNIT
 from helpers import connected_graphs
 
@@ -58,6 +61,50 @@ def test_bad_parameters():
     for columns, rows in ((0, 4), (4, 0)):
         with pytest.raises(BadParameters, match="^need at least one column and one row$"):
             gen_random_bubbles(5, max_columns=columns, max_rows=rows)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gen_family("path", 10**15),
+        lambda: gen_family("complete", 10**15),
+        lambda: gen_family("clique_chain", sizes=[10**6, 10**6 + 2]),
+        lambda: compact_for_family("path", 10**21),
+        lambda: random_unit_intervals(10**15, 2, 0),
+        lambda: gen_random_unit_intervals(10**15),
+        lambda: gen_random_bubbles(10**15),
+    ],
+)
+def test_vertex_by_vertex_generators_refuse_above_the_cap(build):
+    """Each raises TooLarge before it allocates or draws a vertex: a
+    tracemalloc peak of a few KB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="above the expansion cap of 2000000$"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
+
+
+def test_generator_cap_counts_vertices_exactly(monkeypatch):
+    """With the cap at 10, each generator builds 10 vertices and refuses 11;
+    a compact complete graph or clique chain has no per-vertex loop and no cap."""
+    monkeypatch.setattr(defdom.bubbles, "MAX_EXPANDED_VERTICES", 10)
+    for family, n, sizes in (("path", 10, None), ("complete", 10, None), ("clique_chain", None, [4, 4, 4])):
+        assert gen_family(family, n, sizes).n == 10
+        with pytest.raises(TooLarge, match="has 11 vertices"):
+            gen_family(family, n and n + 1, sizes and sizes[:-1] + [5])
+    assert compact_for_family("path", 10).n == 10
+    with pytest.raises(TooLarge, match="has 11 vertices"):
+        compact_for_family("path", 11)
+    assert compact_for_family("complete", 10**15).columns == (((1, 10**15),),)
+    assert compact_for_family("clique_chain", sizes=[10**15, 10**15]).n == 2 * 10**15 - 1
+    assert len(random_unit_intervals(10, 2, 0)) == gen_random_bubbles(10).n == 10
+    for build in (lambda: random_unit_intervals(11, 2, 0), lambda: gen_random_bubbles(11)):
+        with pytest.raises(TooLarge, match="has 11 vertices"):
+            build()
 
 
 def test_splitmix_determinism():

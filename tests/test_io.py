@@ -93,6 +93,18 @@ def test_bubbles_roundtrip():
     assert kind == "bubbles" and parsed == cb
 
 
+@pytest.mark.parametrize("count", [0, 1, defdom.io._ANSWER_CHUNK, defdom.io._ANSWER_CHUNK + 1])
+def test_written_answer_reads_back(count):
+    """``write_answer`` writes the file ``read_defenders`` reads: ``size=N``,
+    then one vertex per line, across a write chunk's edge."""
+    vertices = list(range(3, 3 + 2 * count, 2))
+    out = io.StringIO()
+    defdom.io.write_answer(out, vertices)
+    text = out.getvalue()
+    assert text == f"size={count}\n" + "".join(f"{v}\n" for v in vertices)
+    assert defdom.io.read_defenders(io.BytesIO(text.encode()), 3 + 2 * count) == vertices
+
+
 def test_comments_and_whitespace():
     text = b"# instance\npig 3   # three vertices\nmaxn 2 3 3\n"
     kind, parsed = parse_instance(text)
