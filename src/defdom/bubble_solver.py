@@ -37,11 +37,13 @@ rightmost on a tie.  A merge of m recruits strictly lowers every key it
 touches: ``offset - last`` falls by m, and the bubble's suffix grows by less,
 as the receiver at or below it takes at least one.  Slides change no key,
 and a zero-slack step only pops from the front.  So a bubble that a later
-one undercuts or ties stays undercut until it leaves, and the merge need
-only pop ``mins`` down to the lowest receiver before pushing each bubble
-back.  Each push is an insert or a merge touch and each pop undoes a push,
-so the deque costs O(1) amortized per insert or touch.  The only step above
-linear is sorting each merge's new segments in among the popped ones.
+one undercuts or ties stays undercut until it leaves.  A merge walks once
+down the bubbles it re-keys, setting each key and collecting those below
+every key above them, pops each ``mins`` entry at or above the least (the
+re-keyed old ones among them) and appends the collected ones in order.
+Each collected bubble is an insert or a merge touch and each pop undoes
+one, so the deque costs O(1) amortized per insert or touch.  The only step
+above linear is sorting each merge's new segments in among the popped ones.
 
 ``stats`` keeps its historical counter names: ``heap_inserts`` and
 ``heap_deletes`` count segments joining and leaving the defense, and
@@ -94,7 +96,7 @@ def solve_bubble(
     mins: deque[int] = deque()  # the strict suffix minima of key over live
     starts = [0]  # the first bubble of each run of full bubbles; bubble 0 is full
     first, last, offset = 1, 0, 0
-    # Bubbles holding ``first`` and ``last + 1``; moved only by chunks, as both end past n.
+    # Bubbles holding ``first`` and ``last + 1``, moved per grow and per chunk, when both are <= n.
     first_bubble = next_bubble = 1
     inserts = deletes = touches = zero = positive = chunks = 0
     grow = min(k, n)
@@ -104,11 +106,11 @@ def solve_bubble(
             low = count  # the lowest receiver
             while grow > 0:
                 chunks += 1
-                while max_v[first_bubble] < first:
-                    first_bubble += 1
                 while max_v[next_bubble] <= last:
                     next_bubble += 1
-                step = min(grow, max_v[next_bubble] - last)
+                step = max_v[next_bubble] - last
+                if step > grow:
+                    step = grow
                 last += step
                 grow -= step
                 # The rightmost `step` spare vertices of the window neighborhood.
@@ -116,9 +118,7 @@ def solve_bubble(
                 if d[b] == size[b]:
                     b = starts[-1] - 1
                 while True:
-                    assert b >= 1 and max_v[b] >= min_nbr[first_bubble], (
-                        "recruit search left the window neighborhood"
-                    )
+                    assert b >= 1, "recruit search left the window neighborhood"
                     if not seg[b]:
                         fresh.append(b)
                     room = size[b] - d[b]
@@ -142,27 +142,35 @@ def solve_bubble(
                     b = starts[-1] - 1
                 if b < low:
                     low = b
+            # ``first`` is fixed during a grow and ``max_v`` rises, so this covers every receiver.
+            while max_v[first_bubble] < first:
+                first_bubble += 1
+            assert max_v[low] >= min_nbr[first_bubble], "recruit search left the window neighborhood"
             # Live bubbles at or above the lowest receiver change their
             # assigned attackers, so they come off the back and are re-keyed
             # with the receivers, from the running suffix of segment counts.
-            inserts += len(fresh)
+            new = len(fresh)
             back = fresh
             while live and live[-1] >= low:
                 back.append(live.pop())
-                touches += 1
-            while mins and mins[-1] >= low:
-                mins.pop()
+            inserts += new
+            touches += len(back) - new
             back.sort()
             # A bubble's key is max_nbr + the segments above it + offset - last.
+            # Walking down, a key below all keys above it is a suffix minimum.
             suffix = offset - last
+            least = max_nbr[back[-1]] + suffix + 1  # above the top bubble's key
+            minima = []
             for b in reversed(back):
-                key[b] = max_nbr[b] + suffix
+                kt = max_nbr[b] + suffix
+                key[b] = kt
                 suffix += seg[b]
-            for b in back:
-                kt = key[b]
-                while mins and key[mins[-1]] >= kt:
-                    mins.pop()
-                mins.append(b)
+                if kt < least:
+                    least = kt
+                    minima.append(b)
+            while mins and key[mins[-1]] >= least:
+                mins.pop()
+            mins.extend(reversed(minima))
             live.extend(back)
         if on_step is not None:
             on_step(first, last, d, live, seg, key, mins)
@@ -173,7 +181,9 @@ def solve_bubble(
         kt = key[b]
         if kt > offset:
             positive += 1
-            step = min(kt - offset, n - last)
+            step = kt - offset
+            if step > n - last:
+                step = n - last
             first += step
             last += step
             offset += step

@@ -9,6 +9,7 @@ defenders fail, reporting the first undefended consecutive attack.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 
@@ -247,7 +248,8 @@ def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = _build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(out):  # argparse prints --help to sys.stdout
+            args = _build_parser().parse_args(argv)
         return args.fn(args, out)
     except SystemExit as exc:  # --help, printed by argparse
         return int(exc.code or 0)

@@ -251,6 +251,14 @@ def test_exact_counters():
         stats = {}
         assert solve_bubble(lbm, k, stats=stats) == want, (lbm.count, k)
         assert stats == want_stats, (lbm.count, k, stats)
+    # The pig_k128 benchmark shape: connected unit intervals, n = 2,000, spread 1/16.
+    wide = bubbles_from_pig(gen_random_unit_intervals(2000, spread="1/16", seed=128, connected=True))
+    stats = {}
+    got = solve_bubble(wide, 128, stats=stats)
+    assert (len(got), sum(got)) == (1727, 1729393)
+    assert stats == dict(
+        heap_inserts=1217, heap_deletes=1134, merge_touches=314, zero_slack_iterations=113,
+        positive_slack_iterations=113, chunks=1205, iterations=226, bubbles=1347), stats
 
 
 @pytest.mark.parametrize(
@@ -262,6 +270,9 @@ def test_exact_counters():
         # vertex 3's reach is the full bubble 2, and the spare bubble 1 lies
         # below its neighborhood, which starts at vertex 2
         ((1, 1, 2), (2, 2, 3), (2, 2, 2), 1),
+        # vertex 1's neighborhood starts at vertex 2, so the first grow's first
+        # chunk fills bubble 2 inside it and its second chunk falls to bubble 1
+        ((2, 2, 3), (2, 2, 3), (2, 2, 3), 2),
     ],
 )
 def test_recruit_assert_catches_a_missing_spare(min_nbr, max_nbr, reach, k):

@@ -445,7 +445,7 @@ def test_oracle_answer_pipes_into_verify(tmp_path, monkeypatch):
 def test_argument_errors_are_one_line(capsys):
     """A refused argument list exits 2 with argparse's message as one
     ``error:`` line on ``err``, and no usage block anywhere; ``--help``
-    still prints the usage and exits 0."""
+    still prints the usage, to ``out``, and exits 0."""
     for argv, message in (
         (["solve", "--k", "x"], "argument --k: invalid int value: 'x'"),
         (["solve", "--k", "1"], "the following arguments are required: --input"),
@@ -456,8 +456,9 @@ def test_argument_errors_are_one_line(capsys):
         assert (code, out) == (2, ""), argv
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, (argv, err)
         assert capsys.readouterr() == ("", ""), argv
-    assert cli("--help") == (0, "", "")
-    assert capsys.readouterr().out.startswith("usage: defdom ")
+    code, out, err = cli("--help")
+    assert (code, err) == (0, "") and out.startswith("usage: defdom ")
+    assert capsys.readouterr() == ("", "")
 
 
 def _defdom(*argv, stdin=None):
