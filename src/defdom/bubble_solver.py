@@ -219,6 +219,8 @@ def solve_bubble(
             iterations=zero + positive,
             bubbles=count,
         )
+    # Only d and max_v are read from here on; the rest goes before the answer is built.
+    del size, max_nbr, min_nbr, reach, seg, key, live, mins, starts
     return _defenders(d, max_v)
 
 
