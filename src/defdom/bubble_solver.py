@@ -8,7 +8,9 @@ in a deque in bubble order, which is attacker order.  Because every live
 defender is assigned, the defense is just the order-preserving bijection
 between live defenders and attackers, so each bubble's slack (how much
 further right its defenders can stretch) is key[b] - offset: sliding the
-whole window right by s only bumps the offset.
+whole window right by s only bumps the offset.  Bubbles carry the model's
+own 0-based indices: the solver reads the model's tuples in place and
+allocates only ``d``, ``seg`` and ``key``, |B| entries each, and its deques.
 
 Each step of the loop either grows the window or slides it.  Growing by m
 attackers (min(k, n) at the start, and after each zero-slack step)
@@ -19,11 +21,11 @@ of the bubble holding the new right end, and R never decreases, so every
 full bubble lies at or below R: the top bubble with a spare vertex at or
 below R is R itself, or, when R is full, the bubble just below the top run
 of full bubbles.  A stack ``starts`` holds the first bubble of each run,
-ascending, with the empty bubble 0 as a full run at the bottom; a bubble
-that fills up starts a run, extends one, or joins two, and is then checked
-to lie in the top run, so a stack defect fails rather than offering a full
-bubble again and again.  Each recruit goes
-straight into its bubble's segment.  The live bubbles at or above the lowest
+ascending, with an empty bubble -1 below bubble 0 as a full run at the
+bottom; a bubble that fills up starts a run, extends one, or joins two, and
+is then checked to lie in the top run, so a stack defect fails rather than
+offering a full bubble again and again.  Each recruit goes straight into its
+bubble's segment.  The live bubbles at or above the lowest
 receiver then come off the back of the deque, are sorted together with the
 receivers that had no segment, re-keyed from the running suffix of segment
 counts, and pushed back.  At positive slack the window slides by the
@@ -76,28 +78,24 @@ def solve_bubble(
     ``on_step(first, last, d, live, seg, key, mins)`` is called after each
     step's merge, with the window ends and the solver's own state, which the
     hook must not change: the per-bubble lists ``d``, ``seg`` and ``key``
-    (index 0 is the empty bubble) and the deques ``live`` and ``mins``.
+    and the deques ``live`` and ``mins``, all in the model's 0-based bubble
+    indices.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     n, count = lbm.n, lbm.count
-    width = count + 1
-    # 1-based bubble arrays; index 0 is the artificial empty bubble.
-    size = (0, *lbm.sizes)
-    max_v = (0, *lbm.max_v)
-    max_nbr = (0, *lbm.max_nbr)
-    min_nbr = (0, *lbm.min_nbr)
-    reach = (0, *lbm.reach)
-    d = [0] * width
-    seg = [0] * width
+    # The model's own fields, read in place; ``reach`` holds 1-based bubbles.
+    size, max_v, max_nbr, min_nbr, reach = lbm.sizes, lbm.max_v, lbm.max_nbr, lbm.min_nbr, lbm.reach
+    d = [0] * count
+    seg = [0] * count
     # True slack of live bubble b is key[b] - offset.
-    key = [0] * width
+    key = [0] * count
     live: deque[int] = deque()  # the bubbles with a segment, ascending
     mins: deque[int] = deque()  # the strict suffix minima of key over live
-    starts = [0]  # the first bubble of each run of full bubbles; bubble 0 is full
+    starts = [-1]  # the first bubble of each run of full bubbles; the empty bubble -1 is full
     first, last, offset = 1, 0, 0
     # Bubbles holding ``first`` and ``last + 1``, moved per grow and per chunk, when both are <= n.
-    first_bubble = next_bubble = 1
+    first_bubble = next_bubble = 0
     inserts = deletes = touches = zero = positive = chunks = 0
     grow = min(k, n)
     while True:
@@ -114,11 +112,11 @@ def solve_bubble(
                 last += step
                 grow -= step
                 # The rightmost `step` spare vertices of the window neighborhood.
-                b = reach[next_bubble]
+                b = reach[next_bubble] - 1
                 if d[b] == size[b]:
                     b = starts[-1] - 1
                 while True:
-                    assert b >= 1, "recruit search left the window neighborhood"
+                    assert b >= 0, "recruit search left the window neighborhood"
                     if not seg[b]:
                         fresh.append(b)
                     room = size[b] - d[b]
@@ -129,7 +127,7 @@ def solve_bubble(
                     d[b] = size[b]
                     seg[b] += room
                     step -= room
-                    if d[b - 1] == size[b - 1]:  # b joins the run below
+                    if not b or d[b - 1] == size[b - 1]:  # b joins the run below
                         if starts[-1] == b + 1:  # which joins the run above
                             starts.pop()
                     elif starts[-1] == b + 1:
@@ -219,8 +217,8 @@ def solve_bubble(
             iterations=zero + positive,
             bubbles=count,
         )
-    # Only d and max_v are read from here on; the rest goes before the answer is built.
-    del size, max_nbr, min_nbr, reach, seg, key, live, mins, starts
+    # Only d and max_v are read from here on; the working state goes before the answer is built.
+    del seg, key, live, mins, starts
     return _defenders(d, max_v)
 
 
@@ -228,7 +226,7 @@ def _defenders(d, max_v) -> list[int]:
     """The last d[b] vertices of every bubble b, ascending."""
     check_expansion(sum(d), "defender set")
     out = []
-    for b in range(1, len(d)):
+    for b in range(len(d)):
         if d[b]:
             out.extend(range(max_v[b] - d[b] + 1, max_v[b] + 1))
     return out

@@ -7,12 +7,14 @@ strictly smaller row than the earlier-column vertex in adjacent columns.
 Every column is a clique and every bubble is a set of pairwise twins.
 
 The linear model lists the bubbles column by column, row order inside a
-column, and records per bubble the vertex range plus the extremes of its
-closed neighborhood; that is all the bubble solver needs.  The sizes and the
-last neighbors determine the rest: ``LinearBubbles(sizes, max_nbr)``, and so
-``linear_from_compact``, checks them and derives the first neighbors;
-``bubbles_from_pig`` builds the model unchecked from the twin runs of a
-graph, which are valid by construction.
+column, and records per bubble its size, its last vertex, the extremes of
+its closed neighborhood and the bubble that ends it; that is all the bubble
+solver needs, and it reads those five tuples in place.  A bubble's first
+vertex is a prefix sum of the sizes, so it is derived, not stored.  The
+sizes and the last neighbors determine the rest: ``LinearBubbles(sizes,
+max_nbr)``, and so ``linear_from_compact``, checks them and derives the
+first neighbors; ``bubbles_from_pig`` builds the model unchecked from the
+twin runs of a graph, which are valid by construction.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, islice
 from operator import index, itemgetter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import InvalidBubbles, InvalidRanges, TooLarge
 from .pig import ProperIntervalGraph, _check_maxn, _run_vertices
@@ -80,15 +82,21 @@ class CompactBubbles:
         return f"CompactBubbles({[list(c) for c in self.columns]!r})"
 
 
-def _ranges(sizes: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The first and the last vertex of each bubble, for positive sizes."""
-    return tuple(accumulate(islice(sizes, len(sizes) - 1), initial=1)), tuple(accumulate(sizes))
+def _starts(sizes: Sequence[int]) -> Iterator[int]:
+    """The first vertex of each bubble, lazily: the prefix sums of ``sizes`` from 1."""
+    return accumulate(islice(sizes, len(sizes) - 1), initial=1)
 
 
 class LinearBubbles:
-    """Ordered bubbles with sizes, vertex ranges, and neighborhood extremes."""
+    """Ordered bubbles with sizes, last vertices, and neighborhood extremes.
 
-    __slots__ = ("sizes", "min_v", "max_v", "min_nbr", "max_nbr", "reach", "count", "n")
+    Five per-bubble tuples are stored: ``sizes``, ``max_v``, ``min_nbr``,
+    ``max_nbr`` and ``reach`` (the 1-based bubble ending each neighborhood).
+    ``min_v``, each bubble's first vertex, is derived from ``sizes`` on
+    every read, so a caller that needs it in a loop reads it once.
+    """
+
+    __slots__ = ("sizes", "max_v", "min_nbr", "max_nbr", "reach", "count", "n")
 
     def __init__(self, sizes, max_nbr):
         sizes, max_nbr = tuple(map(index, sizes)), tuple(map(index, max_nbr))
@@ -98,7 +106,7 @@ class LinearBubbles:
             raise InvalidBubbles("bubble field lengths differ")
         if min(sizes) <= 0:
             raise InvalidBubbles("bubble sizes must be positive")
-        min_v, max_v = _ranges(sizes)
+        max_v = tuple(accumulate(sizes))
         try:
             _check_maxn(_run_vertices(zip(max_nbr, sizes)), max_v[-1])
         except InvalidRanges as exc:
@@ -109,27 +117,33 @@ class LinearBubbles:
                 raise InvalidBubbles(f"bubble {i} neighborhood splits a bubble")
         # min_nbr(v) is the least u with max_nbr(u) >= v: the first vertex of
         # the first bubble reaching v, found by one forward pointer
+        min_v = tuple(_starts(sizes))  # dropped on return: the model derives it, never stores it
         min_nbr, r = [], 0
         for a in min_v:
             while max_nbr[r] < a:
                 r += 1
             min_nbr.append(min_v[r])
-        self._derive(sizes, min_nbr, max_nbr, min_v, max_v)
+        self._derive(sizes, min_nbr, max_nbr, max_v)
 
-    def _derive(self, sizes, min_nbr, max_nbr, min_v, max_v) -> None:
+    def _derive(self, sizes, min_nbr, max_nbr, max_v) -> None:
         """Keep the fields of a valid model and derive ``reach``; no checks.
 
         ``reach`` is built only here, after any checks: one forward pointer
         over ``max_v`` would run past its end on a ``max_nbr`` above n.
         """
         self.sizes, self.min_nbr, self.max_nbr = tuple(sizes), tuple(min_nbr), tuple(max_nbr)
-        self.min_v, self.max_v, self.count, self.n = min_v, max_v, len(max_v), max_v[-1]
+        self.max_v, self.count, self.n = max_v, len(max_v), max_v[-1]
         reach, r = [], 0  # 1-based bubble ending at each max_nbr, by one forward pointer
         for hi in self.max_nbr:
             while max_v[r] < hi:
                 r += 1
             reach.append(r + 1)
         self.reach = tuple(reach)
+
+    @property
+    def min_v(self) -> tuple[int, ...]:
+        """The first vertex of each bubble, derived from ``sizes`` on every read."""
+        return tuple(_starts(self.sizes))
 
     def to_graph(self) -> ProperIntervalGraph:
         check_expansion(self.n, "bubble model")
@@ -165,7 +179,7 @@ def bubbles_from_pig(g: ProperIntervalGraph) -> LinearBubbles:
     min_nbr.append(minn[run_start])
     max_nbr.append(maxn[run_start])
     lb = LinearBubbles.__new__(LinearBubbles)  # twin runs of a valid graph: a valid model
-    lb._derive(sizes, min_nbr, max_nbr, *_ranges(sizes))
+    lb._derive(sizes, min_nbr, max_nbr, tuple(accumulate(sizes)))
     return lb
 
 

@@ -84,7 +84,10 @@ def _cmd_solve(args, out) -> int:
         result = solve_bubble(lbm, args.k)
         del lbm
     else:
+        del payload  # the greedy reads only the graph
         result = solve_greedy(g, args.k)
+    if not args.emit_defense:
+        del g  # nothing reads the graph while the answer is written
     dio.write_answer(out, result)
     if args.emit_defense:
         ds = tuple(result)
@@ -134,9 +137,10 @@ def _cmd_bubbles(args, out) -> int:
                 print(f"  B{i + 1} -> B{target};", file=out)
         print("}", file=out)
         return 0
+    min_v = lbm.min_v  # derived on every read, so read once
     for i in range(lbm.count):
         print(
-            f"{i + 1} {lbm.sizes[i]} {lbm.min_v[i]}..{lbm.max_v[i]} "
+            f"{i + 1} {lbm.sizes[i]} {min_v[i]}..{lbm.max_v[i]} "
             f"{lbm.min_nbr[i]} {lbm.max_nbr[i]}",
             file=out,
         )

@@ -24,7 +24,7 @@ from itertools import chain, compress, islice, repeat
 from operator import eq, ne, sub
 from typing import NamedTuple, Optional
 
-from .bubbles import LinearBubbles
+from .bubbles import LinearBubbles, _starts
 from .pig import ProperIntervalGraph
 
 
@@ -249,19 +249,20 @@ def _first_undefended_bubbles(
     the head only falls back to the stack's new end.  So steps are at most
     4|B|, whatever n and k are.
     """
-    starts, ends = lb.min_v, lb.max_v
+    ends = lb.max_v  # the first vertices s come lazily from ``_starts``, never as a tuple
     left = list(map(bisect_left, repeat(ds), lb.min_nbr))
-    peak = list(map(sub, left, starts))
+    peak = list(map(sub, left, _starts(lb.sizes)))
     q: list[int] = []  # bubble indices, peak strictly decreasing
     h = t = heads = 0  # q's first entry at or above t, the first bubble that acts
     bad = None
-    for j, (p, s, e, r) in enumerate(zip(peak, starts, ends, map(bisect_right, repeat(ds), lb.max_nbr))):
+    # o is the vertex before bubble j, so s_j = o + 1
+    for j, (p, o, e, r) in enumerate(zip(peak, chain((0,), ends), ends, map(bisect_right, repeat(ds), lb.max_nbr))):
         while q and peak[q[-1]] <= p:
             q.pop()
         if h > len(q):
             h = len(q)
         q.append(j)
-        c, need = s - m + 1, r - m + 1
+        c, need = o - m + 2, r - m + 1
         while t <= j and (ends[t] < c or left[t] < need):
             t += 1
         if t > j:
@@ -271,7 +272,7 @@ def _first_undefended_bubbles(
             heads += 1
         b = r - peak[q[h]]
         if b <= e:
-            s = max(1, max(b, s) - m + 1)
+            s = max(1, max(b, o + 1) - m + 1)
             bad = Attack(s, s + m - 1)
             break
     if stats is not None:

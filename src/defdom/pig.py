@@ -68,13 +68,18 @@ def on_common_scale(nums: Sequence[int], dens: Sequence[int]) -> list:
 
     On the int path ``nums`` is overwritten with the scaled ints, a slice at
     a time, and returned, so the unscaled and scaled ints never both exist
-    in full; a ``nums`` that is not a list is copied into one first.
+    in full; a ``nums`` that is not a list is copied into one first.  When
+    every denominator is 1 the numerators already are the scaled ints, and
+    they are returned untouched.
     """
-    scale = common_scale(set(dens))
+    dset = set(dens)
+    scale = common_scale(dset)
     if scale is None:
         return list(map(Fraction, nums, dens))
     if type(nums) is not list:
         nums = list(nums)
+    if dset == {1}:
+        return nums
     for i in range(0, len(nums), _SCALE_SLICE):
         j = i + _SCALE_SLICE
         nums[i:j] = map(mul, nums[i:j], map(floordiv, repeat(scale), dens[i:j]))

@@ -184,7 +184,7 @@ def bubble_checker(lbm, steps=None):
     graph is built once.  With ``steps`` a list, each step also appends
     (first, last, defenders, live bubbles, bubbles in the minima deque, its length)."""
     graph = lbm.to_graph()
-    max_v = (0, *lbm.max_v)
+    max_v = lbm.max_v
 
     def check(first, last, d, live, seg, key, mins):
         defenders = _defenders(d, max_v)
@@ -215,7 +215,7 @@ def first_divergence(g: ProperIntervalGraph, k: int):
     """The first window end ``last`` of a bubble-solver step after which its
     defenders differ from the vertex greedy's after window ``last``, or None."""
     lbm = bubbles_from_pig(g)
-    max_v = (0, *lbm.max_v)
+    max_v = lbm.max_v
     ends = []
     solve_bubble(lbm, k, on_step=lambda first, last, d, *_: ends.append((last, _defenders(d, max_v))))
     at = dict.fromkeys(last for last, _ in ends)

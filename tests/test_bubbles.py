@@ -229,7 +229,8 @@ def test_every_accepted_model_agrees_with_its_graph():
     """Every (sizes, max_nbr) with n <= 6 and max_nbr nondecreasing in 1..n,
     as any accepted one is: the constructor accepts exactly the runs whose
     expansion is a valid ``maxn`` and whose values end bubbles; each
-    accepted model's first neighbors are its graph's, and the bubble pass of
+    accepted model's derived first vertices are the prefix sums of its
+    sizes from 1, its first neighbors are its graph's, and the bubble pass of
     the verifier names the same attack as the graph pass for every defender
     subset at k = 1, 2 and n."""
     accepted, verdicts = 0, {}
@@ -249,6 +250,7 @@ def test_every_accepted_model_agrees_with_its_graph():
                 assert valid, (sizes, max_nbr)
                 accepted += 1
                 g = lb.to_graph()
+                assert lb.min_v == tuple(accumulate(sizes[:-1], initial=1)), lb
                 assert [g.minn[v] for v in lb.min_v] == list(lb.min_nbr), lb
                 if g not in verdicts:  # finer models of one graph share its verdicts
                     verdicts[g] = [first_undefended_attack(g, ds, k) for k in {1, 2, n} for ds in subsets]

@@ -421,6 +421,62 @@ def test_greedy_and_oracle_on_compact_files_build_the_graph_by_runs(tmp_path, mo
     assert cli("oracle", "--input", str(path), "--k", "3") == oracle
 
 
+def test_greedy_drops_the_input_and_graph_before_writing_the_answer(tmp_path, monkeypatch):
+    """solve --algo greedy holds no ProperIntervalGraph and no CompactBubbles
+    while it writes the answer, from a pig file and from a bubbles file;
+    with --emit-defense the graph stays, as the defenses read it."""
+    import gc
+
+    from defdom import CompactBubbles, ProperIntervalGraph
+
+    pig_path = tmp_path / "chain.pig"
+    pig_path.write_text(format_pig(gen_family("clique_chain", sizes=[4, 5, 3])))
+    compact_path = tmp_path / "chain.bubbles"
+    compact_path.write_text(format_bubbles(compact_for_family("clique_chain", sizes=[4, 5, 3])))
+    kinds = (ProperIntervalGraph, CompactBubbles)
+    gc.collect()
+    before = [o for o in gc.get_objects() if isinstance(o, kinds)]  # held, so their ids stay theirs
+    seen = set(map(id, before))
+    alive = []
+    write_answer = defdom.io.write_answer
+
+    def spy(out, result):
+        gc.collect()
+        alive.append(sorted(type(o).__name__ for o in gc.get_objects() if isinstance(o, kinds) and id(o) not in seen))
+        return write_answer(out, result)
+
+    monkeypatch.setattr(defdom.io, "write_answer", spy)
+    for path in (pig_path, compact_path):
+        assert cli("solve", "--input", str(path), "--k", "3", "--algo", "greedy")[0] == 0
+        assert cli("solve", "--input", str(path), "--k", "3", "--algo", "greedy", "--emit-defense")[0] == 0
+    assert alive == [[], ["ProperIntervalGraph"], [], ["ProperIntervalGraph"]]
+
+
+def test_bubble_solve_peak_memory_per_vertex(tmp_path):
+    """solve --algo bubble on a pig file of the pig_k128 benchmark shape
+    (connected unit intervals, n = 2,000, spread 1/16, seed 128, k = 128)
+    peaks below 155 bytes per vertex after one warm-up call: the solver
+    reads the model's tuples in place and the model stores no ``min_v``
+    (141 measured; 168 with ``min_v`` stored and five 1-based copies of
+    the model's tuples made for the solve)."""
+    from defdom import gen_random_unit_intervals
+
+    n = 2000
+    path = str(tmp_path / "wide.pig")
+    Path(path).write_text(format_pig(gen_random_unit_intervals(n, spread="1/16", seed=128, connected=True)))
+    argv = ("solve", "--input", path, "--k", "128", "--algo", "bubble")
+    warm = cli(*argv)
+    assert warm[0] == 0 and warm[1].startswith("size=1727\n"), warm[2]
+    tracemalloc.start()
+    try:
+        result = cli(*argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == warm
+    assert peak / n < 155, peak / n
+
+
 def test_solve_answer_spans_write_chunks(tmp_path):
     """An answer longer than one write chunk prints one vertex per line, in order."""
     n = 8 * defdom.io._ANSWER_CHUNK + 5

@@ -685,7 +685,7 @@ SLICE = defdom.pig._SCALE_SLICE
     [
         pytest.param([1, -3, 5, 7, -2, 0, 4], [2, -3, 4, -6, 1, -1, -8], id="mixed-sign"),
         pytest.param([-5, 3, 8, 0], [7, 7, 7, 7], id="one-denominator"),
-        pytest.param(list(range(-4, 9)), [1] * 13, id="integers"),
+        pytest.param([*range(-4, 9), 257, -1000, 10**6, 2**70], [1] * 17, id="integers"),
         pytest.param([3, -3, 0], [-1, -1, 1], id="integers-negative-denominators"),
         pytest.param(*_spanning(2 * SLICE + 1), id="three-slices"),
         pytest.param(*_spanning(3 * SLICE + 17), id="four-slices"),
@@ -696,15 +696,19 @@ SLICE = defdom.pig._SCALE_SLICE
 def test_on_common_scale_matches_the_whole_list_pass(nums, dens):
     """The slice-at-a-time pass gives the whole-list pass's values, each p/q
     times the common scale exactly, in the list it was given; a tuple is
-    copied; past the budget a new list of Fractions leaves ``nums`` as it is."""
+    copied; past the budget a new list of Fractions leaves ``nums`` as it is.
+    When every denominator is 1, every returned int is the given one."""
     want = _whole_list_scale(nums, dens)
     scale = common_scale(set(dens))
     if scale is not None:
         assert want == [Fraction(p, q) * scale for p, q in zip(nums, dens)]
-    assert on_common_scale(tuple(nums), tuple(dens)) == want
+    from_tuple = on_common_scale(tuple(nums), tuple(dens))
+    assert from_tuple == want and type(from_tuple) is list
     given = list(nums)
     got = on_common_scale(given, dens)
     assert got == want
+    if set(dens) == {1}:
+        assert all(a is b for a, b in zip(from_tuple, nums)) and all(a is b for a, b in zip(got, nums))
     if scale is None:
         assert got is not given and given == nums
         assert all(type(x) is Fraction for x in got)
