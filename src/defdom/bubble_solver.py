@@ -9,29 +9,32 @@ defender is assigned, the defense is just the order-preserving bijection
 between live defenders and attackers, so each bubble's slack (how much
 further right its defenders can stretch) is key[b] - offset: sliding the
 whole window right by s only bumps the offset.  Bubbles carry the model's
-own 0-based indices: the solver reads the model's tuples in place and
-allocates only ``d``, ``seg`` and ``key``, |B| entries each, and its deques.
+own 0-based indices: the solver reads the model's ``sizes``, ``max_v`` and
+``max_nbr`` in place and allocates only ``d``, ``seg`` and ``key``, |B|
+entries each, and its deques.
 
 Each step of the loop either grows the window or slides it.  Growing by m
 attackers (min(k, n) at the start, and after each zero-slack step)
 recruits m defenders in chunks, one per bubble holding the new right end:
 the new attackers of a chunk are twins and take the rightmost spare vertices
-of their neighborhood.  A chunk takes its recruits at or below R, the reach
-of the bubble holding the new right end, and R never decreases, so every
-full bubble lies at or below R: the top bubble with a spare vertex at or
-below R is R itself, or, when R is full, the bubble just below the top run
-of full bubbles.  A stack ``starts`` holds the first bubble of each run,
-ascending, with an empty bubble -1 below bubble 0 as a full run at the
-bottom; a bubble that fills up starts a run, extends one, or joins two, and
-is then checked to lie in the top run, so a stack defect fails rather than
-offering a full bubble again and again.  Each recruit goes straight into its
-bubble's segment.  The live bubbles at or above the lowest
-receiver then come off the back of the deque, are sorted together with the
-receivers that had no segment, re-keyed from the running suffix of segment
-counts, and pushed back.  At positive slack the window slides by the
-slack; at zero slack the bubble of least slack ends its defenders at its last
-neighbor, so the attackers up to there leave, popping whole segments off the
-front, and as many new ones grow the window.
+of their neighborhood.  A chunk takes its recruits at or below R, the bubble
+that ends the neighborhood of the bubble holding the new right end.  That
+bubble's ``max_nbr`` never decreases, so neither does R, and one forward
+cursor over ``max_v`` finds it.  So every full bubble lies at or below R,
+and the top bubble with a spare vertex at or below R is R itself, or, when
+R is full, the bubble just below the top run of full bubbles.  A stack
+``starts`` holds the first bubble of each run, ascending, with an empty
+bubble -1 below bubble 0 as a full run at the bottom; a bubble that fills
+up starts a run, extends one, or joins two, and is then checked to lie in
+the top run, so a stack defect fails rather than offering a full bubble
+again and again.  Each recruit goes straight into its bubble's segment.
+The live bubbles at or above the lowest receiver then come off the back of
+the deque, are sorted together with the receivers that had no segment,
+re-keyed from the running suffix of segment counts, and pushed back.  At
+positive slack the window slides by the slack; at zero slack the bubble of
+least slack ends its defenders at its last neighbor, so the attackers up to
+there leave, popping whole segments off the front, and as many new ones
+grow the window.
 
 A second deque, ``mins``, holds the live bubbles whose key is strictly below
 the key of every live bubble above them, so its front is the least slack,
@@ -84,8 +87,7 @@ def solve_bubble(
     if k < 1:
         raise ValueError("k must be at least 1")
     n, count = lbm.n, lbm.count
-    # The model's own fields, read in place; ``reach`` holds 1-based bubbles.
-    size, max_v, max_nbr, min_nbr, reach = lbm.sizes, lbm.max_v, lbm.max_nbr, lbm.min_nbr, lbm.reach
+    size, max_v, max_nbr = lbm.sizes, lbm.max_v, lbm.max_nbr  # the model's own fields, read in place
     d = [0] * count
     seg = [0] * count
     # True slack of live bubble b is key[b] - offset.
@@ -94,8 +96,8 @@ def solve_bubble(
     mins: deque[int] = deque()  # the strict suffix minima of key over live
     starts = [-1]  # the first bubble of each run of full bubbles; the empty bubble -1 is full
     first, last, offset = 1, 0, 0
-    # Bubbles holding ``first`` and ``last + 1``, moved per grow and per chunk, when both are <= n.
-    first_bubble = next_bubble = 0
+    # The bubble holding ``last + 1`` when it is <= n, and the bubble ending its neighborhood.
+    next_bubble = top = 0
     inserts = deletes = touches = zero = positive = chunks = 0
     grow = min(k, n)
     while True:
@@ -112,7 +114,9 @@ def solve_bubble(
                 last += step
                 grow -= step
                 # The rightmost `step` spare vertices of the window neighborhood.
-                b = reach[next_bubble] - 1
+                while max_v[top] < max_nbr[next_bubble]:
+                    top += 1
+                b = top
                 if d[b] == size[b]:
                     b = starts[-1] - 1
                 while True:
@@ -140,10 +144,8 @@ def solve_bubble(
                     b = starts[-1] - 1
                 if b < low:
                     low = b
-            # ``first`` is fixed during a grow and ``max_v`` rises, so this covers every receiver.
-            while max_v[first_bubble] < first:
-                first_bubble += 1
-            assert max_v[low] >= min_nbr[first_bubble], "recruit search left the window neighborhood"
+            # ``first`` is fixed during a grow and ``max_nbr`` rises from ``low``, so this covers every receiver.
+            assert max_nbr[low] >= first, "recruit search left the window neighborhood"
             # Live bubbles at or above the lowest receiver change their
             # assigned attackers, so they come off the back and are re-keyed
             # with the receivers, from the running suffix of segment counts.
@@ -189,6 +191,7 @@ def solve_bubble(
         zero += 1
         # At zero slack the top bubble's last attacker is its last neighbor.
         grow = min(n - last, max_nbr[b] - first + 1)
+        assert grow > 0, "zero-slack step made no progress"
         first += grow
         step = grow
         while step > 0:

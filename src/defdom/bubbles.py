@@ -7,14 +7,14 @@ strictly smaller row than the earlier-column vertex in adjacent columns.
 Every column is a clique and every bubble is a set of pairwise twins.
 
 The linear model lists the bubbles column by column, row order inside a
-column, and records per bubble its size, its last vertex, the extremes of
-its closed neighborhood and the bubble that ends it; that is all the bubble
-solver needs, and it reads those five tuples in place.  A bubble's first
-vertex is a prefix sum of the sizes, so it is derived, not stored.  The
-sizes and the last neighbors determine the rest: ``LinearBubbles(sizes,
-max_nbr)``, and so ``linear_from_compact``, checks them and derives the
-first neighbors; ``bubbles_from_pig`` builds the model unchecked from the
-twin runs of a graph, which are valid by construction.
+column, and stores per bubble only what defines it: its size, its last
+vertex and its last neighbor.  The bubble solver reads those three tuples
+in place.  A bubble's first vertex is a prefix sum of the sizes and its
+first neighbor the first vertex of the first bubble whose last neighbor
+reaches it, so both are derived, not stored.  ``LinearBubbles(sizes,
+max_nbr)``, and so ``linear_from_compact``, checks the two defining
+sequences; ``bubbles_from_pig`` builds the model unchecked from the twin
+runs of a graph, which are valid by construction.
 """
 
 from __future__ import annotations
@@ -88,15 +88,15 @@ def _starts(sizes: Sequence[int]) -> Iterator[int]:
 
 
 class LinearBubbles:
-    """Ordered bubbles with sizes, last vertices, and neighborhood extremes.
+    """Ordered bubbles with their sizes, last vertices and last neighbors.
 
-    Five per-bubble tuples are stored: ``sizes``, ``max_v``, ``min_nbr``,
-    ``max_nbr`` and ``reach`` (the 1-based bubble ending each neighborhood).
-    ``min_v``, each bubble's first vertex, is derived from ``sizes`` on
-    every read, so a caller that needs it in a loop reads it once.
+    Three per-bubble tuples are stored: ``sizes``, ``max_v`` and
+    ``max_nbr``.  ``min_v`` and ``min_nbr``, each bubble's first vertex and
+    first neighbor, are derived on every read, so a caller that needs one
+    in a loop reads it once.
     """
 
-    __slots__ = ("sizes", "max_v", "min_nbr", "max_nbr", "reach", "count", "n")
+    __slots__ = ("sizes", "max_v", "max_nbr", "count", "n")
 
     def __init__(self, sizes, max_nbr):
         sizes, max_nbr = tuple(map(index, sizes)), tuple(map(index, max_nbr))
@@ -115,35 +115,31 @@ class LinearBubbles:
         for i, hi in enumerate(max_nbr, start=1):
             if hi not in ends:  # twin classes: a neighborhood covers whole bubbles
                 raise InvalidBubbles(f"bubble {i} neighborhood splits a bubble")
-        # min_nbr(v) is the least u with max_nbr(u) >= v: the first vertex of
-        # the first bubble reaching v, found by one forward pointer
-        min_v = tuple(_starts(sizes))  # dropped on return: the model derives it, never stores it
-        min_nbr, r = [], 0
-        for a in min_v:
-            while max_nbr[r] < a:
-                r += 1
-            min_nbr.append(min_v[r])
-        self._derive(sizes, min_nbr, max_nbr, max_v)
+        self._keep(sizes, max_nbr, max_v)
 
-    def _derive(self, sizes, min_nbr, max_nbr, max_v) -> None:
-        """Keep the fields of a valid model and derive ``reach``; no checks.
-
-        ``reach`` is built only here, after any checks: one forward pointer
-        over ``max_v`` would run past its end on a ``max_nbr`` above n.
-        """
-        self.sizes, self.min_nbr, self.max_nbr = tuple(sizes), tuple(min_nbr), tuple(max_nbr)
+    def _keep(self, sizes, max_nbr, max_v) -> None:
+        """Keep the fields of a valid model; no checks."""
+        self.sizes, self.max_nbr = tuple(sizes), tuple(max_nbr)
         self.max_v, self.count, self.n = max_v, len(max_v), max_v[-1]
-        reach, r = [], 0  # 1-based bubble ending at each max_nbr, by one forward pointer
-        for hi in self.max_nbr:
-            while max_v[r] < hi:
-                r += 1
-            reach.append(r + 1)
-        self.reach = tuple(reach)
 
     @property
     def min_v(self) -> tuple[int, ...]:
         """The first vertex of each bubble, derived from ``sizes`` on every read."""
         return tuple(_starts(self.sizes))
+
+    @property
+    def min_nbr(self) -> tuple[int, ...]:
+        """The first neighbor of each bubble, derived on every read.
+
+        min_nbr(v) is the least u with max_nbr(u) >= v: the first vertex of
+        the first bubble reaching v, found by one forward pointer.
+        """
+        starts, max_nbr, out, r = self.min_v, self.max_nbr, [], 0
+        for a in starts:
+            while max_nbr[r] < a:
+                r += 1
+            out.append(starts[r])
+        return tuple(out)
 
     def to_graph(self) -> ProperIntervalGraph:
         check_expansion(self.n, "bubble model")
@@ -166,20 +162,18 @@ class LinearBubbles:
 
 def bubbles_from_pig(g: ProperIntervalGraph) -> LinearBubbles:
     """Group maximal runs of twins into bubbles, in vertex order."""
-    sizes, min_nbr, max_nbr = [], [], []
+    sizes, max_nbr = [], []
     minn, maxn = g.minn, g.maxn
     run_start = 1
     for v in range(2, g.n + 1):
         if minn[v] != minn[run_start] or maxn[v] != maxn[run_start]:
             sizes.append(v - run_start)
-            min_nbr.append(minn[run_start])
             max_nbr.append(maxn[run_start])
             run_start = v
     sizes.append(g.n + 1 - run_start)
-    min_nbr.append(minn[run_start])
     max_nbr.append(maxn[run_start])
     lb = LinearBubbles.__new__(LinearBubbles)  # twin runs of a valid graph: a valid model
-    lb._derive(sizes, min_nbr, max_nbr, tuple(accumulate(sizes)))
+    lb._keep(sizes, max_nbr, tuple(accumulate(sizes)))
     return lb
 
 
@@ -202,7 +196,7 @@ def linear_from_compact(cb: CompactBubbles) -> LinearBubbles:
     most to the end of column j+1, where every bubble of column j+1 reaches
     at least.  The later neighbors of every vertex are so a range ending at
     its ``max_nbr``, which fixes the graph, and the ``min_nbr`` that the
-    constructor derives from it is the rule's first neighbor.
+    model derives from it is the rule's first neighbor.
     """
     cols = cb.columns
     sizes = [size for col in cols for _, size in col]

@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import functools
 import sys
+from bisect import bisect_left
 
 from . import io as dio
 from .bubbles import (
@@ -131,17 +132,17 @@ def _cmd_bubbles(args, out) -> int:
         print("  rankdir=LR;", file=out)
         for i in range(lbm.count):
             print(f'  B{i + 1} [label="B{i + 1}({lbm.sizes[i]})" shape=box];', file=out)
-        for i in range(lbm.count):
-            target = lbm.reach[i]
-            if target != i + 1:
-                print(f"  B{i + 1} -> B{target};", file=out)
+        for i, hi in enumerate(lbm.max_nbr):
+            target = bisect_left(lbm.max_v, hi)  # the bubble that ends i's neighborhood
+            if target != i:
+                print(f"  B{i + 1} -> B{target + 1};", file=out)
         print("}", file=out)
         return 0
-    min_v = lbm.min_v  # derived on every read, so read once
+    min_v, min_nbr = lbm.min_v, lbm.min_nbr  # derived on every read, so read once
     for i in range(lbm.count):
         print(
             f"{i + 1} {lbm.sizes[i]} {min_v[i]}..{lbm.max_v[i]} "
-            f"{lbm.min_nbr[i]} {lbm.max_nbr[i]}",
+            f"{min_nbr[i]} {lbm.max_nbr[i]}",
             file=out,
         )
     return 0

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
@@ -206,22 +207,21 @@ def test_exhaustive_agreement_with_validation():
 @pytest.mark.parametrize(
     "k, bubble, want",
     [
-        # attacker 4's batch recruits at reach(4) = 5; lowered, it takes 4
+        # attacker 4's batch recruits at max_nbr(4) = 5; lowered, it takes 4
         (1, 4, 4),
         # window [5..6] recruits 6 for attacker 5, then 7 for attacker 6;
-        # with reach(6) lowered to the full bubble 6, that batch takes 5
+        # with max_nbr(6) lowered to 6, a full bubble, that batch takes 5
         (2, 6, 6),
     ],
 )
 def test_first_divergence_names_a_corrupted_batch(monkeypatch, k, bubble, want):
-    """On the 8-vertex path, one bubble's reach one bubble lower breaks the
-    recruit batch of the attackers in that bubble, at that batch's window end."""
+    """On the 8-vertex path, one bubble's ``max_nbr`` one vertex lower breaks
+    the recruit batch of the attackers in that bubble, at that batch's window end."""
     g = gen_family("path", 8)
     lbm = bubbles_from_pig(g)
-    reach = list(lbm.reach)
-    reach[bubble - 1] -= 1
-    fields = ("n", "count", "sizes", "max_v", "min_nbr", "max_nbr")
-    broken = SimpleNamespace(reach=tuple(reach), **{name: getattr(lbm, name) for name in fields})
+    max_nbr = list(lbm.max_nbr)
+    max_nbr[bubble - 1] -= 1
+    broken = duck_model(lbm.sizes, tuple(max_nbr))
     monkeypatch.setattr(helpers, "bubbles_from_pig", lambda _: broken)
     assert first_divergence(g, k) == want
 
@@ -261,39 +261,56 @@ def test_exact_counters():
         positive_slack_iterations=113, chunks=1205, iterations=226, bubbles=1347), stats
 
 
+def duck_model(sizes, max_nbr):
+    """A model of only the fields the solver reads, with no checks."""
+    max_v = tuple(accumulate(sizes))
+    return SimpleNamespace(n=max_v[-1], count=len(sizes), sizes=sizes, max_v=max_v, max_nbr=max_nbr)
+
+
 @pytest.mark.parametrize(
-    "min_nbr, max_nbr, reach, k",
+    "sizes, max_nbr, k, check",
     [
-        # bubbles 1 and 2 are full when vertex 3 joins the window, and its
-        # reach is bubble 1, so the search falls to bubble 0
-        ((1, 1, 3), (1, 2, 1), (1, 2, 1), 2),
-        # vertex 3's reach is the full bubble 2, and the spare bubble 1 lies
-        # below its neighborhood, which starts at vertex 2
-        ((1, 1, 2), (2, 2, 3), (2, 2, 2), 1),
-        # vertex 1's neighborhood starts at vertex 2, so the first grow's first
-        # chunk fills bubble 2 inside it and its second chunk falls to bubble 1
-        ((2, 2, 3), (2, 2, 3), (2, 2, 3), 2),
+        # vertex 2's neighborhood ends at bubble 0, which vertex 1's batch
+        # filled, so the search falls below bubble 0
+        pytest.param((1, 1), (1, 1), 1, "b >= 0", id="hop"),
+        # bubble 1's last neighbor, vertex 1, lies below its own vertices, so
+        # the second grow recruits in bubble 1 for attacker 2, out of its reach
+        pytest.param((1, 2), (3, 1), 1, "max_nbr[low] >= first", id="grow"),
+        # the second grow's first chunk takes bubble 2, inside the window
+        # neighborhood, and its second chunk falls to bubble 0, below it
+        pytest.param((1, 1, 1, 1), (2, 4, 3, 2), 2, "max_nbr[low] >= first", id="grow-past-first-receiver"),
     ],
 )
-def test_recruit_assert_catches_a_missing_spare(min_nbr, max_nbr, reach, k):
-    """Duck-typed models of three one-vertex bubbles whose neighborhoods and
-    reach disagree, so the recruit search leaves the window neighborhood."""
-    lbm = SimpleNamespace(
-        n=3, count=3, sizes=(1, 1, 1), max_v=(1, 2, 3), min_nbr=min_nbr, max_nbr=max_nbr, reach=reach
-    )
-    with pytest.raises(AssertionError, match="recruit search left the window neighborhood"):
-        solve_bubble(lbm, k)
+def test_recruit_assert_catches_a_missing_spare(sizes, max_nbr, k, check):
+    """Duck-typed models whose ``max_nbr`` breaks the model's rules, so the
+    recruit search leaves the window neighborhood: per hop, or over a grow."""
+    with pytest.raises(AssertionError, match="recruit search left the window neighborhood") as failed:
+        solve_bubble(duck_model(sizes, max_nbr), k)
+    assert check in str(failed.traceback[-1].statement)
 
 
-def test_progress_guard_catches_a_falling_reach():
-    """A duck-typed model of three one-vertex bubbles whose reach falls from
-    bubble 3 to bubble 1: bubble 1 fills below the top run, which starts at
-    bubble 3, so the run stack no longer holds the bubble just filled."""
-    lbm = SimpleNamespace(
-        n=3, count=3, sizes=(1, 1, 1), max_v=(1, 2, 3), min_nbr=(1, 1, 1), max_nbr=(3, 3, 3), reach=(3, 1, 3)
-    )
-    with pytest.raises(AssertionError, match="run stack does not hold the bubble just filled"):
-        solve_bubble(lbm, 2)
+def test_zero_slack_guard_catches_a_stalled_step():
+    """A duck-typed model whose ``max_nbr`` falls below the window start: the
+    zero-slack step would drop no attacker and loop for ever."""
+    with pytest.raises(AssertionError, match="zero-slack step made no progress"):
+        solve_bubble(duck_model((1, 1, 2), (2, 1, 4)), 2)
+
+
+def test_solver_reads_only_the_defining_fields():
+    """A model of ``n``, ``count``, ``sizes``, ``max_v`` and ``max_nbr`` alone
+    gives the real model's answer and counters."""
+    rng = SplitMix64(3535)
+    for trial in range(500):
+        if trial % 2:
+            lbm = linear_from_compact(gen_random_bubbles(1 + rng.below(60), seed=trial))
+        else:
+            g = gen_random_unit_intervals(1 + rng.below(60), spread="1/2", seed=trial)
+            lbm = bubbles_from_pig(g)
+        k = 1 + rng.below(lbm.n + 1)
+        want, got = {}, {}
+        answer = solve_bubble(lbm, k, stats=want)
+        assert solve_bubble(duck_model(lbm.sizes, lbm.max_nbr), k, stats=got) == answer, (trial, k)
+        assert got == want, (trial, k)
 
 
 def test_solver_accepts_finer_than_twin_models():

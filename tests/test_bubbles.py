@@ -16,6 +16,7 @@ from defdom import (
     compact_for_family,
     first_undefended_attack,
     gen_random_bubbles,
+    gen_random_unit_intervals,
     linear_from_compact,
     pig_from_bubbles,
 )
@@ -37,7 +38,13 @@ def test_bubbles_from_pig_path():
     assert lb.sizes == (1, 1, 1, 1, 1)
     assert lb.max_nbr == (2, 3, 4, 5, 5)
     assert lb.min_nbr == (1, 1, 2, 3, 4)
-    assert lb.reach == (2, 3, 4, 5, 5)
+
+
+def test_repr_lists_each_bubble_with_its_derived_ends():
+    assert repr(bubbles_from_pig(p5())) == (
+        "LinearBubbles[(size=1, v=1..1, nbr=1..2), (size=1, v=2..2, nbr=1..3), "
+        "(size=1, v=3..3, nbr=2..4), (size=1, v=4..4, nbr=3..5), (size=1, v=5..5, nbr=4..5)]"
+    )
 
 
 def test_bubbles_from_pig_diamond():
@@ -45,7 +52,6 @@ def test_bubbles_from_pig_diamond():
     assert lb.sizes == (1, 2, 1)
     assert lb.max_nbr == (3, 4, 4)
     assert lb.min_nbr == (1, 1, 2)
-    assert lb.reach == (2, 3, 3)
 
 
 def test_bubbles_from_pig_complete():
@@ -133,7 +139,7 @@ def test_linear_from_compact_agrees_with_rule_expansion():
         tw = bubbles_from_pig(g)
         assert list(zip(tw.sizes, tw.min_nbr, tw.max_nbr)) == coarsen(lbm)
         assert tw.count <= lbm.count <= n
-        assert [lbm.max_v[r - 1] for r in lbm.reach] == list(lbm.max_nbr)
+        assert set(lbm.max_nbr) <= set(lbm.max_v)
 
 
 def test_expansion_of_long_columns_is_not_quadratic():
@@ -286,6 +292,23 @@ def test_bubbles_from_pig_matches_validating_constructor():
     for g in graphs:
         lb = bubbles_from_pig(g)
         assert _fields(lb) == _fields(LinearBubbles(lb.sizes, lb.max_nbr)), g
+
+
+def test_model_holds_only_its_defining_tuples():
+    """On the pig_k128 benchmark shape (connected unit intervals, spread 1/16,
+    n = 2,000, 1,347 bubbles) ``bubbles_from_pig`` holds the model in under
+    64 bytes per bubble and builds it under 85 beyond its graph: 52.2 and
+    69.0 measured, 94.5 and 127.9 with ``min_nbr`` and ``reach`` stored."""
+    g = gen_random_unit_intervals(2000, spread="1/16", seed=128, connected=True)
+    tracemalloc.start()
+    try:
+        lbm = bubbles_from_pig(g)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lbm.count == 1347
+    assert held / lbm.count < 64, held / lbm.count
+    assert peak / lbm.count < 85, peak / lbm.count
 
 
 def test_linear_from_compact_accepts_every_structure():
