@@ -25,13 +25,13 @@ from operator import index, itemgetter
 from typing import Iterator, Sequence
 
 from .errors import InvalidBubbles, InvalidRanges, TooLarge
-from .pig import ProperIntervalGraph, _check_maxn, _run_vertices
+from .pig import ProperIntervalGraph, _check_maxn, _first_reaching, _run_vertices
 
 #: Most vertices a bubble model is ever expanded into.  pig_from_bubbles keeps
-#: two tuples of n references plus a few lists per bubble, so a path, one
-#: bubble per vertex, is the worst shape: its peak is about 175 bytes per
-#: vertex (20 on a clique chain of 100-cliques, 18 on one clique; tracemalloc
-#: at n = 10^5 and 3*10^5), and the cap keeps it near 350 MB.
+#: one tuple of n references plus a few lists per bubble, so a path, one
+#: bubble per vertex, is the worst shape: its peak is about 176 bytes per
+#: vertex (11 on a clique chain of 100-cliques, 9 on one clique; tracemalloc
+#: at n = 10^5), and the cap keeps it near 350 MB.
 MAX_EXPANDED_VERTICES = 2_000_000
 
 
@@ -134,12 +134,8 @@ class LinearBubbles:
         min_nbr(v) is the least u with max_nbr(u) >= v: the first vertex of
         the first bubble reaching v, found by one forward pointer.
         """
-        starts, max_nbr, out, r = self.min_v, self.max_nbr, [], 0
-        for a in starts:
-            while max_nbr[r] < a:
-                r += 1
-            out.append(starts[r])
-        return tuple(out)
+        starts = self.min_v
+        return _first_reaching(self.max_nbr, starts, starts)
 
     def to_graph(self) -> ProperIntervalGraph:
         check_expansion(self.n, "bubble model")
@@ -161,19 +157,26 @@ class LinearBubbles:
 
 
 def bubbles_from_pig(g: ProperIntervalGraph) -> LinearBubbles:
-    """Group maximal runs of twins into bubbles, in vertex order."""
+    """Group maximal runs of twins into bubbles, in vertex order.  The first
+    neighbor rises at v exactly when maxn[min_nbr(v-1)] < v, so a pointer
+    ``lo`` at min_nbr(v-1) cuts the runs from ``maxn`` alone."""
     sizes, max_nbr = [], []
-    minn, maxn = g.minn, g.maxn
-    run_start = 1
+    maxn = g.maxn
+    run_start = lo = 1
     for v in range(2, g.n + 1):
-        if minn[v] != minn[run_start] or maxn[v] != maxn[run_start]:
+        if maxn[lo] < v or maxn[v] != maxn[run_start]:
             sizes.append(v - run_start)
             max_nbr.append(maxn[run_start])
             run_start = v
+            while maxn[lo] < v:
+                lo += 1
     sizes.append(g.n + 1 - run_start)
     max_nbr.append(maxn[run_start])
+    max_v = tuple(accumulate(sizes))
+    sizes = tuple(sizes)  # each list is freed as its tuple is made
+    max_nbr = tuple(max_nbr)
     lb = LinearBubbles.__new__(LinearBubbles)  # twin runs of a valid graph: a valid model
-    lb._keep(sizes, max_nbr, tuple(accumulate(sizes)))
+    lb._keep(sizes, max_nbr, max_v)
     return lb
 
 
@@ -219,10 +222,10 @@ def pig_from_bubbles(cb: CompactBubbles) -> ProperIntervalGraph:
 
     Deliberately independent of linear_from_compact: each bubble finds its
     neighbors by a binary search over the rows of each adjacent column, not
-    by the lagging pointers, and ``min_nbr`` is derived from ``max_nbr`` and
-    checked against the rule's first neighbor, so the two routes cross-check
-    each other.  The graph is built run by run (``from_runs``), one run per
-    bubble, so no Python loop visits a vertex.
+    by the lagging pointers, and the first neighbors that the graph's
+    ``maxn`` implies are checked against the rule's, so the two routes
+    cross-check each other.  The graph is built run by run (``from_runs``),
+    one run per bubble, so no Python loop visits a vertex.
     """
     check_expansion(cb.n, "bubble structure")
     cols, row_of = cb.columns, itemgetter(0)
@@ -244,9 +247,10 @@ def pig_from_bubbles(cb: CompactBubbles) -> ProperIntervalGraph:
         g = ProperIntervalGraph.from_runs(sizes, lasts)
     except InvalidRanges as exc:
         raise InvalidBubbles(f"bubble structure induces invalid neighbor ranges: {exc}") from exc
-    # min_nbr never decreases, so its two ends pin a whole bubble
-    minn = g.minn
+    # Vertices lo+1..hi all have first neighbor before + 1: maxn never
+    # decreases, and min_nbr(v) > u exactly when maxn[u] < v.
+    maxn = g.maxn
     for lo, hi, before in zip(tops, islice(tops, 1, None), befores):
-        if not minn[lo + 1] == minn[hi] == before + 1:
+        if not (maxn[before] <= lo and maxn[before + 1] >= hi):
             raise InvalidBubbles("bubble structure breaks adjacency symmetry")
     return g

@@ -54,16 +54,17 @@ def defends_consecutive(
     """
     if not 1 <= attack.first <= attack.last <= g.n:
         raise ValueError(f"attack {attack} out of range for n={g.n}")
-    maxn, minn = g.maxn, g.minn
+    maxn = g.maxn
     idx = bisect_right(defenders, maxn[attack.last]) - 1
     pairs = []
     for x in range(attack.last, attack.first - 1, -1):
         top = maxn[x]
         while idx >= 0 and defenders[idx] > top:
             idx -= 1
-        if idx < 0 or defenders[idx] < minn[x]:
+        d = defenders[idx] if idx >= 0 else 0
+        if d < 1 or maxn[d] < x:  # none left, or d below min_nbr(x)
             return None
-        pairs.append((defenders[idx], x))
+        pairs.append((d, x))
         idx -= 1
     pairs.reverse()
     return pairs
@@ -159,16 +160,18 @@ def first_undefended_attack(
     ``g`` is a graph or a bubble model, and the input type picks the pass.
     On a graph, one left-to-right pass over b keeps the largest right-hand
     side among the last m values of a in a monotone deque, and reads both
-    counts through two forward pointers into the sorted defenders.  The
-    first failing b names the leftmost failing window.  Work is O(n + |D|)
-    for any k, after sorting the defenders: a sort, linear when they
-    already ascend, as the CLI hands them, and a linear pass that drops
-    adjacent repeats.  The sorted copy is the verifier's own (the graph
-    pass appends a sentinel to it), so the caller's list is left as it
-    was.  ``stats`` receives ``steps``: pointer moves plus deque pushes
-    and pops.  On a ``LinearBubbles`` the same windows are decided in one
-    pass over the bubbles, never over the vertices (see
-    ``_first_undefended_bubbles``).
+    counts through two forward pointers into the sorted defenders; the
+    first compares the next defender's maxn with b, as d < min_nbr(b)
+    exactly when max_nbr(d) < b.  Defenders outside 1..n raise both counts
+    alike, so both pointers start past those below 1, and those above n
+    are cut.  The first failing b names the leftmost failing window.  Work
+    is O(n + |D|) for any k, after sorting the defenders: a sort, linear
+    when they already ascend, as the CLI hands them, and a linear pass that
+    drops adjacent repeats.  The sorted copy is the verifier's own, so the
+    caller's list is left as it was.  ``stats`` receives ``steps``: pointer
+    moves plus deque pushes and pops.  On a ``LinearBubbles`` the same
+    windows are decided in one pass over the bubbles, never over the
+    vertices (see ``_first_undefended_bubbles``).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -179,9 +182,11 @@ def first_undefended_attack(
         ds = list(compress(ds, chain((True,), map(ne, islice(ds, 1, None), ds))))
     if isinstance(g, LinearBubbles):
         return _first_undefended_bubbles(g, ds, m, stats)
-    maxn, minn = g.maxn, g.minn
-    ds.append(n + 1)  # sentinel: above every max_nbr
-    below = upto = 0  # defenders below min_nbr(b), and at most max_nbr(b)
+    maxn = g.maxn
+    lo, top = bisect_left(ds, 1), bisect_right(ds, n)
+    ds[top:] = [n + 1]  # cut above n; the sentinel lies above every max_nbr
+    below = upto = lo  # defenders below min_nbr(b), and at most max_nbr(b)
+    nm = maxn[ds[lo]] if lo < top else n + 1  # the maxn of ds[below]
     # Positions a, live from index h, whose need(a) = cnt(min_nbr(a)-1) - a + 1
     # run front, front-1, ..., tail; the first push, above -n - 1, starts it.
     q: list[int] = []
@@ -189,9 +194,9 @@ def first_undefended_attack(
     front = tail = -n - 1
     bad = None
     for b in range(1, n + 1):
-        t = minn[b]
-        while ds[below] < t:
+        while nm < b:
             below += 1
+            nm = maxn[ds[below]] if below < top else n + 1
         t = maxn[b]
         while ds[upto] <= t:
             upto += 1
@@ -215,8 +220,8 @@ def first_undefended_attack(
             bad = Attack(s, s + m - 1)
             break
     if stats is not None:
-        # Pointers only advance one at a time from 0; each of the b pushed
-        # entries left the deque at most once, and the rest are still in it.
+        # Each pointer moved once per defender below 1, then one at a time; each
+        # of the b pushed entries left the deque once at most, the rest are in it.
         stats.update(steps=below + upto + 2 * b - (len(q) - h))
     return bad
 

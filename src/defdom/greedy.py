@@ -34,13 +34,14 @@ def solve_greedy(
     and defenders are never removed, so only the sub-ranges [a..j] are new.
     Every defender so far was recruited at or below the max_nbr of an
     earlier window, so cnt(max_nbr(j)) is simply the number of defenders.
-    cnt(min_nbr(j)-1) is one forward pointer into the ascending defenders,
-    and a monotone deque keeps the strict suffix maxima of v over the window,
-    so its front is the largest.  min_nbr never decreases, so
-    v(a+1) >= v(a) - 1, and between two neighbouring deque entries e < f
-    every a in (e..j] has v(a) <= v(f) < v(e): so v(f) = v(e) - 1.  The
-    deque's values are thus front, front-1, ..., tail, and it stores
-    positions only.
+    cnt(min_nbr(j)-1) is one forward pointer into the ascending defenders
+    that compares the next defender's maxn with j, as d < min_nbr(j) exactly
+    when max_nbr(d) < j, and a monotone deque keeps the strict suffix maxima
+    of v over the window, so its front is the largest.  min_nbr never
+    decreases, so v(a+1) >= v(a) - 1, and between two neighbouring deque
+    entries e < f every a in (e..j] has v(a) <= v(f) < v(e): so
+    v(f) = v(e) - 1.  The deque's values are thus front, front-1, ..., tail,
+    and it stores positions only.
 
     One recruit repairs a failing window.  Each [a..j-1] held, and
     max_nbr(j) >= max_nbr(j-1), so [a..j] lacks at most one defender, and
@@ -80,12 +81,13 @@ def solve_greedy(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    n, maxn, minn = g.n, g.maxn, g.minn
+    n, maxn = g.n, g.maxn
     ds: list[int] = []
     starts: list[int] = []  # the first vertex of each run of consecutive defenders
-    # p counts the defenders below min_nbr(j); nxt is the next, or n + 1.
+    # p counts the defenders below min_nbr(j), the d with maxn[d] < j; nm is
+    # the maxn of the next defender, or n + 1.
     p = nd = 0
-    nxt = n + 1
+    nm = n + 1
     # Deque of window positions a, live from index h: the strict suffix
     # maxima of v over the window, whose values run front, front-1, ...,
     # tail.  The first front lies below every v, so the first push starts
@@ -94,10 +96,9 @@ def solve_greedy(
     h = 0
     front = tail = -n - 1
     for j in range(1, n + 1):
-        t = minn[j]
-        while nxt < t:
+        while nm < j:
             p += 1
-            nxt = ds[p] if p < nd else n + 1
+            nm = maxn[ds[p]] if p < nd else n + 1
         v = p - j
         if v >= front:  # every live entry leaves
             q.clear()
@@ -119,14 +120,14 @@ def solve_greedy(
             if nd and ds[-1] >= jp:  # maxn(j) ends the top run: take the spare below it
                 jp = starts[-1] - 1
                 r = nd - ds[-1] + jp
-            assert jp >= minn[j - k + 1 if j > k else 1], "no recruit available inside the window neighborhood"
+            assert jp and maxn[jp] > j - k, "no recruit available inside the window neighborhood"
             ds.insert(r, jp)
             if r < nd:  # the top run grows down to jp
                 starts.pop()
             if not r or ds[r - 1] < jp - 1:  # jp starts a run
                 starts.append(jp)
             nd += 1
-            if jp < t:
+            if maxn[jp] < j:  # below min_nbr(j)
                 p += 1
                 tail += 1
                 s = bisect_right(q, maxn[jp], h)
@@ -134,8 +135,8 @@ def solve_greedy(
                     del q[s - 1]
                 else:
                     front += 1
-            elif jp < nxt:
-                nxt = jp
+            elif r == p:  # the next defender
+                nm = maxn[jp]
             assert front < nd - j, "the recruit did not repair the window"
         if on_step is not None:
             on_step(j, ds)

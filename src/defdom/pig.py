@@ -3,8 +3,11 @@
 Vertices are numbered 1..n in left-endpoint order of an interval
 representation.  Adjacency is stored as one number per vertex: ``maxn[j]``
 is the largest vertex whose interval meets interval j, so ``u ~ v`` for
-``u < v`` exactly when ``maxn[u] >= v``.  The symmetric ``minn`` is
-derived.  ``ProperIntervalGraph(maxn)`` and ``from_runs`` check their input;
+``u < v`` exactly when ``maxn[u] >= v``.  That one nondecreasing sequence
+is all a graph stores.  ``minn[v]``, the least u with ``maxn[u] >= v``, is
+derived on every read; as ``maxn`` never decreases, u < minn[v] exactly when
+maxn[u] < v (u >= 1), so every other module tests first neighbors through
+``maxn``.  ``ProperIntervalGraph(maxn)`` and ``from_runs`` check their input;
 ``from_intervals`` stores its sweep's ``maxn``, valid by construction, unchecked.
 
 ``from_intervals`` works on flat endpoint lists: a stable sort of the
@@ -159,28 +162,26 @@ def _run_vertices(runs: Iterable[tuple[int, int]]):
         end += s
 
 
+def _first_reaching(reach: Sequence[int], points: Iterable[int], at: Sequence[int]) -> tuple[int, ...]:
+    """``at[r]`` for each of the ascending ``points``, r the first index of the nondecreasing
+    ``reach`` with reach[r] >= point, by one forward pointer: ``minn`` from ``maxn``."""
+    out, r = [], 0
+    for a in points:
+        while reach[r] < a:
+            r += 1
+        out.append(at[r])
+    return tuple(out)
+
+
 class ProperIntervalGraph:
     """A proper interval graph in canonical vertex order."""
 
-    __slots__ = ("n", "_maxn", "_minn")
+    __slots__ = ("n", "_maxn")
 
     def __init__(self, maxn: Iterable[int]):
         maxn = tuple(chain((0,), map(index, maxn)))  # 1-based, the one copy kept
         _check_maxn(islice(enumerate(maxn), 1, None), len(maxn) - 1)
-        self._store(maxn)
-
-    def _store(self, maxn: tuple[int, ...]) -> None:
-        """Keep a valid, non-empty 1-based ``maxn`` tuple and derive ``minn``; no checks."""
-        n = self.n = len(maxn) - 1
-        self._maxn = maxn
-        # min_nbr(j) = least i with max_nbr(i) >= j
-        minn = [0] * (n + 1)
-        i = 1
-        for j in range(1, n + 1):
-            while maxn[i] < j:
-                i += 1
-            minn[j] = i
-        self._minn = tuple(minn)
+        self.n, self._maxn = len(maxn) - 1, maxn
 
     # -- constructors ----------------------------------------------------
 
@@ -193,27 +194,15 @@ class ProperIntervalGraph:
         value unread, so n is the sum of the other sizes.  The runs are
         checked first, by ``_check_maxn`` on the at most two vertices per run
         that can fail (``_run_vertices``), so every error is ``__init__``'s,
-        word for word, and no run is expanded.  ``min_nbr`` then takes one
-        pointer over the runs: the vertices in (previous top, m] get the
-        first vertex of the run whose value m first reaches them.  The two
-        sequences hold one int per run.
+        word for word, and no run is expanded.
         """
         # Sizes convert before values, as when the expansion repeats each value.
         runs = [(index(m), s) for m, s in zip(values, map(index, sizes)) if s > 0]
         n = sum(s for _, s in runs)
         _check_maxn(_run_vertices(runs), n)
-        end = top = 0
-        starts, widths = [], []  # min_nbr as runs
-        for m, s in runs:
-            if m > top:
-                starts.append(end + 1)
-                widths.append(m - top)
-                top = m
-            end += s
         g = cls.__new__(cls)
         g.n = n
         g._maxn = tuple(chain((0,), chain.from_iterable(starmap(repeat, runs))))
-        g._minn = tuple(chain((0,), chain.from_iterable(map(repeat, starts, widths))))
         return g
 
     @classmethod
@@ -257,8 +246,8 @@ class ProperIntervalGraph:
             while m < n and lo[m] <= r:
                 m += 1
             maxn.append(m)
-        g = cls.__new__(cls)  # j < maxn[j] <= n, never decreasing: valid as built
-        g._store(tuple(maxn))
+        g = cls.__new__(cls)  # j <= maxn[j] <= n, never decreasing: valid as built
+        g.n, g._maxn = n, tuple(maxn)
         return g
 
     # -- basic queries ----------------------------------------------------
@@ -301,7 +290,8 @@ class ProperIntervalGraph:
 
     @property
     def minn(self) -> tuple[int, ...]:
-        return self._minn
+        """The min-neighbor sequence, index 0 unused, derived on every read."""
+        return _first_reaching(self._maxn, range(self.n + 1), range(self.n + 1))
 
     def __eq__(self, other):
         if not isinstance(other, ProperIntervalGraph):

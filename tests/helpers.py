@@ -263,7 +263,8 @@ def connected_graphs(n: int):
 
 def are_twins(g: ProperIntervalGraph, u: int, v: int) -> bool:
     """True when u < v are adjacent with identical closed neighborhoods."""
-    return g.maxn[u] >= v and (g.minn[u], g.maxn[u]) == (g.minn[v], g.maxn[v])
+    maxn, minn = g.maxn, g.minn  # minn is derived on every read, so read once
+    return maxn[u] >= v and (minn[u], maxn[u]) == (minn[v], maxn[v])
 
 
 def is_valid_defense(g: ProperIntervalGraph, pairs, attack: Attack) -> bool:

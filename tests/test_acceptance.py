@@ -161,15 +161,15 @@ def test_criterion_3_structural_fact_suite():
     corpus += [_random_instance(rng, 8, rng.below(1 << 30)) for _ in range(40)]
     trials_cd = 0
     for g in corpus:
-        n = g.n
+        n, minn = g.n, g.minn  # derived on every read, so read once
         for size in range(1, n + 1):
             for attack in combinations(range(1, n + 1), size):
                 bridged = is_bridged(g, attack)
                 assert bridged == square_connected(g, attack), (g.maxn, attack)
                 if bridged:
                     r = range_of(attack)
-                    assert (g.minn[r.first], g.maxn[r.last]) == (
-                        min(g.minn[v] for v in attack),
+                    assert (minn[r.first], g.maxn[r.last]) == (
+                        min(minn[v] for v in attack),
                         max(g.maxn[v] for v in attack),
                     ), (g.maxn, attack)
                 trials_cd += 1

@@ -281,6 +281,23 @@ def test_hall_verifier_input_forms():
         first_undefended_attack(p3(), [1, 2, 3], 0)
 
 
+def test_out_of_range_defenders_change_no_verdict():
+    """0, -3 and n + 4 added to the defenders change neither the leftmost
+    undefended attack nor any window's defense: no vertex is read through
+    them, and a negative one never indexes ``maxn`` from its end."""
+    for n in range(1, 6):
+        for maxn in all_maxn(n):
+            g = ProperIntervalGraph(maxn)
+            windows = [Attack(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
+            for r in range(n + 1):
+                for ds in map(list, combinations(range(1, n + 1), r)):
+                    verdicts = [first_undefended_attack(g, ds, k) for k in range(1, n + 2)]
+                    defenses = [defends_consecutive(g, ds, attack) for attack in windows]
+                    for noisy in ([-3, *ds, n + 4], [-3, 0, *ds, n + 4]):  # the -3 read first, then after 0
+                        assert [first_undefended_attack(g, noisy, k) for k in range(1, n + 2)] == verdicts, (maxn, noisy)
+                        assert [defends_consecutive(g, noisy, attack) for attack in windows] == defenses, (maxn, noisy)
+
+
 def test_is_bridged_examples():
     g = p5()
     assert is_bridged(g, {1, 3})
@@ -343,14 +360,14 @@ def test_bridged_iff_square_connected_exhaustive():
 def test_range_neighborhood_for_bridged_sets():
     rng = SplitMix64(404)
     for g in [random_graph(rng, 8, seed_tag=4) for _ in range(25)]:
-        n = g.n
+        n, minn = g.n, g.minn  # derived on every read, so read once
         for size in range(1, min(n, 4) + 1):
             for attack in combinations(range(1, n + 1), size):
                 if not is_bridged(g, attack):
                     continue
                 r = range_of(attack)
-                lo, hi = g.minn[r.first], g.maxn[r.last]
-                want_lo = min(g.minn[v] for v in attack)
+                lo, hi = minn[r.first], g.maxn[r.last]
+                want_lo = min(minn[v] for v in attack)
                 want_hi = max(g.maxn[v] for v in attack)
                 assert (lo, hi) == (want_lo, want_hi), (g.maxn, attack)
 
@@ -364,12 +381,13 @@ def test_hall_count_over_bridged_attacks():
         g = random_graph(rng, n, seed_tag=16)
         defenders = set(random_subset(rng, g.n))
         k = 1 + rng.below(4)
+        minn = g.minn  # derived on every read, so read once
         hall = True
         for size in range(1, min(k, g.n) + 1):
             for attack in combinations(range(1, g.n + 1), size):
                 if not is_bridged(g, attack):
                     continue
-                lo = min(g.minn[v] for v in attack)
+                lo = min(minn[v] for v in attack)
                 hi = max(g.maxn[v] for v in attack)
                 if sum(1 for d in defenders if lo <= d <= hi) < size:
                     hall = False

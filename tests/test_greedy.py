@@ -176,19 +176,20 @@ def test_matches_scan_reference_large():
 
 
 def test_post_recruit_assert_catches_a_bad_recruit():
-    """A duck-typed graph whose maxn (1, 2, 1, 3) breaks monotonicity and
-    whose vertex 4 has the empty neighborhood [4..3] (minn (1, 1, 1, 4)).
-    Its recruit 3 lies in the window neighborhood but cannot defend vertex 4;
-    the Hall check after the recruit must notice."""
-    g = SimpleNamespace(n=4, maxn=(0, 1, 2, 1, 3), minn=(0, 1, 1, 1, 4))
+    """A duck-typed graph, only a ``maxn``, of (1, 3, 1), which breaks
+    monotonicity.  Window [1..2] fails with defender 1 alone, and its recruit
+    maxn(2) = 3 lies in the window neighborhood, but read through maxn(3) = 1
+    it lies below min_nbr(2) and cannot defend vertex 2; the Hall check after
+    the recruit must notice."""
+    g = SimpleNamespace(n=3, maxn=(0, 1, 3, 1))
     with pytest.raises(AssertionError, match="did not repair the window"):
         solve_greedy(g, 2)
 
 
 def test_recruit_assert_catches_a_missing_spare():
-    """With maxn (1, 2, 1) and minn (1, 1, 3), vertices 1 and 2 are already
-    defenders when vertex 3 fails, so no spare lies at or below maxn(3)."""
-    g = SimpleNamespace(n=3, maxn=(0, 1, 2, 1), minn=(0, 1, 1, 3))
+    """With maxn (1, 2, 1), vertices 1 and 2 are already defenders when
+    vertex 3 fails, so no spare lies at or below maxn(3)."""
+    g = SimpleNamespace(n=3, maxn=(0, 1, 2, 1))
     with pytest.raises(AssertionError, match="no recruit available"):
         solve_greedy(g, 2)
 

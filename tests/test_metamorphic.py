@@ -18,8 +18,8 @@ from helpers import random_components, random_graph
 
 
 def mirror(g: ProperIntervalGraph) -> ProperIntervalGraph:
-    n = g.n
-    return ProperIntervalGraph([n + 1 - g.minn[n + 1 - i] for i in range(1, n + 1)])
+    n, minn = g.n, g.minn  # derived on every read, so read once
+    return ProperIntervalGraph([n + 1 - minn[n + 1 - i] for i in range(1, n + 1)])
 
 
 def union(g: ProperIntervalGraph, h: ProperIntervalGraph) -> ProperIntervalGraph:
