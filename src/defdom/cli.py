@@ -149,6 +149,11 @@ def _cmd_bubbles(args, out) -> int:
 
 
 def _cmd_gen(args, out) -> int:
+    # a family reads either --n or --sizes, never both, so the other is refused, not dropped
+    if args.sizes is not None and args.family != "clique_chain":
+        raise BadParameters(f"--sizes is for --family clique_chain only, not {args.family}")
+    if args.n is not None and args.family == "clique_chain":
+        raise BadParameters("--family clique_chain takes its size from --sizes, not --n")
     sizes = _sizes(args.sizes) if args.sizes else None
     if args.family == "random" and (args.n is None or args.n < 1):
         raise BadParameters("random instances need --n >= 1")
@@ -232,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen", help="write an instance")
     sp.add_argument("--family", required=True, choices=("path", "complete", "clique_chain", "random"))
-    sp.add_argument("--n", type=int)
+    sp.add_argument("--n", type=int, help="vertex count for path, complete and random")
     sp.add_argument("--sizes", help="clique sizes for clique_chain, comma separated")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--spread", default="2")

@@ -6,8 +6,10 @@ non-defender in the window's neighborhood, read off a stack of defender runs,
 is recruited.  Each window is decided by Hall's condition on its consecutive
 sub-ranges, of which only those ending at the new window end are new, with a
 monotone deque over their starts and one forward pointer into the ascending
-defenders.  A run costs O(n + |D|) Python steps for every k, plus at most
-one bisect per recruit.
+defenders.  A stretch of windows that cannot fail, which a twin class
+wider than k makes, is crossed in one jump, so a run costs O(|D| + visited)
+Python steps for every k, visited being the windows decided one at a time,
+plus at most one bisect per recruit and per jump.
 """
 
 from __future__ import annotations
@@ -58,26 +60,48 @@ def solve_greedy(
     A suffix that took in the front would leave the window failing; the
     check after each recruit asserts that it holds.
 
-    Work: each window pushes one entry and each entry leaves once, and the
-    pointer passes each defender once.  A recruit costs one ``insert``,
-    whose C-level shift moves only the top run, a stack pop and push at
-    most, and, below min_nbr(j), one bisect and one suffix add.  The deque's
-    dead front is dropped once it outgrows the live part, so its list stays
-    near 2*min(k, n) entries; the stack holds at most |D|, so nothing of
-    length n is allocated beyond the answer.  ``stats`` receives
-    ``defense_steps``: pointer moves plus suffix adds, pushes and removals,
-    read off the final sizes, so the loop pays nothing for it.  It is at most
-    2n + |D| whatever k is.
+    Quiet stretches are jumped.  Let window j hold without a recruit.
+    Through window stop = min(nm, n) no counted defender's maxn is passed,
+    so p stays fixed, and each window only pushes its position, valued one
+    below the tail, and slides at most one entry out.  The margin
+    nd - j - front, positive exactly when the window holds, thus falls by
+    one exactly at the windows that slide nothing out: the j' <= j + k
+    whose position j' - k is not among the deque's live entries, at most
+    k - live of them, as each window past j + k slides out an entry the
+    stretch pushed.  So when the margin exceeds k - live, no window up to
+    stop fails, and the solver goes there at once: the entries at or below
+    stop - k leave by one bisect and one ``del``, which also drops the dead
+    prefix; of j+1..stop only those above stop - k are pushed, by one
+    ``extend``; tail is p - stop and the values run up to front without
+    gaps.  That is the state the one-at-a-time loop reaches, and an assert
+    checks the margin at stop.  A jump leaves the window loop and costs
+    about five windows' steps, so it is taken only when nm - j exceeds
+    max(k, 8).  A window that moved no pointer passes both deque-trimming
+    tests with one, which pays for its jump test.
+
+    Work: each window decided one at a time pushes one entry and each entry
+    leaves once, and the pointer passes each defender once.  A recruit costs
+    one ``insert``, whose C-level shift moves only the top run, a stack pop
+    and push at most, and, below min_nbr(j), one bisect and one suffix add;
+    a jump costs one bisect and C-level work on at most min(k, n) entries.
+    The deque's dead front is dropped once it outgrows the live part, so
+    its list stays near 2*min(k, n) entries; the stack holds at most |D|,
+    so nothing of length n is allocated beyond the answer.  ``stats``
+    receives ``defense_steps``: pointer moves plus suffix adds, pushes and
+    removals, counting each jumped window's push, read off the final sizes,
+    so the loop pays nothing for it.  It is at most 2n + |D| whatever k is.
+    ``visited`` is n less the jumped windows, a running count only a jump
+    adds to; on a chain of cliques wider than k it stays near |D| + |B|.
 
     Disconnected graphs need no split.  A sub-range crossing a component
     gap is deficient only if its part in j's component is, which is itself
     a sub-range of the window, so every recruit lies in j's component, and
     a component of at most k vertices is recruited whole by its windows.
     ``stats`` also receives ``additions``, the number of defenders;
-    ``on_step`` is called after each window, once per vertex, with the
-    defenders chosen so far: the solver's own ascending list, the same
-    object on every call and the one returned.  The hook must not change
-    it, and must copy it to keep a snapshot.
+    ``on_step`` is called after each window, once per vertex and jumped
+    windows included, with the defenders chosen so far: the solver's own
+    ascending list, the same object on every call and the one returned.
+    The hook must not change it, and must copy it to keep a snapshot.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -95,52 +119,74 @@ def solve_greedy(
     q: list[int] = []
     h = 0
     front = tail = -n - 1
-    for j in range(1, n + 1):
-        while nm < j:
-            p += 1
-            nm = maxn[ds[p]] if p < nd else n + 1
-        v = p - j
-        if v >= front:  # every live entry leaves
-            q.clear()
-            h = 0
-            front = v
-        elif v >= tail:  # the entries valued tail..v leave
-            del q[tail - v - 1 :]
-        q.append(j)
-        tail = v
-        if q[h] <= j - k:  # slid out of the window
-            h += 1
-            front -= 1
-            if h > len(q) - h + 32:  # drop the dead prefix, amortized O(1)
-                del q[:h]
-                h = 0
-        if front >= nd - j:
-            jp = maxn[j]
-            r = nd
-            if nd and ds[-1] >= jp:  # maxn(j) ends the top run: take the spare below it
-                jp = starts[-1] - 1
-                r = nd - ds[-1] + jp
-            assert jp and maxn[jp] > j - k, "no recruit available inside the window neighborhood"
-            ds.insert(r, jp)
-            if r < nd:  # the top run grows down to jp
-                starts.pop()
-            if not r or ds[r - 1] < jp - 1:  # jp starts a run
-                starts.append(jp)
-            nd += 1
-            if maxn[jp] < j:  # below min_nbr(j)
+    far = max(k, 8)  # a jump skips more windows than this, or is not taken
+    skipped = j = 0
+    while j < n:
+        for j in range(j + 1, n + 1):
+            while nm < j:
                 p += 1
-                tail += 1
-                s = bisect_right(q, maxn[jp], h)
-                if s > h:  # the entry before the suffix now ties with it
-                    del q[s - 1]
-                else:
-                    front += 1
-            elif r == p:  # the next defender
-                nm = maxn[jp]
-            assert front < nd - j, "the recruit did not repair the window"
+                nm = maxn[ds[p]] if p < nd else n + 1
+            v = p - j
+            if v >= tail:  # the pointer moved
+                if v >= front:  # every live entry leaves
+                    q.clear()
+                    h = 0
+                    front = v
+                else:  # the entries valued tail..v leave
+                    del q[tail - v - 1 :]
+            q.append(j)
+            tail = v
+            if q[h] <= j - k:  # slid out of the window
+                h += 1
+                front -= 1
+                if h > len(q) - h + 32:  # drop the dead prefix, amortized O(1)
+                    del q[:h]
+                    h = 0
+            if front >= nd - j:
+                jp = maxn[j]
+                r = nd
+                if nd and ds[-1] >= jp:  # maxn(j) ends the top run: take the spare below it
+                    jp = starts[-1] - 1
+                    r = nd - ds[-1] + jp
+                assert jp and maxn[jp] > j - k, "no recruit available inside the window neighborhood"
+                ds.insert(r, jp)
+                if r < nd:  # the top run grows down to jp
+                    starts.pop()
+                if not r or ds[r - 1] < jp - 1:  # jp starts a run
+                    starts.append(jp)
+                nd += 1
+                if maxn[jp] < j:  # below min_nbr(j)
+                    p += 1
+                    tail += 1
+                    s = bisect_right(q, maxn[jp], h)
+                    if s > h:  # the entry before the suffix now ties with it
+                        del q[s - 1]
+                    else:
+                        front += 1
+                elif r == p:  # the next defender
+                    nm = maxn[jp]
+                assert front < nd - j, "the recruit did not repair the window"
+            elif nm - j > far and nd - j - front > k - len(q) + h:  # no window up to nm fails
+                break
+            if on_step is not None:
+                on_step(j, ds)
+        else:
+            break
+        # Jump over the quiet windows j+1..stop: the entries at or below
+        # stop - k slide out, and of j+1..stop only those above it are pushed.
+        stop = min(nm, n)
+        del q[: bisect_right(q, stop - k, h)]
+        h = 0
+        q.extend(range(max(j, stop - k) + 1, stop + 1))
+        tail = p - stop
+        front = tail + len(q) - 1
+        assert front < nd - stop, "a skipped window fails"
         if on_step is not None:
-            on_step(j, ds)
+            for i in range(j, stop + 1):  # window j's call, which the break skipped, then each jumped one
+                on_step(i, ds)
+        skipped += stop - j
+        j = stop
     steps = p + 2 * n - (len(q) - h)
     if stats is not None:
-        stats.update(defense_steps=steps, additions=len(ds))
+        stats.update(defense_steps=steps, additions=len(ds), visited=n - skipped)
     return ds

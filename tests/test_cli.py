@@ -507,6 +507,12 @@ def test_argument_errors_are_one_line(capsys):
         (["solve", "--k", "1"], "the following arguments are required: --input"),
         (["frob"], "argument command: invalid choice: 'frob'"),
         (["gen", "--family", "path", "--seed", "q"], "argument --seed: invalid int value: 'q'"),
+        # an option the family does not read is refused, not dropped
+        (["gen", "--family", "clique_chain", "--n", "7", "--sizes", "3,3"], "--family clique_chain takes its size from --sizes, not --n"),
+        (["gen", "--family", "clique_chain", "--n", "7"], "--family clique_chain takes its size from --sizes, not --n"),
+        (["gen", "--family", "path", "--n", "3", "--sizes", "2"], "--sizes is for --family clique_chain only, not path"),
+        (["gen", "--family", "complete", "--n", "3", "--sizes", "3", "--format", "bubbles"], "--sizes is for --family clique_chain only, not complete"),
+        (["gen", "--family", "random", "--n", "4", "--sizes", "3,3"], "--sizes is for --family clique_chain only, not random"),
     ):
         code, out, err = cli(*argv)
         assert (code, out) == (2, ""), argv

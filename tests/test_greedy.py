@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from bisect import bisect_right
 from types import SimpleNamespace
@@ -7,11 +8,15 @@ import pytest
 from defdom import (
     ProperIntervalGraph,
     SplitMix64,
+    bubbles_from_pig,
+    compact_for_family,
     defends_matching,
     gen_family,
+    gen_random_bubbles,
     gen_random_unit_intervals,
     is_k_defensive,
     min_defensive_bruteforce,
+    pig_from_bubbles,
     solve_greedy,
 )
 from helpers import all_maxn, connected_graphs, diamond, p3, p5, k4, random_components, random_graph, scan_greedy
@@ -101,22 +106,26 @@ def test_prefix_invariant_via_matching_oracle():
 
 
 def test_on_step_gets_the_live_list_once_per_window():
-    """A hooked run stays linear: the hook sees the solver's own list, never a copy."""
-    n, k = 20_000, 4
-    g = ProperIntervalGraph([min(j + 1, n) for j in range(1, n + 1)])
-    windows = []
-    first = []
+    """A hooked run stays linear: the hook sees the solver's own list, never a
+    copy, once per window, also over the quiet windows of a 100-clique chain
+    that the solver jumps."""
+    n = 20_000
+    for g, k in ((ProperIntervalGraph([min(j + 1, n) for j in range(1, n + 1)]), 4), (_CHAIN_100, 8)):
+        windows = []
+        first = []
 
-    def hook(j, ds):
-        windows.append(j)
-        if not first:
-            first.append(ds)
-        elif ds is not first[0]:
-            raise AssertionError(f"window {j} got a new defender list")
+        def hook(j, ds):
+            windows.append(j)
+            if not first:
+                first.append(ds)
+            elif ds is not first[0]:
+                raise AssertionError(f"window {j} got a new defender list")
 
-    d = solve_greedy(g, k, on_step=hook)
-    assert windows == list(range(1, n + 1))
-    assert first[0] is d
+        stats = {}
+        d = solve_greedy(g, k, stats=stats, on_step=hook)
+        assert windows == list(range(1, g.n + 1)), k
+        assert first[0] is d, k
+    assert stats["visited"] < g.n // 10, stats  # the chain's calls came mostly from jumped windows
 
 
 def test_on_step_runs_once_per_vertex_past_small_components():
@@ -157,6 +166,15 @@ def test_matches_scan_reference_random():
     for g in cases:
         n = g.n
         for k in {1, 2, 1 + rng.below(min(n, 300)), n, n + 1}:
+            _agrees_with_scan(g, k)
+    # Twin classes far wider than k: most windows lie in quiet stretches that the solver jumps.
+    wide = [gen_family("clique_chain", sizes=[20 + rng.below(131) for _ in range(1 + rng.below(8))]) for _ in range(12)]
+    wide += [
+        pig_from_bubbles(gen_random_bubbles(1 + rng.below(600), 1 + rng.below(12), 1 + rng.below(5), seed=rng.next()))
+        for _ in range(24)
+    ]
+    for g in wide:
+        for k in {1, 2, 8, 32, g.n}:
             _agrees_with_scan(g, k)
 
 
@@ -228,6 +246,7 @@ def test_no_defender_is_ever_skipped():
 
 
 _CHAIN = gen_family("clique_chain", sizes=[2, 2, 3, 4])
+_CHAIN_100 = gen_family("clique_chain", sizes=[100] * 1000)
 _SCATTERED = random_components(SplitMix64(13), 10, 3)
 _FIXED_RUNS = (
     (p5(), 2, [2, 3, 5]),
@@ -238,16 +257,36 @@ _FIXED_RUNS = (
 )
 
 
-def _check_fixed_runs(solve, steps):
-    for (g, k, want), want_steps in zip(_FIXED_RUNS, steps):
+def _check_fixed_runs(solve, steps, visited=None):
+    """Each run's defenders and counters; ``visited`` is given for the vertex greedy only."""
+    for i, ((g, k, want), want_steps) in enumerate(zip(_FIXED_RUNS, steps)):
         stats = {}
         assert solve(g, k, stats=stats) == want, (g.maxn, k)
-        assert stats == dict(defense_steps=want_steps, additions=len(want)), (g.maxn, k, stats)
+        expected = dict(defense_steps=want_steps, additions=len(want))
+        if visited is not None:
+            expected["visited"] = visited[i]
+        assert stats == expected, (g.maxn, k, stats)
+
+
+def _fat_chain():
+    """A clique chain shaped like perfbench's bubbles_fat: 100 seeded cliques of
+    50 to 150 vertices, n = 10,088, expanded from its compact bubbles."""
+    rng = SplitMix64(3701)
+    sizes = []
+    while sum(sizes) - len(sizes) + 1 < 10_000:
+        sizes.append(50 + rng.below(101))
+    return pig_from_bubbles(compact_for_family("clique_chain", sizes=sizes))
 
 
 def test_exact_counters():
     """Defenders and every counter of a few fixed runs, so a refactor that moves a step shows."""
-    _check_fixed_runs(solve_greedy, (11, 6, 16, 87, 99))
+    _check_fixed_runs(solve_greedy, (11, 6, 16, 87, 99), visited=(5, 4, 8, 26, 39))
+    # The bubbles_fat shape at k = 32, where 6,466 of 10,088 windows are jumped:
+    # its defenders and steps are those the window-by-window loop gives.
+    stats = {}
+    d = solve_greedy(_fat_chain(), 32, stats=stats)
+    assert hashlib.sha256(",".join(map(str, d)).encode()).hexdigest()[:16] == "2d9487c93653c633"
+    assert stats == dict(defense_steps=23213, additions=3101, visited=3622), stats
 
 
 def test_scan_reference_exact_counters():
@@ -255,13 +294,22 @@ def test_scan_reference_exact_counters():
     _check_fixed_runs(scan_greedy, (8, 7, 15, 105, 218))
 
 
+def test_quiet_windows_are_jumped():
+    """On a chain of 1,000 100-cliques the solver decides one at a time at
+    most one window per defender and per bubble, plus one."""
+    bubbles = bubbles_from_pig(_CHAIN_100).count
+    for k in (8, 32):
+        stats = {}
+        d = solve_greedy(_CHAIN_100, k, stats=stats)
+        assert stats["visited"] <= len(d) + bubbles + 1, (k, len(d), bubbles, stats)
+
+
 def test_peak_memory_is_the_answer():
     """Nothing of length n besides the answer: a chain of 1,000 100-cliques
     (n = 99,001, 7,001 defenders at k = 8) peaks under 1 MB."""
-    g = gen_family("clique_chain", sizes=[100] * 1000)
     tracemalloc.start()
     try:
-        solve_greedy(g, 8)
+        solve_greedy(_CHAIN_100, 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
