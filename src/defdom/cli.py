@@ -154,24 +154,33 @@ def _cmd_gen(args, out) -> int:
         raise BadParameters(f"--sizes is for --family clique_chain only, not {args.family}")
     if args.n is not None and args.family == "clique_chain":
         raise BadParameters("--family clique_chain takes its size from --sizes, not --n")
+    # --seed and --spread default to None, so a given one can be told from the default
+    if args.family != "random":
+        for option in ("seed", "spread"):
+            if getattr(args, option) is not None:
+                raise BadParameters(f"--{option} is for --family random only, not {args.family}")
+    elif args.spread is not None and args.format == "bubbles":
+        raise BadParameters("--spread is for --format pig or intervals only, not bubbles")
+    seed = 0 if args.seed is None else args.seed
+    spread = "2" if args.spread is None else args.spread
     sizes = _sizes(args.sizes) if args.sizes else None
     if args.family == "random" and (args.n is None or args.n < 1):
         raise BadParameters("random instances need --n >= 1")
     if args.format == "bubbles":
         if args.family == "random":
-            cb = gen_random_bubbles(args.n, seed=args.seed)
+            cb = gen_random_bubbles(args.n, seed=seed)
         else:
             cb = compact_for_family(args.family, args.n, sizes)
         text = dio.format_bubbles(cb)
     elif args.format == "intervals":
         if args.family == "random":
-            entries = random_unit_intervals(args.n, args.spread, args.seed)
+            entries = random_unit_intervals(args.n, spread, seed)
         else:
             entries = gen_family(args.family, args.n, sizes).canonical_intervals()
         text = dio.format_intervals(entries)
     else:
         if args.family == "random":
-            g = gen_random_unit_intervals(args.n, args.spread, args.seed)
+            g = gen_random_unit_intervals(args.n, spread, seed)
         else:
             g = gen_family(args.family, args.n, sizes)
         text = dio.format_pig(g)
@@ -239,8 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", required=True, choices=("path", "complete", "clique_chain", "random"))
     sp.add_argument("--n", type=int, help="vertex count for path, complete and random")
     sp.add_argument("--sizes", help="clique sizes for clique_chain, comma separated")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--spread", default="2")
+    sp.add_argument("--seed", type=int, help="for random (default 0)")
+    sp.add_argument("--spread", help="for random in pig and intervals format (default 2)")
     sp.add_argument("--format", choices=("pig", "intervals", "bubbles"), default="pig")
     sp.add_argument("--output")
     sp.set_defaults(fn=_cmd_gen)

@@ -16,9 +16,11 @@ from defdom import (
     ProperViolation,
     SplitMix64,
     bubbles_from_pig,
+    compact_for_family,
     defends_consecutive,
     defends_matching,
     gen_random_unit_intervals,
+    pig_from_bubbles,
     solve_bubble,
     solve_greedy,
 )
@@ -74,6 +76,21 @@ def random_graph(rng: SplitMix64, n: int, seed_tag: int = 0) -> ProperIntervalGr
     if rng.below(2):
         return ProperIntervalGraph(random_maxn(rng, n))
     return gen_random_unit_intervals(n, spread=1 + rng.below(4), seed=seed_tag + rng.below(1 << 30))
+
+
+def union(g: ProperIntervalGraph, h: ProperIntervalGraph) -> ProperIntervalGraph:
+    """H's vertices numbered after G's, with no edge between the two."""
+    return ProperIntervalGraph([*g.maxn[1:], *(g.n + m for m in h.maxn[1:])])
+
+
+def fat_chain() -> ProperIntervalGraph:
+    """A clique chain shaped like perfbench's bubbles_fat: 100 seeded cliques of
+    50 to 150 vertices, n = 10,088, expanded from its compact bubbles."""
+    rng = SplitMix64(3701)
+    sizes = []
+    while sum(sizes) - len(sizes) + 1 < 10_000:
+        sizes.append(50 + rng.below(101))
+    return pig_from_bubbles(compact_for_family("clique_chain", sizes=sizes))
 
 
 def random_subset(rng: SplitMix64, n: int) -> list[int]:

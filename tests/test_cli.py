@@ -513,6 +513,11 @@ def test_argument_errors_are_one_line(capsys):
         (["gen", "--family", "path", "--n", "3", "--sizes", "2"], "--sizes is for --family clique_chain only, not path"),
         (["gen", "--family", "complete", "--n", "3", "--sizes", "3", "--format", "bubbles"], "--sizes is for --family clique_chain only, not complete"),
         (["gen", "--family", "random", "--n", "4", "--sizes", "3,3"], "--sizes is for --family clique_chain only, not random"),
+        (["gen", "--family", "complete", "--n", "3", "--spread", "x", "--format", "bubbles"], "--spread is for --family random only, not complete"),
+        (["gen", "--family", "path", "--n", "3", "--seed", "5", "--spread", "9"], "--seed is for --family random only, not path"),
+        (["gen", "--family", "path", "--n", "3", "--spread", "9"], "--spread is for --family random only, not path"),
+        (["gen", "--family", "clique_chain", "--sizes", "3", "--seed", "0"], "--seed is for --family random only, not clique_chain"),
+        (["gen", "--family", "random", "--n", "4", "--format", "bubbles", "--spread", "x"], "--spread is for --format pig or intervals only, not bubbles"),
     ):
         code, out, err = cli(*argv)
         assert (code, out) == (2, ""), argv
@@ -766,6 +771,14 @@ def test_gen_deterministic():
     a = cli("gen", "--family", "random", "--n", "20", "--seed", "9")
     b = cli("gen", "--family", "random", "--n", "20", "--seed", "9")
     assert a == b
+
+
+def test_gen_random_defaults_are_seed_0_and_spread_2():
+    """Options left out read as their defaults; given ones are still read."""
+    for fmt, given in (("pig", ("--seed", "0", "--spread", "2")), ("intervals", ("--seed", "0", "--spread", "2")), ("bubbles", ("--seed", "0"))):
+        default = cli("gen", "--family", "random", "--n", "30", "--format", fmt)
+        assert default[0] == 0 and default == cli("gen", "--family", "random", "--n", "30", "--format", fmt, *given), fmt
+        assert default != cli("gen", "--family", "random", "--n", "30", "--format", fmt, "--seed", "1"), fmt
 
 
 def test_parse_error_exit_code_and_offset(tmp_path):

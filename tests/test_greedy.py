@@ -9,7 +9,6 @@ from defdom import (
     ProperIntervalGraph,
     SplitMix64,
     bubbles_from_pig,
-    compact_for_family,
     defends_matching,
     gen_family,
     gen_random_bubbles,
@@ -19,7 +18,20 @@ from defdom import (
     pig_from_bubbles,
     solve_greedy,
 )
-from helpers import all_maxn, connected_graphs, diamond, p3, p5, k4, random_components, random_graph, scan_greedy
+from defdom.greedy import _BATCH
+from helpers import (
+    all_maxn,
+    connected_graphs,
+    diamond,
+    fat_chain,
+    k4,
+    p3,
+    p5,
+    random_components,
+    random_graph,
+    scan_greedy,
+    union,
+)
 
 
 def test_examples():
@@ -108,9 +120,11 @@ def test_prefix_invariant_via_matching_oracle():
 def test_on_step_gets_the_live_list_once_per_window():
     """A hooked run stays linear: the hook sees the solver's own list, never a
     copy, once per window, also over the quiet windows of a 100-clique chain
-    that the solver jumps."""
+    that the solver jumps and, at k above the batch gate, the failing ones it
+    recruits in batches."""
     n = 20_000
-    for g, k in ((ProperIntervalGraph([min(j + 1, n) for j in range(1, n + 1)]), 4), (_CHAIN_100, 8)):
+    path = ProperIntervalGraph([min(j + 1, n) for j in range(1, n + 1)])
+    for g, k in ((path, 4), (_CHAIN_100, 8), (_CHAIN_100, 2 * _BATCH)):
         windows = []
         first = []
 
@@ -268,30 +282,57 @@ def _check_fixed_runs(solve, steps, visited=None):
         assert stats == expected, (g.maxn, k, stats)
 
 
-def _fat_chain():
-    """A clique chain shaped like perfbench's bubbles_fat: 100 seeded cliques of
-    50 to 150 vertices, n = 10,088, expanded from its compact bubbles."""
-    rng = SplitMix64(3701)
-    sizes = []
-    while sum(sizes) - len(sizes) + 1 < 10_000:
-        sizes.append(50 + rng.below(101))
-    return pig_from_bubbles(compact_for_family("clique_chain", sizes=sizes))
-
-
 def test_exact_counters():
     """Defenders and every counter of a few fixed runs, so a refactor that moves a step shows."""
     _check_fixed_runs(solve_greedy, (11, 6, 16, 87, 99), visited=(5, 4, 8, 26, 39))
-    # The bubbles_fat shape at k = 32, where 6,466 of 10,088 windows are jumped:
-    # its defenders and steps are those the window-by-window loop gives.
+    # The bubbles_fat shape at k = 32, where 9,467 of 10,088 windows are jumped
+    # or batched: its defenders and steps are those the window-by-window loop gives.
     stats = {}
-    d = solve_greedy(_fat_chain(), 32, stats=stats)
+    d = solve_greedy(fat_chain(), 32, stats=stats)
     assert hashlib.sha256(",".join(map(str, d)).encode()).hexdigest()[:16] == "2d9487c93653c633"
-    assert stats == dict(defense_steps=23213, additions=3101, visited=3622), stats
+    assert stats == dict(defense_steps=23213, additions=3101, visited=621), stats
 
 
 def test_scan_reference_exact_counters():
     """The reference scan's own counters on the same runs, so the reference stays pinned."""
     _check_fixed_runs(scan_greedy, (8, 7, 15, 105, 218))
+
+
+def _staircase(rng, n):
+    """Runs of up to 40 equal maxn values, each above the last by 0 or 1 or,
+    half the time, by up to 40: twin classes whose maxn differ by one, where
+    a batch's last recruits can fall short of their window ends."""
+    maxn = []
+    v = 0
+    while len(maxn) < n:
+        v = max(v, len(maxn) + 1) + rng.below(41 if rng.below(2) else 2)
+        maxn += [v] * (1 + rng.below(40))
+    return ProperIntervalGraph([min(n, max(m, i)) for i, m in enumerate(maxn[:n], start=1)])
+
+
+def _wide_twin_cases(rng):
+    """Clique chains whose twin classes run past the batch gate, alone and
+    joined on either side with a random graph, and staircases."""
+    cases = []
+    for trial in range(24):
+        chain = gen_family("clique_chain", sizes=[2 + rng.below(59) for _ in range(1 + rng.below(8))])
+        other = random_graph(rng, 1 + rng.below(40), seed_tag=trial)
+        cases += [chain, union(chain, other), union(other, chain)]
+    cases += [_staircase(rng, 40 + rng.below(300)) for _ in range(60)]
+    return cases
+
+
+def test_batches_match_scan_reference():
+    """Failing windows recruited in one batch give the scan's defenders and,
+    window by window, its defender sets, at k on both sides of the gate.  The
+    scan takes a component of at most k vertices whole, calling no hook."""
+    rng = SplitMix64(3838)
+    for g in _wide_twin_cases(rng):
+        for k in {1 + rng.below(_BATCH), _BATCH, _BATCH + 1, _BATCH + 2 + rng.below(48), 64}:
+            mine, ref = [], []
+            assert solve_greedy(g, k) == scan_greedy(g, k, on_step=lambda j, ds: ref.append((j, sorted(ds)))), (g.maxn, k)
+            solve_greedy(g, k, on_step=lambda j, ds: mine.append(list(ds)))  # a hooked batch inserts one at a time
+            assert len(mine) == g.n and all(mine[j - 1] == want for j, want in ref), (g.maxn, k)
 
 
 def test_quiet_windows_are_jumped():
@@ -302,6 +343,19 @@ def test_quiet_windows_are_jumped():
         stats = {}
         d = solve_greedy(_CHAIN_100, k, stats=stats)
         assert stats["visited"] <= len(d) + bubbles + 1, (k, len(d), bubbles, stats)
+
+
+def test_failing_windows_are_batched():
+    """Above the gate, a 100-clique chain is decided one window at a time at
+    most three times per clique: the window that recruits the clique's last
+    vertex and batches the rest, the one after the batch, which jumps, and
+    the one a jump lands on.  Below it every failing window is its own."""
+    stats = {}
+    solve_greedy(_CHAIN_100, 32, stats=stats)
+    assert stats["visited"] <= 3 * 1000, stats
+    stats = {}
+    d = solve_greedy(_CHAIN_100, _BATCH, stats=stats)
+    assert stats["visited"] > len(d), stats
 
 
 def test_peak_memory_is_the_answer():

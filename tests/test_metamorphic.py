@@ -14,17 +14,12 @@ import pytest
 
 from defdom import ProperIntervalGraph, SplitMix64, bubbles_from_pig, first_undefended_attack, solve_bubble, solve_greedy
 from defdom.bench import build_instance
-from helpers import random_components, random_graph
+from helpers import fat_chain, random_components, random_graph, union
 
 
 def mirror(g: ProperIntervalGraph) -> ProperIntervalGraph:
     n, minn = g.n, g.minn  # derived on every read, so read once
     return ProperIntervalGraph([n + 1 - minn[n + 1 - i] for i in range(1, n + 1)])
-
-
-def union(g: ProperIntervalGraph, h: ProperIntervalGraph) -> ProperIntervalGraph:
-    """H's vertices numbered after G's, with no edge between the two."""
-    return ProperIntervalGraph([*g.maxn[1:], *(g.n + m for m in h.maxn[1:])])
 
 
 def check_mirror(g: ProperIntervalGraph, k: int) -> None:
@@ -72,3 +67,13 @@ def test_mirror_and_union_on_bench_shapes(bench_shapes, k):
     for g, h in zip(shapes, shapes[1:] + shapes[:1]):
         check_mirror(g, k)
         check_union(g, h, k)
+
+
+@pytest.mark.parametrize("k", [32, 64])
+def test_mirror_and_union_on_a_fat_chain(k):
+    """The bubbles_fat shape, whose long twin classes the greedy recruits in
+    batches, mirrored, and joined with its mirror so that one run batches in
+    both sweep directions."""
+    g = fat_chain()
+    check_mirror(g, k)
+    check_union(g, mirror(g), k)
