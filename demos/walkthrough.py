@@ -39,10 +39,10 @@ print("rightmost defense of [3..5]:", list(d))
 g = dd.gen_random_unit_intervals(11, spread=Fraction(2, 3), seed=11)
 lbm = dd.bubbles_from_pig(g)
 print("\nrandom 11-vertex instance compresses to", lbm.count, "bubbles:")
-min_v, min_nbr = lbm.min_v, lbm.min_nbr  # derived on every read, so read once
-for i in range(lbm.count):
-    print(f"  bubble {i + 1}: vertices {min_v[i]}..{lbm.max_v[i]}, "
-          f"neighborhood {min_nbr[i]}..{lbm.max_nbr[i]}")
+# min_v, max_v and min_nbr are derived on every read, so each is read once
+rows = zip(lbm.min_v, lbm.max_v, lbm.min_nbr, lbm.max_nbr)
+for i, (lo, hi, first, last) in enumerate(rows, start=1):
+    print(f"  bubble {i}: vertices {lo}..{hi}, neighborhood {first}..{last}")
 
 # ----------------------------------------------------------------------
 # 4. Two solvers, one answer, checked against brute force.

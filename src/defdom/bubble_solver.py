@@ -9,9 +9,9 @@ defender is assigned, the defense is just the order-preserving bijection
 between live defenders and attackers, so each bubble's slack (how much
 further right its defenders can stretch) is key[b] - offset: sliding the
 whole window right by s only bumps the offset.  Bubbles carry the model's
-own 0-based indices: the solver reads the model's ``sizes``, ``max_v`` and
-``max_nbr`` in place and allocates only ``d``, ``seg`` and ``key``, |B|
-entries each, and its deques.
+own 0-based indices: the solver reads the model's ``sizes`` and ``max_nbr``
+in place and allocates only ``d``, ``seg`` and ``key``, |B| entries each,
+and its deques.
 
 Each step of the loop either grows the window or slides it.  Growing by m
 attackers (min(k, n) at the start, and after each zero-slack step)
@@ -20,21 +20,21 @@ the new attackers of a chunk are twins and take the rightmost spare vertices
 of their neighborhood.  A chunk takes its recruits at or below R, the bubble
 that ends the neighborhood of the bubble holding the new right end.  That
 bubble's ``max_nbr`` never decreases, so neither does R, and one forward
-cursor over ``max_v`` finds it.  So every full bubble lies at or below R,
-and the top bubble with a spare vertex at or below R is R itself, or, when
-R is full, the bubble just below the top run of full bubbles.  A stack
+cursor, summing ``sizes`` for its last vertex, finds it, as another finds
+the bubble holding the new right end.  So every full bubble lies at or below
+R, and the top bubble with a spare vertex at or below R is R itself, or,
+when R is full, the bubble just below the top run of full bubbles.  A stack
 ``starts`` holds the first bubble of each run, ascending, with an empty
-bubble -1 below bubble 0 as a full run at the bottom; a bubble that fills
-up starts a run, extends one, or joins two, and is then checked to lie in
-the top run, so a stack defect fails rather than offering a full bubble
-again and again.  Each recruit goes straight into its bubble's segment.
-The live bubbles at or above the lowest receiver then come off the back of
-the deque, are sorted together with the receivers that had no segment,
-re-keyed from the running suffix of segment counts, and pushed back.  At
-positive slack the window slides by the slack; at zero slack the bubble of
-least slack ends its defenders at its last neighbor, so the attackers up to
-there leave, popping whole segments off the front, and as many new ones
-grow the window.
+bubble -1 below bubble 0 as a full run at the bottom; a bubble that fills up
+starts a run, extends one, or joins two, and is then checked to lie in the
+top run, so a stack defect fails rather than offering a full bubble again
+and again.  Each recruit goes straight into its bubble's segment.  The live
+bubbles at or above the lowest receiver then come off the back of the deque,
+are sorted together with the receivers that had no segment, re-keyed from
+the running suffix of segment counts, and pushed back.  At positive slack
+the window slides by the slack; at zero slack the bubble of least slack ends
+its defenders at its last neighbor, so the attackers up to there leave,
+popping whole segments off the front, and as many new ones grow the window.
 
 A second deque, ``mins``, holds the live bubbles whose key is strictly below
 the key of every live bubble above them, so its front is the least slack,
@@ -53,11 +53,13 @@ above linear is sorting each merge's new segments in among the popped ones.
 ``stats`` keeps its historical counter names: ``heap_inserts`` and
 ``heap_deletes`` count segments joining and leaving the defense, and
 ``merge_touches`` counts the live bubbles a merge pops and re-keys.
+``heap_deletes`` is read at the end, as the inserts no longer live.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import accumulate
 from typing import Callable, Optional
 
 from .bubbles import LinearBubbles, check_expansion
@@ -87,7 +89,7 @@ def solve_bubble(
     if k < 1:
         raise ValueError("k must be at least 1")
     n, count = lbm.n, lbm.count
-    size, max_v, max_nbr = lbm.sizes, lbm.max_v, lbm.max_nbr  # the model's own fields, read in place
+    size, max_nbr = lbm.sizes, lbm.max_nbr  # the model's own fields, read in place
     d = [0] * count
     seg = [0] * count
     # True slack of live bubble b is key[b] - offset.
@@ -96,9 +98,10 @@ def solve_bubble(
     mins: deque[int] = deque()  # the strict suffix minima of key over live
     starts = [-1]  # the first bubble of each run of full bubbles; the empty bubble -1 is full
     first, last, offset = 1, 0, 0
-    # The bubble holding ``last + 1`` when it is <= n, and the bubble ending its neighborhood.
+    # The bubble holding ``last + 1`` when it is <= n and the bubble ending its neighborhood, and their last vertices.
     next_bubble = top = 0
-    inserts = deletes = touches = zero = positive = chunks = 0
+    next_end = top_end = size[0]
+    inserts = touches = zero = positive = chunks = 0
     grow = min(k, n)
     while True:
         if grow:
@@ -106,16 +109,18 @@ def solve_bubble(
             low = count  # the lowest receiver
             while grow > 0:
                 chunks += 1
-                while max_v[next_bubble] <= last:
+                while next_end <= last:
                     next_bubble += 1
-                step = max_v[next_bubble] - last
+                    next_end += size[next_bubble]
+                step = next_end - last
                 if step > grow:
                     step = grow
                 last += step
                 grow -= step
                 # The rightmost `step` spare vertices of the window neighborhood.
-                while max_v[top] < max_nbr[next_bubble]:
+                while top_end < max_nbr[next_bubble]:
                     top += 1
+                    top_end += size[top]
                 b = top
                 if d[b] == size[b]:
                     b = starts[-1] - 1
@@ -202,7 +207,6 @@ def solve_bubble(
                 if mins[0] == h:
                     mins.popleft()
                 seg[h] = 0  # a later recruit into h starts a fresh segment
-                deletes += 1
             else:
                 # Keys are untouched: the window start and the dropped prefix
                 # cancel in every surviving bubble's assigned position.
@@ -211,7 +215,7 @@ def solve_bubble(
     if stats is not None:
         stats.update(
             heap_inserts=inserts,
-            heap_deletes=deletes,
+            heap_deletes=inserts - len(live),
             merge_touches=touches,
             zero_slack_iterations=zero,
             positive_slack_iterations=positive,
@@ -220,17 +224,17 @@ def solve_bubble(
             iterations=zero + positive,
             bubbles=count,
         )
-    # Only d and max_v are read from here on; the working state goes before the answer is built.
+    # Only d and the sizes are read from here on; the working state goes before the answer is built.
     del seg, key, live, mins, starts
-    return _defenders(d, max_v)
+    return _defenders(d, size)
 
 
-def _defenders(d, max_v) -> list[int]:
-    """The last d[b] vertices of every bubble b, ascending."""
+def _defenders(d, sizes) -> list[int]:
+    """The last d[b] vertices of every bubble b, ascending; its last vertex is a running sum of ``sizes``."""
     check_expansion(sum(d), "defender set")
     out = []
-    for b in range(len(d)):
-        if d[b]:
-            out.extend(range(max_v[b] - d[b] + 1, max_v[b] + 1))
+    for c, end in zip(d, accumulate(sizes)):
+        if c:
+            out.extend(range(end - c + 1, end + 1))
     return out
 

@@ -7,11 +7,11 @@ strictly smaller row than the earlier-column vertex in adjacent columns.
 Every column is a clique and every bubble is a set of pairwise twins.
 
 The linear model lists the bubbles column by column, row order inside a
-column, and stores per bubble only what defines it: its size, its last
-vertex and its last neighbor.  The bubble solver reads those three tuples
-in place.  A bubble's first vertex is a prefix sum of the sizes and its
-first neighbor the first vertex of the first bubble whose last neighbor
-reaches it, so both are derived, not stored.  ``LinearBubbles(sizes,
+column, and stores per bubble only what defines it: its size and its last
+neighbor.  The bubble solver reads those two tuples in place.  A bubble's
+first and last vertices are prefix sums of the sizes and its first
+neighbor the first vertex of the first bubble whose last neighbor reaches
+it, so all three are derived, not stored.  ``LinearBubbles(sizes,
 max_nbr)``, and so ``linear_from_compact``, checks the two defining
 sequences; ``bubbles_from_pig`` builds the model unchecked from the twin
 runs of a graph, which are valid by construction.
@@ -88,15 +88,15 @@ def _starts(sizes: Sequence[int]) -> Iterator[int]:
 
 
 class LinearBubbles:
-    """Ordered bubbles with their sizes, last vertices and last neighbors.
+    """Ordered bubbles with their sizes and last neighbors.
 
-    Three per-bubble tuples are stored: ``sizes``, ``max_v`` and
-    ``max_nbr``.  ``min_v`` and ``min_nbr``, each bubble's first vertex and
+    Two per-bubble tuples are stored: ``sizes`` and ``max_nbr``.  ``min_v``,
+    ``max_v`` and ``min_nbr``, each bubble's first vertex, last vertex and
     first neighbor, are derived on every read, so a caller that needs one
     in a loop reads it once.
     """
 
-    __slots__ = ("sizes", "max_v", "max_nbr", "count", "n")
+    __slots__ = ("sizes", "max_nbr", "count", "n")
 
     def __init__(self, sizes, max_nbr):
         sizes, max_nbr = tuple(map(index, sizes)), tuple(map(index, max_nbr))
@@ -106,26 +106,30 @@ class LinearBubbles:
             raise InvalidBubbles("bubble field lengths differ")
         if min(sizes) <= 0:
             raise InvalidBubbles("bubble sizes must be positive")
-        max_v = tuple(accumulate(sizes))
         try:
-            _check_maxn(_run_vertices(zip(max_nbr, sizes)), max_v[-1])
+            _check_maxn(_run_vertices(zip(max_nbr, sizes)), sum(sizes))
         except InvalidRanges as exc:
             raise InvalidBubbles(f"bubble model induces invalid neighbor ranges: {exc}") from exc
-        ends = set(max_v)
+        ends = set(accumulate(sizes))
         for i, hi in enumerate(max_nbr, start=1):
             if hi not in ends:  # twin classes: a neighborhood covers whole bubbles
                 raise InvalidBubbles(f"bubble {i} neighborhood splits a bubble")
-        self._keep(sizes, max_nbr, max_v)
+        self._keep(sizes, max_nbr)
 
-    def _keep(self, sizes, max_nbr, max_v) -> None:
+    def _keep(self, sizes, max_nbr) -> None:
         """Keep the fields of a valid model; no checks."""
         self.sizes, self.max_nbr = tuple(sizes), tuple(max_nbr)
-        self.max_v, self.count, self.n = max_v, len(max_v), max_v[-1]
+        self.count, self.n = len(self.sizes), sum(self.sizes)
 
     @property
     def min_v(self) -> tuple[int, ...]:
         """The first vertex of each bubble, derived from ``sizes`` on every read."""
         return tuple(_starts(self.sizes))
+
+    @property
+    def max_v(self) -> tuple[int, ...]:
+        """The last vertex of each bubble, derived from ``sizes`` on every read."""
+        return tuple(accumulate(self.sizes))
 
     @property
     def min_nbr(self) -> tuple[int, ...]:
@@ -172,11 +176,10 @@ def bubbles_from_pig(g: ProperIntervalGraph) -> LinearBubbles:
                 lo += 1
     sizes.append(g.n + 1 - run_start)
     max_nbr.append(maxn[run_start])
-    max_v = tuple(accumulate(sizes))
     sizes = tuple(sizes)  # each list is freed as its tuple is made
     max_nbr = tuple(max_nbr)
     lb = LinearBubbles.__new__(LinearBubbles)  # twin runs of a valid graph: a valid model
-    lb._keep(sizes, max_nbr, max_v)
+    lb._keep(sizes, max_nbr)
     return lb
 
 

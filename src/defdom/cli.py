@@ -132,19 +132,16 @@ def _cmd_bubbles(args, out) -> int:
         print("  rankdir=LR;", file=out)
         for i in range(lbm.count):
             print(f'  B{i + 1} [label="B{i + 1}({lbm.sizes[i]})" shape=box];', file=out)
+        max_v = lbm.max_v  # derived on every read, so read once
         for i, hi in enumerate(lbm.max_nbr):
-            target = bisect_left(lbm.max_v, hi)  # the bubble that ends i's neighborhood
+            target = bisect_left(max_v, hi)  # the bubble that ends i's neighborhood
             if target != i:
                 print(f"  B{i + 1} -> B{target + 1};", file=out)
         print("}", file=out)
         return 0
-    min_v, min_nbr = lbm.min_v, lbm.min_nbr  # derived on every read, so read once
-    for i in range(lbm.count):
-        print(
-            f"{i + 1} {lbm.sizes[i]} {min_v[i]}..{lbm.max_v[i]} "
-            f"{min_nbr[i]} {lbm.max_nbr[i]}",
-            file=out,
-        )
+    rows = zip(lbm.sizes, lbm.min_v, lbm.max_v, lbm.min_nbr, lbm.max_nbr)  # each derived field read once
+    for i, (size, lo, hi, first, last) in enumerate(rows, start=1):
+        print(f"{i} {size} {lo}..{hi} {first} {last}", file=out)
     return 0
 
 

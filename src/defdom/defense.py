@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import eq, ne, sub
 from typing import NamedTuple, Optional
 
@@ -254,22 +254,26 @@ def _first_undefended_bubbles(
     the head only falls back to the stack's new end.  So steps are at most
     4|B|, whatever n and k are.
     """
-    ends = lb.max_v  # the first vertices s come lazily from ``_starts``, never as a tuple
+    sizes = lb.sizes  # the bubble ends s and e are running sums of it, never a tuple
     left = list(map(bisect_left, repeat(ds), lb.min_nbr))
-    peak = list(map(sub, left, _starts(lb.sizes)))
+    peak = list(map(sub, left, _starts(sizes)))
     q: list[int] = []  # bubble indices, peak strictly decreasing
     h = t = heads = 0  # q's first entry at or above t, the first bubble that acts
+    tail = accumulate(sizes)  # the last vertices of bubbles t+1 on
+    end = next(tail)  # bubble t's last vertex
     bad = None
-    # o is the vertex before bubble j, so s_j = o + 1
-    for j, (p, o, e, r) in enumerate(zip(peak, chain((0,), ends), ends, map(bisect_right, repeat(ds), lb.max_nbr))):
+    rights = map(bisect_right, repeat(ds), lb.max_nbr)
+    # o is the vertex before bubble j and e its last, so s_j = o + 1
+    for j, (p, o, e, r) in enumerate(zip(peak, accumulate(sizes, initial=0), accumulate(sizes), rights)):
         while q and peak[q[-1]] <= p:
             q.pop()
         if h > len(q):
             h = len(q)
         q.append(j)
         c, need = o - m + 2, r - m + 1
-        while t <= j and (ends[t] < c or left[t] < need):
+        while t <= j and (end < c or left[t] < need):
             t += 1
+            end = next(tail, 0)  # none past the last bubble, where t > j ends the walk
         if t > j:
             continue
         while q[h] < t:  # stops at j, the last entry

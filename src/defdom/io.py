@@ -348,7 +348,11 @@ def read_defenders(source, n: int) -> list[int]:
                 out += vals
             del vals  # before the next slice is split, as is the token list
         del tokens
-    if size is not None and size != str(count):
+    try:
+        wrong = size is not None and int(size) != count  # N is read as every vertex token is
+    except ValueError:
+        wrong = True
+    if wrong:
         raise BadParameters(f"defenders file says size={size} but lists {count} vertices")
     if fault is not None:
         raise BadParameters(fault)

@@ -141,7 +141,8 @@ def scan_greedy(
     """Reference vertex greedy: the same recruits as ``solve_greedy``, with
     the defenders as a predecessor list walked by the rightmost monotone
     scan, which skips any defender above an attacker's neighborhood.
-    ``on_step`` gets the defenders in recruit order."""
+    ``on_step`` is called after each window, once per vertex as for
+    ``solve_greedy``, with the defenders in recruit order."""
     if k < 1:
         raise ValueError("k must be at least 1")
     maxn, minn = g.maxn, g.minn
@@ -155,10 +156,6 @@ def scan_greedy(
     steps = 0
     result = []
     for lo, hi in g.components():
-        if hi - lo + 1 <= k:
-            # An attack on the whole component pins every vertex.
-            result.extend(range(lo, hi + 1))
-            continue
         for j in range(lo, hi + 1):
             i = max(lo, j - k + 1)
             ok = True
@@ -204,7 +201,7 @@ def bubble_checker(lbm, steps=None):
     max_v = lbm.max_v
 
     def check(first, last, d, live, seg, key, mins):
-        defenders = _defenders(d, max_v)
+        defenders = _defenders(d, lbm.sizes)
         if steps is not None:
             steps.append((first, last, defenders, list(live), sorted(mins), len(mins)))
         window = Attack(first, last)
@@ -232,9 +229,8 @@ def first_divergence(g: ProperIntervalGraph, k: int):
     """The first window end ``last`` of a bubble-solver step after which its
     defenders differ from the vertex greedy's after window ``last``, or None."""
     lbm = bubbles_from_pig(g)
-    max_v = lbm.max_v
     ends = []
-    solve_bubble(lbm, k, on_step=lambda first, last, d, *_: ends.append((last, _defenders(d, max_v))))
+    solve_bubble(lbm, k, on_step=lambda first, last, d, *_: ends.append((last, _defenders(d, lbm.sizes))))
     at = dict.fromkeys(last for last, _ in ends)
 
     def snapshot(j, ds):

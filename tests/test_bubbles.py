@@ -210,8 +210,8 @@ def test_bubble_members_are_twins_columns_are_cliques():
         cb = gen_random_bubbles(n, max_columns=4, max_rows=4, seed=trial + 900)
         g = pig_from_bubbles(cb)
         lbm = linear_from_compact(cb)
-        for i in range(lbm.count):
-            for v in range(lbm.min_v[i], lbm.max_v[i]):
+        for lo, hi in zip(lbm.min_v, lbm.max_v):
+            for v in range(lo, hi):
                 assert are_twins(g, v, v + 1)
         v = 1
         for col in cb.columns:
@@ -280,6 +280,7 @@ def test_every_accepted_model_agrees_with_its_graph():
                 accepted += 1
                 g = lb.to_graph()
                 assert lb.min_v == tuple(accumulate(sizes[:-1], initial=1)), lb
+                assert lb.max_v == tuple(accumulate(sizes)), lb
                 minn = g.minn  # derived on every read, so read once
                 assert [minn[v] for v in lb.min_v] == list(lb.min_nbr), lb
                 if g not in verdicts:  # finer models of one graph share its verdicts
@@ -321,9 +322,9 @@ def test_bubbles_from_pig_matches_validating_constructor():
 def test_model_holds_only_its_defining_tuples():
     """On the pig_k128 benchmark shape (connected unit intervals, spread 1/16,
     n = 2,000, 1,347 bubbles) ``bubbles_from_pig`` holds the model in under
-    64 bytes per bubble and builds it under 66 beyond its graph: 52.2 and
-    60.9 measured, 94.5 and 127.9 with ``min_nbr`` and ``reach`` stored, and
-    a peak of 69.0 with each run list alive while its tuple is made."""
+    20 bytes per bubble and builds it under 28 beyond its graph: 16.1 and
+    24.8 measured, 52.2 and 60.9 with ``max_v`` stored, and 94.5 and 127.9
+    with ``min_nbr`` and ``reach`` stored too."""
     g = gen_random_unit_intervals(2000, spread="1/16", seed=128, connected=True)
     tracemalloc.start()
     try:
@@ -331,9 +332,10 @@ def test_model_holds_only_its_defining_tuples():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert LinearBubbles.__slots__ == ("sizes", "max_nbr", "count", "n")
     assert lbm.count == 1347
-    assert held / lbm.count < 64, held / lbm.count
-    assert peak / lbm.count < 66, peak / lbm.count
+    assert held / lbm.count < 20, held / lbm.count
+    assert peak / lbm.count < 28, peak / lbm.count
 
 
 def test_linear_from_compact_accepts_every_structure():

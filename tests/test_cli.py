@@ -68,9 +68,11 @@ def test_verify_ok_and_fail(tmp_path):
 def test_verify_defenders_file_forms(tmp_path, monkeypatch):
     path = write_p5(tmp_path)
     good = {"commas": "2,3,5\n", "lines": "2\n3\n5\n", "solve": "size=3\n2\n3\n5\n", "mixed": " 2, 3\t5 "}
+    # size=N is read by int(), as the vertex tokens are
+    good |= {"zero": "size=03\n2\n3\n5\n", "sign": "size=+3\n2\n3\n5\n", "digits": "size=\u0663\n2\n3\n5\n"}
     for name, text in good.items():
         f = tmp_path / f"{name}.txt"
-        f.write_text(text)
+        f.write_text(text, encoding="utf-8")
         assert cli("verify", "--input", path, "--k", "2", "--defenders-file", str(f)) == (0, "OK\n", ""), name
     monkeypatch.setattr(sys, "stdin", byte_stdin("size=2\n2\n3\n"))
     assert cli("verify", "--input", path, "--k", "2", "--defenders-file", "-")[:2] == (1, "FAIL [4..5]\n")
@@ -182,7 +184,11 @@ def _one_split_intake(text, in_file, n):
         tokens = text.replace(",", " ").split()
         if tokens and tokens[0].startswith("size="):
             size = tokens.pop(0)[5:]
-            if size != str(len(tokens)):
+            try:
+                wrong = int(size) != len(tokens)  # N is read by int(), as every vertex token is
+            except ValueError:
+                wrong = True
+            if wrong:
                 return f"error: defenders file says size={size} but lists {len(tokens)} vertices"
     for part in tokens:
         try:
@@ -220,6 +226,9 @@ SLICE_CASES = {
     ("size=2\n1\nx\n", True): "a matching header before a bad token",
     ("1\nsize=1\n", True): "a size=N token after the first is a bad token",
     ("size=3\n1\nx\n", True): "a mismatched header before a bad token",
+    ("size=02\n1\n2\n", True): "a size=N with a leading zero",
+    ("size=+2\n1\n2\n", True): "a size=N with a plus sign",
+    ("size=\u0662\n1\n2\n", True): "a size=N in Arabic-Indic digits",
     (" \n\t ", True): "whitespace-only file",
     ("1 2 3 4 5 6 7 8 9 10 11 x", True): "a bad token in the last slice of a file",
     ("1 2 3 4 5 6 7 8 9 10 11 0", True): "an out-of-range token in the last slice of a file",
@@ -455,10 +464,10 @@ def test_greedy_drops_the_input_and_graph_before_writing_the_answer(tmp_path, mo
 def test_bubble_solve_peak_memory_per_vertex(tmp_path):
     """solve --algo bubble on a pig file of the pig_k128 benchmark shape
     (connected unit intervals, n = 2,000, spread 1/16, seed 128, k = 128)
-    peaks below 155 bytes per vertex after one warm-up call: the solver
-    reads the model's tuples in place and the model stores no ``min_v``
-    (141 measured; 168 with ``min_v`` stored and five 1-based copies of
-    the model's tuples made for the solve)."""
+    peaks below 96 bytes per vertex after one warm-up call: the solver
+    reads the model's tuples in place and the model stores neither
+    ``min_v`` nor ``max_v`` (81.4 measured on CPython 3.11, 74.0 to 86.9 on
+    3.10, 3.12 and 3.13; 90.7 with ``max_v`` stored)."""
     from defdom import gen_random_unit_intervals
 
     n = 2000
@@ -474,7 +483,7 @@ def test_bubble_solve_peak_memory_per_vertex(tmp_path):
     finally:
         tracemalloc.stop()
     assert result == warm
-    assert peak / n < 155, peak / n
+    assert peak / n < 96, peak / n
 
 
 def test_solve_answer_spans_write_chunks(tmp_path):

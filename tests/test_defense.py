@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -19,6 +20,7 @@ from defdom import (
     is_k_defensive,
     linear_from_compact,
     pig_from_bubbles,
+    solve_bubble,
     solve_greedy,
 )
 from helpers import (
@@ -258,6 +260,23 @@ def test_bubble_verifier_exact_steps():
         assert stats == dict(steps=want_steps), (lb, ds, k, stats)
         if lb.n < 100:
             assert scan_first_undefended(lb.to_graph(), ds, k) == want, (lb, ds, k)
+
+
+def test_bubble_verifier_peak_is_per_bubble():
+    """On the pig_k128 benchmark shape (connected unit intervals, spread 1/16,
+    n = 2,000, 1,347 bubbles, k = 128) the model pass peaks under 96 bytes
+    per bubble, its defenders' copy included: it walks the bubble ends as
+    running sums (88.5 measured; 124.4 reading the derived ``max_v`` tuple)."""
+    lb = bubbles_from_pig(gen_random_unit_intervals(2000, spread="1/16", seed=128, connected=True))
+    ds = solve_bubble(lb, 128)
+    tracemalloc.start()
+    try:
+        bad = first_undefended_attack(lb, ds, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bad is None and lb.count == 1347
+    assert peak / lb.count < 96, peak / lb.count
 
 
 def test_hall_verifier_input_forms():

@@ -295,7 +295,7 @@ def test_exact_counters():
 
 def test_scan_reference_exact_counters():
     """The reference scan's own counters on the same runs, so the reference stays pinned."""
-    _check_fixed_runs(scan_greedy, (8, 7, 15, 105, 218))
+    _check_fixed_runs(scan_greedy, (8, 7, 15, 105, 254))
 
 
 def _staircase(rng, n):
@@ -324,15 +324,14 @@ def _wide_twin_cases(rng):
 
 def test_batches_match_scan_reference():
     """Failing windows recruited in one batch give the scan's defenders and,
-    window by window, its defender sets, at k on both sides of the gate.  The
-    scan takes a component of at most k vertices whole, calling no hook."""
+    window by window, its defender sets, at k on both sides of the gate."""
     rng = SplitMix64(3838)
     for g in _wide_twin_cases(rng):
         for k in {1 + rng.below(_BATCH), _BATCH, _BATCH + 1, _BATCH + 2 + rng.below(48), 64}:
             mine, ref = [], []
             assert solve_greedy(g, k) == scan_greedy(g, k, on_step=lambda j, ds: ref.append((j, sorted(ds)))), (g.maxn, k)
-            solve_greedy(g, k, on_step=lambda j, ds: mine.append(list(ds)))  # a hooked batch inserts one at a time
-            assert len(mine) == g.n and all(mine[j - 1] == want for j, want in ref), (g.maxn, k)
+            solve_greedy(g, k, on_step=lambda j, ds: mine.append((j, list(ds))))  # a hooked batch inserts one at a time
+            assert mine == ref, (g.maxn, k)
 
 
 def test_quiet_windows_are_jumped():
